@@ -12,20 +12,37 @@ friendly matrix, i.e. ``|G|`` times the unitary S-matrix,
             conj(chi(x b x^-1)) * conj(psi(x^-1 a x)).
 
 With this convention the unit row consists of the quantum dimensions,
-S * conj(S)^T = |G|^2 * Id, and S^2 = |G|^2 * (charge conjugation).  All
-preservation checks downstream compare unnormalized matrices, which is
-equivalent to comparing the unitary ones.
+S * conj(S)^T = |G|^2 * Id, S^2 = |G|^2 * C (C the charge conjugation) and
+(S T)^3 = |G| * S^2.  All preservation checks downstream compare
+unnormalized matrices, which is equivalent to comparing the unitary ones.
+
+``ModularData.S`` is an N x N object array of canonical Cyclotomic entries.
+Certification does not use them one by one: it lifts S and T once into the
+single field Q(zeta_L), L the lcm of their conductors, as integer tensors of
+shape (phi(L), N, N) and (phi(L), N) over a common denominator, and checks
+symmetry, the unit row, the twists, the Gram matrix, S^2, C-invariance of T
+and the modular relation as exact integer-array equalities.  Every product
+first bounds its coefficients; it runs on int64 when the bound fits and on
+Python ints (object arrays, same code) when it does not.  A failed check
+raises CertificationError; none of them is an ``assert``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
 from .chars import centralizer_table
-from .cyclo import Cyclotomic, cyclo_sum, one, zero
-from .errors import CapExceeded, NonIntegralFusion
+from .cyclo import (
+    Cyclotomic,
+    _lift_tensor,
+    _tensor_conj,
+    _tensor_product,
+    cyclo_sum,
+)
+from .errors import CapExceeded, CertificationError, NonIntegralFusion
 from .groups import FiniteGroup, conjugacy_classes
 
 __all__ = [
@@ -89,7 +106,11 @@ def simple_objects(G: FiniteGroup) -> list[SimpleObject]:
                     f"more than {SIMPLES_CAP} simple objects for {G!r}"
                 )
         total = sum(s.qdim * s.qdim for s in out)
-        assert total == G.n * G.n, "quantum dimensions fail sum rule"
+        if total != G.n * G.n:
+            raise CertificationError(
+                f"sum rule: the squared quantum dimensions add up to {total},"
+                f" not |G|^2 = {G.n * G.n}"
+            )
         G._memo[key] = tuple(out)
     return list(G._memo[key])
 
@@ -111,7 +132,7 @@ def _entry_profile(G, a, b, cent_a_set, pos_a, pos_b):
 
 
 def modular_data(G: FiniteGroup) -> ModularData:
-    """The exact (S, T) pair; every structural invariant is asserted."""
+    """The exact (S, T) pair; every structural relation is certified."""
     key = ("modular",)
     if key in G._memo:
         return G._memo[key]
@@ -135,8 +156,11 @@ def modular_data(G: FiniteGroup) -> ModularData:
         ch = table[s.char_index]
         T.append(ch.value_at_element(pos[cl.rep]) / ch.degree)
 
-    # S: one x-profile per ordered class pair, then all character pairs
+    # S: one x-profile per ordered class pair, then all character pairs.
+    # Equal entries share one object: S has N^2 entries but, for abelian G
+    # above all, few distinct values.
     S = np.empty((ns, ns), dtype=object)
+    entries: dict[Cyclotomic, Cyclotomic] = {}
     by_class: dict[int, list[int]] = {}
     for idx, s in enumerate(simples):
         by_class.setdefault(s.class_index, []).append(idx)
@@ -159,7 +183,8 @@ def modular_data(G: FiniteGroup) -> ModularData:
                         * cnt
                         for (u, v), cnt in profile.items()
                     )
-                    S[i, j] = total * n / (cent_a_size * cent_b_size)
+                    value = total * n / (cent_a_size * cent_b_size)
+                    S[i, j] = entries.setdefault(value, value)
 
     _certify_modular(G, simples, S, T)
     S.setflags(write=False)
@@ -169,42 +194,92 @@ def modular_data(G: FiniteGroup) -> ModularData:
 
 
 def _certify_modular(G, simples, S, T):
-    """Assert every structural property of (S, T) before releasing them."""
+    """Check every structural relation of (S, T) before releasing them.
+
+    The checks run in one field Q(zeta_L), L the lcm of the conductors of
+    all S and T entries.  S is lifted once to ``(den, A)``: ``A`` is an
+    integer tensor of shape (phi(L), N, N) with ``S[i, j] = sum_k A[k, i, j]
+    * zeta_L^k / den``; T becomes a (phi(L), N) tensor.  Products are
+    phi(L)^2 integer matmuls reduced through the powers of zeta_L (see
+    ``cyclo._tensor_product``).  Each step bounds its coefficients first and
+    runs on int64 when the bound fits, on Python ints otherwise.
+
+    Certified, in this order (the unnormalized convention of the module
+    docstring, n = |G|):
+
+    * twist: every T[i] is a root of unity of order dividing exp(G) * n
+      (checked first: it makes the lift of T integral);
+    * symmetry: S = S^T;
+    * unit row: S[0, j] is the quantum dimension of simple j;
+    * gram: S conj(S)^T = n^2 I;
+    * square: S^2 = n^2 C for a permutation C (charge conjugation), read off
+      the nonzero pattern of S^2; C is then an involution, as S^2 is
+      symmetric;
+    * twist conjugation: T[C(i)] = T[i];
+    * modular relation: (S T)^3 = n S^2 = n^3 C.
+
+    A failure raises CertificationError naming the check and a witness.
+    """
     n, ns = G.n, len(simples)
-    n2 = n * n
-    for i in range(ns):
-        for j in range(i, ns):
-            assert S[i, j] == S[j, i], f"S not symmetric at {(i, j)}"
-    for j in range(ns):
-        assert S[0, j] == one() * simples[j].qdim, \
-            f"unit row is not the quantum dimension at {j}"
-
-    Sbar = np.empty_like(S)
-    for i in range(ns):
-        for j in range(ns):
-            Sbar[i, j] = S[i, j].conj()
-    gram = S @ Sbar.T
-    square = S @ S
-    perm = []
-    for i in range(ns):
-        for j in range(ns):
-            want = one() * n2 if i == j else zero()
-            assert gram[i, j] == want, f"S conj(S)^T is not |G|^2 I at {(i, j)}"
-        hits = [j for j in range(ns) if not square[i, j].is_zero()]
-        assert len(hits) == 1 and square[i, hits[0]] == one() * n2, \
-            f"S^2 row {i} is not |G|^2 times a permutation"
-        perm.append(hits[0])
-    assert sorted(perm) == list(range(ns)), "charge conjugation is not a bijection"
-    assert all(perm[perm[i]] == i for i in range(ns)), \
-        "charge conjugation is not an involution"
-
     bound = G.exponent() * n
     for i, th in enumerate(T):
         rt = th.as_root_of_unity()
-        assert rt is not None, f"twist {i} is not a root of unity"
-        order, _ = rt
-        assert bound % order == 0, \
-            f"twist {i} order {order} does not divide exp(G)*|G|"
+        if rt is None or bound % rt[0]:
+            raise CertificationError(
+                f"twist: T[{i}] = {th!r} is not a root of unity of order "
+                f"dividing exp(G)*|G| = {bound} at {(i, i)}"
+            )
+    L = lcm(*{v.n for v in S.flat}, *{t.n for t in T})
+    den, A = _lift_tensor(S, L)
+    # twists are roots of unity, so their lifts have denominator 1
+    _, Tt = _lift_tensor(np.array(T, dtype=object), L)
+
+    ident = np.arange(ns)
+    _raise_at("symmetry: S is not symmetric",
+              np.any(A != A.transpose(0, 2, 1), axis=0))
+    qdims = np.array([s.qdim * den for s in simples])
+    _raise_at("unit row: S[0, j] is not the quantum dimension of j",
+              _mark(ns, 0, ident,
+                    (A[0, 0] != qdims) | np.any(A[1:, 0] != 0, axis=0)))
+
+    gram = _tensor_product(A, _tensor_conj(A, L).transpose(0, 2, 1), L)
+    _raise_at("gram: S conj(S)^T is not |G|^2 I",
+              _off_scaled_perm(gram, (n * den) ** 2, ident))
+
+    square = _tensor_product(A, A, L)
+    perm = np.any(square != 0, axis=0).argmax(axis=1)
+    _raise_at("square: S^2 is not |G|^2 times a permutation",
+              _off_scaled_perm(square, (n * den) ** 2, perm))
+
+    _raise_at("twist conjugation: T[C(i)] is not T[i]",
+              _mark(ns, ident, perm, np.any(Tt[:, perm] != Tt, axis=0)))
+    st = _tensor_product(A, Tt[:, None, :], L, np.multiply)
+    cube = _tensor_product(_tensor_product(st, st, L), st, L)
+    _raise_at("modular relation: (S T)^3 is not |G| S^2",
+              _off_scaled_perm(cube, (n * den) ** 3, perm))
+
+
+def _off_scaled_perm(P, value, perm):
+    """(N, N) map of where the coefficient tensor P differs from ``value``
+    times the permutation matrix with ones at (i, perm[i])."""
+    hit = _mark(len(perm), np.arange(len(perm)), perm, True)
+    return (np.any(P[1:] != 0, axis=0)
+            | (hit & (P[0] != value)) | (~hit & (P[0] != 0)))
+
+
+def _mark(ns, rows, cols, flags):
+    """(ns, ns) boolean map with ``flags`` at (rows, cols), False elsewhere."""
+    bad = np.zeros((ns, ns), dtype=bool)
+    bad[rows, cols] = flags
+    return bad
+
+
+def _raise_at(check, bad):
+    """Raise CertificationError for ``check`` at the first True of ``bad``."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        i, j = (int(x) for x in hits[0])
+        raise CertificationError(f"{check} at {(i, j)}")
 
 
 def verlinde_fusion(md: ModularData, i: int, j: int, k: int) -> int:

@@ -552,12 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cohomology coefficient modulus (default: group exponent)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="reserved; dispatch is single-threaded and deterministic",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name in ("chartable", "h2", "center"):

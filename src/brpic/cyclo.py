@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .errors import DivisionByZero
 
 # Re-exported rational type: reduced numerator/denominator, arbitrary precision.
@@ -481,6 +483,94 @@ class Cyclotomic:
             data["conductor"],
             [Fraction(int(num), int(den)) for num, den in data["coeffs"]],
         )
+
+
+# ---------------------------------------------------------------------------
+# coefficient tensors: arrays of numbers in one field Q(zeta_L)
+# ---------------------------------------------------------------------------
+#
+# A tensor A of shape (phi(L), *shape) holds an array of elements of
+# Q(zeta_L) on the power basis: entry idx is sum_k A[k][idx] * zeta_L^k.
+# Entries are int64 while an explicit bound on every coefficient (and every
+# partial sum formed on the way) fits; past that they are Python ints in an
+# object array, and the same numpy calls run exactly on them.
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _fit(bound: int, *tensors):
+    """The tensors, moved to exact Python ints when ``bound`` exceeds int64."""
+    if bound <= _INT64_MAX:
+        return tensors
+    return tuple(t.astype(object) for t in tensors)
+
+
+def _max_abs(t) -> int:
+    return int(np.abs(t).max())
+
+
+def _lift_tensor(values, L: int):
+    """(den, A) with A / den the coefficient tensor of the object array of
+    Cyclotomic ``values``, every conductor dividing L.
+
+    Each distinct value is lifted once; ``den`` is the common denominator.
+    """
+    flat = values.ravel()
+    index: dict[Cyclotomic, int] = {}
+    ids = np.array([index.setdefault(v, len(index)) for v in flat], dtype=np.intp)
+    lifted = [v._lift_coeffs(L) for v in index]
+    den = 1
+    for coeffs in lifted:
+        for c in coeffs:
+            den = _lcm(den, c.denominator)
+    rows = [[int(c * den) for c in coeffs] for coeffs in lifted]
+    bound = max(abs(c) for row in rows for c in row)
+    table = np.array(rows, dtype=np.int64 if bound <= _INT64_MAX else object)
+    return den, table[ids].T.reshape((_phi(L),) + values.shape)
+
+
+def _conj_map(L: int) -> np.ndarray:
+    """Row i: coordinates of conj(zeta_L^i) = zeta_L^-i on the power basis."""
+    return np.array(_galois_matrix(L, L - 1), dtype=np.int64)
+
+
+def _reduction_map(L: int) -> np.ndarray:
+    """Row t < 2 phi(L) - 1: coordinates of zeta_L^t on the power basis."""
+    table = _power_table(L)
+    return np.array([table[t % L] for t in range(2 * _phi(L) - 1)],
+                    dtype=np.int64)
+
+
+def _apply_plane_map(M: np.ndarray, A):
+    """out[k] = sum_i M[i, k] * A[i]: a linear map on the coefficient planes."""
+    bound = int(np.abs(M).sum(axis=0).max()) * _max_abs(A)
+    M, A = _fit(bound, M, A)
+    return np.tensordot(M.T, A, axes=1)
+
+
+def _tensor_conj(A, L: int):
+    """Coefficient tensor of the entrywise complex conjugate."""
+    return _apply_plane_map(_conj_map(L), A)
+
+
+def _tensor_product(A, B, L: int, op=np.matmul):
+    """Coefficient tensor of op(a, b) over Q(zeta_L), op np.matmul or
+    np.multiply (entrywise, with broadcasting).
+
+    Plane t of the unreduced result is sum over i + j = t of op(A[i], B[j]):
+    phi(L)^2 integer products into 2 phi(L) - 1 planes, then one reduction
+    through zeta_L^t.  Each unreduced entry is a sum of at most
+    phi(L) * inner products, so the bound below covers every partial sum.
+    """
+    h = _phi(L)
+    inner = A.shape[-1] if op is np.matmul else 1
+    A, B = _fit(h * inner * _max_abs(A) * _max_abs(B), A, B)
+    planes = [None] * (2 * h - 1)
+    for i in range(h):
+        for j in range(h):
+            term = op(A[i], B[j])
+            planes[i + j] = term if planes[i + j] is None else planes[i + j] + term
+    return _apply_plane_map(_reduction_map(L), np.stack(planes))
 
 
 def _canonicalize(n: int, coeffs: list[Fraction]) -> Cyclotomic:

@@ -106,6 +106,11 @@ class NotLazy(BrpicError):
 # center / autoequivalences
 # ---------------------------------------------------------------------------
 
+class CertificationError(BrpicError):
+    """Computed data fails one of its certificates; message names the check
+    and a witness."""
+
+
 class NonIntegralFusion(BrpicError):
     """A Verlinde fusion coefficient is not a nonnegative integer."""
 
@@ -173,10 +178,6 @@ class NoFactorization(BrpicError):
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-
-class UnknownCommand(BrpicError):
-    """The requested subcommand does not exist."""
-
 
 class BadArguments(BrpicError):
     """Subcommand arguments are malformed or incomplete."""

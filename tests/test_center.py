@@ -1,6 +1,10 @@
 """Center simple objects, modular data, and Verlinde fusion."""
 
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -8,13 +12,23 @@ import pytest
 from brpic.center import (
     ModularData,
     SimpleObject,
+    _certify_modular,
     modular_data,
     simple_objects,
     verlinde_fusion,
 )
-from brpic.cyclo import one, root_of_unity, zero
-from brpic.errors import CapExceeded, NonIntegralFusion
-from brpic.groups import named_group, symmetric_group
+from brpic.chars import centralizer_table
+from brpic.cyclo import (
+    _lift_tensor,
+    _tensor_conj,
+    _tensor_product,
+    from_rational,
+    one,
+    root_of_unity,
+    zero,
+)
+from brpic.errors import CapExceeded, CertificationError, NonIntegralFusion
+from brpic.groups import conjugacy_classes, named_group, symmetric_group
 
 # ---------------------------------------------------------------------------
 # simple-object enumeration
@@ -223,3 +237,179 @@ def test_corrupted_s_matrix_raises_nonintegral():
             for j in range(8):
                 for k in range(8):
                     verlinde_fusion(broken, i, j, k)
+
+
+# ---------------------------------------------------------------------------
+# certification
+# ---------------------------------------------------------------------------
+
+def naive_s_matrix(G):
+    """S straight from the definition in the center module docstring: one
+    Cyclotomic term per x in G, no per-class-pair profile."""
+    simples = simple_objects(G)
+    classes = conjugacy_classes(G)
+    ns = len(simples)
+    S = np.empty((ns, ns), dtype=object)
+    for i, si in enumerate(simples):
+        a = classes[si.class_index].rep
+        _, elems_a, table_a = centralizer_table(G, a)
+        chi = table_a[si.char_index]
+        for j, sj in enumerate(simples):
+            b = classes[sj.class_index].rep
+            _, elems_b, table_b = centralizer_table(G, b)
+            psi = table_b[sj.char_index]
+            acc = zero()
+            for x in range(G.n):
+                xi = G.inv_of(x)
+                u = G.mul(G.mul(x, b), xi)
+                if u not in elems_a:
+                    continue
+                v = G.mul(G.mul(xi, a), x)
+                acc = acc + (chi.value_at_element(elems_a.index(u)).conj()
+                             * psi.value_at_element(elems_b.index(v)).conj())
+            S[i, j] = acc * G.n / (len(elems_a) * len(elems_b))
+    return S
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "Z/2^2", "Z/3"])
+def test_s_matrix_matches_naive_definition(name):
+    G = named_group(name)
+    naive = naive_s_matrix(G)
+    S = modular_data(G).S
+    for i in range(S.shape[0]):
+        for j in range(S.shape[1]):
+            assert S[i, j] == naive[i, j], (i, j)
+
+
+def corrupted(name, edit_s=None, edit_t=None):
+    """(G, simples, S, T) of a fresh group with S and T copied and edited."""
+    G = named_group(name)
+    md = modular_data(G)
+    S = np.array(md.S, dtype=object, copy=True)
+    T = list(md.T)
+    if edit_s:
+        S = edit_s(S)
+    if edit_t:
+        edit_t(T)
+    return G, simple_objects(G), S, T
+
+
+def bump(*cells):
+    def edit(S):
+        for i, j in cells:
+            S[i, j] = S[i, j] + one()
+        return S
+    return edit
+
+
+def householder(j, k, l):
+    """Conjugate S by the rational reflection along e_j + e_k - 2 e_l.
+
+    With equal quantum dimensions at j, k, l it keeps S symmetric, its unit
+    row and S conj(S)^T, but S^2 = |G|^2 V C V is no longer a permutation
+    when charge conjugation C moves these indices.
+    """
+    def edit(S):
+        ns = S.shape[0]
+        w = [0] * ns
+        w[j], w[k], w[l] = 1, 1, -2
+        V = np.array([[from_rational(Fraction(int(r == c)) - Fraction(w[r] * w[c], 3))
+                       for c in range(ns)] for r in range(ns)], dtype=object)
+        return V.dot(S).dot(V)
+    return edit
+
+
+def swap(a, b):
+    def edit(T):
+        T[a], T[b] = T[b], T[a]
+    return edit
+
+
+def set_twist(i, value):
+    def edit(T):
+        T[i] = value
+    return edit
+
+
+@pytest.mark.parametrize("check,name,edit_s,edit_t", [
+    ("symmetry", "S3", bump((1, 2)), None),
+    ("unit row", "S3", bump((0, 1), (1, 0)), None),
+    ("gram", "S3", bump((1, 2), (2, 1)), None),
+    ("square", "Z/3", householder(1, 2, 3), None),
+    ("twist", "S3", None, set_twist(1, one() * 2)),
+    ("twist conjugation", "Z/3", None, swap(4, 5)),
+    ("modular relation", "S3", None, swap(1, 6)),     # T[1] = 1 <-> T[6] = z3
+])
+def test_each_corruption_raises_its_check(check, name, edit_s, edit_t):
+    with pytest.raises(CertificationError, match=rf"^{check}: .* at \(\d+, \d+\)$"):
+        _certify_modular(*corrupted(name, edit_s, edit_t))
+
+
+def test_corrupted_s_raises_under_python_O():
+    # the same S3 corruption as the "symmetry" case above, in a process
+    # where assert statements are compiled away
+    code = (
+        "import numpy as np\n"
+        "from brpic.center import _certify_modular, modular_data, simple_objects\n"
+        "from brpic.errors import CertificationError\n"
+        "from brpic.groups import named_group\n"
+        "G = named_group('S3')\n"
+        "S = np.array(modular_data(G).S, dtype=object, copy=True)\n"
+        "S[1, 2] = S[1, 2] + 1\n"
+        "try:\n"
+        "    _certify_modular(G, simple_objects(G), S, list(modular_data(G).T))\n"
+        "except CertificationError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("rejected: symmetry")
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_int64_and_object_routes_agree(name):
+    md = modular_data(named_group(name))
+    L = lcm(*{v.n for v in md.S.flat}, *{t.n for t in md.T})
+    _, A = _lift_tensor(md.S, L)
+    _, Tt = _lift_tensor(np.array(md.T, dtype=object), L)
+    assert A.dtype == Tt.dtype == np.int64 and L > 1
+
+    def products(X, Y):
+        st = _tensor_product(X, Y[:, None, :], L, np.multiply)
+        return [_tensor_product(X, _tensor_conj(X, L).transpose(0, 2, 1), L),
+                _tensor_product(X, X, L), _tensor_product(st, st, L)]
+
+    fast = products(A, Tt)
+    exact = products(A.astype(object), Tt.astype(object))
+    assert all(p.dtype == np.int64 for p in fast)
+    assert all(p.dtype == object for p in exact)
+    for f, e in zip(fast, exact):
+        assert f.shape == e.shape
+        assert [int(x) for x in f.flat] == [int(x) for x in e.flat]
+
+
+def test_coefficients_past_int64_take_the_object_route():
+    big = 2 ** 40
+    z = root_of_unity(3, 1)
+    values = np.array([[z * big, one() * big], [one() * big, z * z * big]],
+                      dtype=object)
+    den, A = _lift_tensor(values, 3)
+    assert den == 1 and A.dtype == np.int64
+    P = _tensor_product(A, A, 3)
+    assert P.dtype == object
+    for i in range(2):
+        for j in range(2):
+            want = sum((values[i, r] * values[r, j] for r in range(2)), zero())
+            got = sum(int(P[k, i, j]) * root_of_unity(3, k) for k in range(2))
+            assert got == want
+    huge = np.array([one() * 2 ** 70], dtype=object)
+    den, H = _lift_tensor(huge, 1)
+    assert H.dtype == object and H[0, 0] == 2 ** 70
+
+
+def test_certifies_z3_squared():
+    G = named_group("Z/3^2")
+    md = modular_data(G)
+    assert md.size == 81
+    assert isinstance(md.S[1, 2], type(one()))
+    _certify_modular(G, simple_objects(G), md.S, list(md.T))

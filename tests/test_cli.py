@@ -33,6 +33,22 @@ class TestExitCodes:
         assert payload["error"] == "UnknownName"
         assert "trivial-spec-typo" in payload["message"]
 
+    def test_certification_failure_is_domain_error(self, capsys, monkeypatch):
+        import brpic.center as center
+
+        certify = center._certify_modular
+
+        def corrupt(G, simples, S, T):
+            S = S.copy()
+            S[1, 2] = S[1, 2] + 1
+            certify(G, simples, S, T)
+
+        monkeypatch.setattr(center, "_certify_modular", corrupt)
+        code, payload, _ = run_json(capsys, "center", "S3")
+        assert code == 1
+        assert payload["error"] == "CertificationError"
+        assert payload["message"].startswith("symmetry: ")
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == 2
