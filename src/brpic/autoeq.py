@@ -37,6 +37,7 @@ from .cyclo import root_of_unity
 from .errors import (
     BudgetExceeded,
     CapExceeded,
+    CertificationError,
     ConditionFailed,
     Degenerate,
     DomainMismatch,
@@ -415,7 +416,11 @@ def _dualization_partial(G, S, pairing, provenance) -> PartialBrEq:
         duals = {class_of(G, dual_element(pairing, c.linear_char))
                  for c in comps}
         # the pairing is G-equivariant, so the dual orbit is one class
-        assert len(duals) == 1, "pairing is not equivariant on the orbit"
+        if len(duals) != 1:
+            raise CertificationError(
+                f"pairing equivariance: the Clifford constituents of"
+                f" character {k} dualize into {len(duals)} classes"
+            )
         cj = duals.pop()
         if cj == unit_class:
             # the restriction meets only the trivial character of S, so the

@@ -30,6 +30,7 @@ from .errors import (
     NotIrreducible,
 )
 from .groups import FiniteGroup, Subgroup, centralizer, class_of, conjugacy_classes
+from .zmodlin import _inv_mod_p, _is_prime, _kernel_mod_p, _primitive_root, _rref_mod_p
 
 __all__ = [
     "ClassFunction",
@@ -87,19 +88,8 @@ class CliffordComponent:
 
 
 # ---------------------------------------------------------------------------
-# modular arithmetic helpers (prime field; local to the table algorithm)
+# the table algorithm
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
 
 def _dixon_prime(e: int, order: int) -> int:
     bound = 2 * isqrt(order - 1) + 2 if order > 1 else 2
@@ -109,68 +99,6 @@ def _dixon_prime(e: int, order: int) -> int:
             return p
         p += e
 
-
-def _smallest_primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise CharacterTableError(f"no primitive root mod {p}")
-
-
-def _rref_p(A: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (R, pivot column list)."""
-    R = A.copy() % p
-    rows, cols = R.shape
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        hit = None
-        for i in range(rank, rows):
-            if R[i, j] % p:
-                hit = i
-                break
-        if hit is None:
-            continue
-        R[[rank, hit]] = R[[hit, rank]]
-        inv = pow(int(R[rank, j]), -1, p)
-        R[rank] = (R[rank] * inv) % p
-        for i in range(rows):
-            if i != rank and R[i, j]:
-                R[i] = (R[i] - R[i, j] * R[rank]) % p
-        pivots.append(j)
-        rank += 1
-        if rank == rows:
-            break
-    return R, pivots
-
-
-def _kernel_p(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning ker(A) mod p."""
-    rows, cols = A.shape
-    R, pivots = _rref_p(A, p)
-    free = [j for j in range(cols) if j not in pivots]
-    out = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        out[j, idx] = 1
-        for i, pj in enumerate(pivots):
-            out[pj, idx] = (-R[i, j]) % p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the table algorithm
-# ---------------------------------------------------------------------------
 
 def _class_matrices(G: FiniteGroup):
     classes = conjugacy_classes(G)
@@ -209,19 +137,12 @@ def character_table(G: FiniteGroup) -> list[Character]:
                 nxt.append(B)
                 continue
             # restriction: M B = B A with A = B[R]^-1 (M B)[R] on pivot rows
-            _, pivots = _rref_p(B.T, p)
-            Rsel = pivots                 # row indices making B[Rsel] invertible
-            Bs = B[Rsel, :] % p
+            _, Rsel = _rref_mod_p(B.T, p)   # rows making B[Rsel] invertible
             MB = (M @ B) % p
-            MBs = MB[Rsel, :]
-            # invert Bs mod p
-            aug = np.concatenate([Bs, np.eye(d, dtype=np.int64)], axis=1)
-            R2, piv2 = _rref_p(aug, p)
-            Binv = R2[:, d:]
-            A = (Binv @ MBs) % p
+            A = (_inv_mod_p(B[Rsel, :], p) @ MB[Rsel, :]) % p
             found = []
             for lam in range(p):
-                K = _kernel_p((A - lam * np.eye(d, dtype=np.int64)) % p, p)
+                K = _kernel_mod_p((A - lam * np.eye(d, dtype=np.int64)) % p, p)
                 if K.shape[1]:
                     found.append((B @ K) % p)
             if sum(k.shape[1] for k in found) != d:
@@ -235,7 +156,7 @@ def character_table(G: FiniteGroup) -> list[Character]:
     # --- per-character data mod p ------------------------------------------
     inv_class = [class_of(G, G.inv_of(c.rep)) for c in classes]
     sizes = [c.size for c in classes]
-    w_root = pow(_smallest_primitive_root(p), (p - 1) // e, p)
+    w_root = pow(_primitive_root(p), (p - 1) // e, p)
     raw_rows = []
     for B in spaces:
         w = B[:, 0] % p

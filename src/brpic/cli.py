@@ -269,9 +269,7 @@ def _cmd_autoeq(ns) -> tuple:
         m, eta = _cocycle_class(Sg, ns.modulus, ns.class_index)
         v = _morphism(G, ns.images) if ns.images else None
         partial = from_ev_lazy(S, eta, v)
-        completions = complete_extensions(
-            partial, cap=ns.cap if ns.cap else _CLOSURE_CAP
-        )
+        completions = complete_extensions(partial)
         return (
             _partial_report(partial, completions),
             [f"lazy dualization along {len(S.elements)} elements, eta class {ns.class_index} at modulus {m}"],
@@ -282,9 +280,7 @@ def _cmd_autoeq(ns) -> tuple:
         N = _subgroup_of(G, ns.normal, "--normal")
         Q = _subgroup_of(G, ns.complement, "--complement") if ns.complement else None
         partial = partial_dualization_rprime(N, Q)
-        completions = complete_extensions(
-            partial, cap=ns.cap if ns.cap else _CLOSURE_CAP
-        )
+        completions = complete_extensions(partial)
         return (
             _partial_report(partial, completions),
             ["self-dual pairing found by search; completions sorted by mapping"],

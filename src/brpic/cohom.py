@@ -21,6 +21,7 @@ from .cyclo import Cyclotomic, cyclo_sum, root_of_unity, zero
 from .errors import (
     BrpicError,
     BudgetExceeded,
+    CertificationError,
     Degenerate,
     NoSuchElement,
     NotAbelian,
@@ -29,6 +30,8 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 from .zmodlin import (
     DiagonalizedSystem,
+    _factorize,
+    _select_spanning_rows,
     diagonalize_mod,
     echelon_rows_mod,
     elementary_divisor_chain,
@@ -202,61 +205,6 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     return A % m
 
 
-def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
-    """Indices of rows spanning A's row module over Z/p^k.
-
-    Vectorized echelon sweep with minimal-valuation pivoting; the returned
-    rows (in their original, unreduced form) generate every row of A as a
-    Z/p^k-combination.
-    """
-    q = p ** k
-    W = A % q
-    E, N = W.shape
-    active = np.ones(E, dtype=bool)
-    pivots: list[int] = []
-    for j in range(N):
-        col = W[:, j]
-        cand = np.nonzero(active & (col != 0))[0]
-        if cand.size == 0:
-            continue
-        # p-adic valuations of the candidate entries
-        x = col[cand].copy()
-        v = np.zeros(cand.size, dtype=np.int64)
-        for _ in range(k):
-            divisible = (x % p == 0) & (x != 0)
-            v[divisible] += 1
-            x[divisible] //= p
-        order = np.lexsort((cand, v))
-        r = int(cand[order[0]])
-        vmin = int(v[order[0]])
-        pv = p ** vmin
-        unit = int(col[r]) // pv
-        W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes pv
-        others = cand[cand != r]
-        if others.size:
-            t = col[others] // pv
-            W[others, j:] = (W[others, j:] - t[:, None] * W[r, j:]) % q
-        active[r] = False
-        pivots.append(r)
-    return pivots
-
-
-def _prime_powers(m: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _hom_generators(G: FiniteGroup) -> list[np.ndarray]:
     """Generators of Hom(G, Z/e), e = exp(G), as value vectors on G."""
     e = G.exponent()
@@ -362,7 +310,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
 
     A = _cocycle_equations(G, m)
     chosen: set[int] = set()
-    for p, k in _prime_powers(m):
+    for p, k in _factorize(m):
         chosen.update(_select_spanning_rows(A, p, k))
     A_small = echelon_rows_mod(A[sorted(chosen)], A.shape[1], m)
     zbasis = nullspace_mod(A_small, m) if A_small.shape[0] else np.eye(
@@ -462,7 +410,11 @@ def coboundary_witness(e1: Cocycle2, e2: Cocycle2):
     phi = np.zeros(G.n, dtype=np.int64)
     for g, val in zip(nz, sol):
         phi[g] = int(val)
-    assert coboundary(G, phi, m) == (e2 - e1)
+    if coboundary(G, phi, m) != (e2 - e1):
+        raise CertificationError(
+            "coboundary witness: the solved phi does not satisfy"
+            " delta(phi) = e2 - e1"
+        )
     return phi
 
 
@@ -566,7 +518,11 @@ def dual_element(pairing: Pairing, linear_char) -> int:
     ]
     if not hits:
         raise NoSuchElement("character is not in the image of the pairing")
-    assert len(hits) == 1
+    if len(hits) > 1:
+        raise CertificationError(
+            f"dual element: {len(hits)} elements realize the character under"
+            " a nondegenerate pairing"
+        )
     return elems[hits[0]]
 
 
@@ -637,7 +593,11 @@ def lazy_representative(eta: Cocycle2, G: FiniteGroup, S: Subgroup):
     for i, val in zip(vars_, sol):
         phi[i] = int(val)
     fixed = eta + coboundary(Sgrp, phi, m)
-    assert is_lazy(fixed, G, S)
+    if not is_lazy(fixed, G, S):
+        raise CertificationError(
+            "lazy representative: the corrected cocycle is not invariant"
+            " under conjugation"
+        )
     return fixed
 
 

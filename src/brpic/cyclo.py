@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .errors import DivisionByZero
+from .errors import CertificationError, DivisionByZero
+from .zmodlin import _factorize, _phi
 
 # Re-exported rational type: reduced numerator/denominator, arbitrary precision.
 Rational = Fraction
@@ -49,38 +50,9 @@ __all__ = [
 # memoized integer tables (per conductor)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result *= p - 1
-            m //= p
-            while m % p == 0:
-                result *= p
-                m //= p
-        p += 1
-    if m > 1:
-        result *= m - 1
-    return result
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    out, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
 def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (den monic), remainder asserted 0."""
+    """Exact quotient of integer polynomials (den monic); a nonzero remainder
+    raises CertificationError."""
     num = list(num)
     dn = len(den) - 1
     out = [0] * (len(num) - dn)
@@ -90,7 +62,10 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, d in enumerate(den):
                 num[i - dn + j] -= c * d
-    assert all(c == 0 for c in num), "nonzero remainder in cyclotomic poly division"
+    if any(num):
+        raise CertificationError(
+            "cyclotomic polynomial division: nonzero remainder"
+        )
     return out
 
 
@@ -136,7 +111,10 @@ def _galois_matrix(n: int, j: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _lift_matrix(n: int, big: int) -> tuple[tuple[int, ...], ...]:
     """Rows i: coordinates of zeta_n^i = zeta_big^(i*big/n) on the big basis."""
-    assert big % n == 0
+    if big % n:
+        raise CertificationError(
+            f"lift matrix: conductor {n} does not divide {big}"
+        )
     table = _power_table(big)
     step = big // n
     return tuple(table[(i * step) % big] for i in range(_phi(n)))
@@ -184,7 +162,7 @@ def _descent_solver(n: int, d: int):
     den = 1
     for r in sol:
         for v in r:
-            den = den * v.denominator // gcd(den, v.denominator)
+            den = lcm(den, v.denominator)
     rows = tuple(tuple(int(v * den) for v in r) for r in sol)
     return den, rows
 
@@ -204,14 +182,10 @@ def _int_matvec(coords: list[int], rows) -> list[int]:
 # the number type
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _to_int_vec(coeffs) -> tuple[int, list[int]]:
     den = 1
     for c in coeffs:
-        den = _lcm(den, c.denominator)
+        den = lcm(den, c.denominator)
     return den, [int(c * den) for c in coeffs]
 
 
@@ -268,7 +242,7 @@ class Cyclotomic:
             return NotImplemented
         if self.n == other.n:
             return _canonicalize(self.n, [a + b for a, b in zip(self.c, other.c)])
-        big = _lcm(self.n, other.n)
+        big = lcm(self.n, other.n)
         a = self._lift_coeffs(big)
         b = other._lift_coeffs(big)
         return _canonicalize(big, [x + y for x, y in zip(a, b)])
@@ -298,7 +272,7 @@ class Cyclotomic:
             return _canonicalize(self.n, [x * q for x in self.c])
         if self.n == 1:
             return other * self.c[0]
-        big = _lcm(self.n, other.n)
+        big = lcm(self.n, other.n)
         da, va = _to_int_vec(self._lift_coeffs(big))
         db, vb = _to_int_vec(other._lift_coeffs(big))
         table = _power_table(big)
@@ -522,7 +496,7 @@ def _lift_tensor(values, L: int):
     den = 1
     for coeffs in lifted:
         for c in coeffs:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
     rows = [[int(c * den) for c in coeffs] for coeffs in lifted]
     bound = max(abs(c) for row in rows for c in row)
     table = np.array(rows, dtype=np.int64 if bound <= _INT64_MAX else object)
@@ -576,7 +550,7 @@ def _tensor_product(A, B, L: int, op=np.matmul):
 def _canonicalize(n: int, coeffs: list[Fraction]) -> Cyclotomic:
     """Reduce (n, coeffs) to the canonical minimal-conductor representation."""
     while n > 1:
-        for p in _prime_divisors(n):
+        for p, _ in _factorize(n):
             d = n // p
             kernel = _descent_kernel(n, d)
             if kernel:

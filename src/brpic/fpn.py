@@ -59,6 +59,7 @@ from .errors import (
     NotPrime,
 )
 from .groups import FiniteGroup, class_of, conjugacy_classes, named_group
+from .zmodlin import _inv_mod_p, _is_prime, _primitive_root, _rref_mod_p
 
 __all__ = [
     "FpMatrix",
@@ -83,7 +84,7 @@ _ORACLE_MAX_P = 5
 
 def _check_prime(p: int) -> int:
     p = int(p)
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
 
@@ -179,46 +180,7 @@ class FpMatrix:
 
     def inverse(self) -> "FpMatrix":
         """The inverse matrix; raises ValueError when singular."""
-        return FpMatrix(self.p, _inv_mod(self.entries, self.p))
-
-
-def _rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix read mod p, by Gaussian elimination."""
-    M = np.array(A, dtype=np.int64) % p
-    rows, cols = M.shape
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if M[r, c] % p), None)
-        if pivot is None:
-            continue
-        M[[rank, pivot]] = M[[pivot, rank]]
-        inv = pow(int(M[rank, c]), p - 2, p)
-        M[rank] = (M[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and M[r, c]:
-                M[r] = (M[r] - M[r, c] * M[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _inv_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square integer matrix mod p; ValueError when singular."""
-    M = np.array(A, dtype=np.int64) % p
-    k = M.shape[0]
-    aug = np.concatenate([M, np.eye(k, dtype=np.int64)], axis=1)
-    for c in range(k):
-        pivot = next((r for r in range(c, k) if aug[r, c] % p), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        aug[[c, pivot]] = aug[[pivot, c]]
-        inv = pow(int(aug[c, c]), p - 2, p)
-        aug[c] = (aug[c] * inv) % p
-        for r in range(k):
-            if r != c and aug[r, c]:
-                aug[r] = (aug[r] - aug[r, c] * aug[c]) % p
-    return aug[:, k:]
+        return FpMatrix(self.p, _inv_mod_p(self.entries, self.p))
 
 
 # -- the label dictionary --------------------------------------------------
@@ -364,27 +326,6 @@ def matrix_to_autoeq(M: FpMatrix) -> BraidedAutoeq:
 # -- structural generator families ----------------------------------------
 
 
-def _primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
-            return g
-    return 1
-
-
-def _prime_factors(m: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _gl_generators(p: int, n: int) -> List[np.ndarray]:
     """Standard generators of GL_n(F_p) (at most two)."""
     if n == 1:
@@ -427,7 +368,7 @@ def _embed_gl(p: int, v: np.ndarray) -> FpMatrix:
     n = v.shape[0]
     M = np.zeros((2 * n, 2 * n), dtype=np.int64)
     M[:n, :n] = v % p
-    M[n:, n:] = _inv_mod(v, p).T % p
+    M[n:, n:] = _inv_mod_p(v, p).T
     return FpMatrix(p, M)
 
 
@@ -596,19 +537,20 @@ def bruhat_factorize(M: FpMatrix) -> BruhatCell:
         )
     p, n = M.p, M.half
     E = M.entries
-    d = n - _rank_mod(E[:n, :n], p)
+    d = n - len(_rref_mod_p(E[:n, :n], p)[1])
     for subset in itertools.combinations(range(n), d):
         r = _pair_swap(p, n, subset)
         swapped = (E @ r.entries) % p
         X = swapped[:n, :n]
-        if _rank_mod(X, p) < n:
+        try:
+            Xinv = _inv_mod_p(X, p)
+        except ValueError:
             continue
         Y, Z = swapped[:n, n:], swapped[n:, :n]
-        Xinv = _inv_mod(X, p)
         b = np.zeros((2 * n, 2 * n), dtype=np.int64)
         b[:n, :n] = X
         b[n:, :n] = Z
-        b[n:, n:] = _inv_mod(X.T, p)
+        b[n:, n:] = Xinv.T
         e = np.eye(2 * n, dtype=np.int64)
         e[:n, n:] = (Xinv @ Y) % p
         bM, eM = FpMatrix(p, b), FpMatrix(p, e)

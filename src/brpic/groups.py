@@ -550,10 +550,6 @@ def outer_representatives(G: FiniteGroup, cap: int = DEFAULT_CAP):
     return reps
 
 
-# Name used in interface documentation: outer classes = Aut/Inn representatives.
-outer_classes = outer_representatives
-
-
 # ---------------------------------------------------------------------------
 # subgroup enumeration / normal structure
 # ---------------------------------------------------------------------------

@@ -17,10 +17,23 @@ the primitives here.
 
 All pivoting is deterministic (smallest gcd with m, then smallest index), so
 outputs are byte-stable.
+
+The module is also the one place that eliminates mod a prime power and the
+one place that factors integers.  Its private helpers serve the other
+modules:
+
+* F_p section: ``_rref_mod_p`` is the one Gauss-Jordan sweep over F_p, and
+  ``_inv_mod_p`` and ``_kernel_mod_p`` are read off it (Dixon eigenspaces in
+  ``chars``, Bruhat blocks and generator inverses in ``fpn``).
+  ``_select_spanning_rows`` picks rows spanning a row module over Z/p^k (the
+  cocycle systems in ``cohom``).
+* Number-theory section: ``_factorize`` is the one trial division, cached;
+  ``_is_prime``, ``_phi`` and ``_primitive_root`` are read off it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -50,6 +63,140 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+# ---------------------------------------------------------------------------
+# number theory
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization ((p, k), ...) of n, p ascending; () for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n: int) -> bool:
+    return _factorize(n) == ((n, 1),)
+
+
+@lru_cache(maxsize=None)
+def _phi(n: int) -> int:
+    """Euler's totient of n >= 1."""
+    out = 1
+    for p, k in _factorize(n):
+        out *= (p - 1) * p ** (k - 1)
+    return out
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest generator of (Z/p)^* for a prime p; 1 for p = 2."""
+    qs = [q for q, _ in _factorize(p - 1)]
+    return next(
+        (g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs)),
+        1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# elimination over F_p and Z/p^k
+# ---------------------------------------------------------------------------
+
+def _rref_mod_p(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """(R, pivots): the reduced row echelon form of A read mod the prime p,
+    and its pivot columns."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for j in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, j])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        row = R[r] * pow(int(R[r, j]), -1, p) % p
+        R -= np.outer(R[:, j], row)
+        R[r] = row
+        R %= p
+        pivots.append(j)
+    return R, pivots
+
+
+def _inv_mod_p(A, p: int) -> np.ndarray:
+    """Inverse of a square matrix mod the prime p; ValueError when singular."""
+    k = len(A)
+    R, pivots = _rref_mod_p(
+        np.hstack([np.asarray(A, dtype=np.int64), np.eye(k, dtype=np.int64)]), p
+    )
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular mod p")
+    return R[:, k:]
+
+
+def _kernel_mod_p(A, p: int) -> np.ndarray:
+    """Columns forming a basis of ker(A) mod the prime p: one per free column
+    of the echelon form, with a 1 in that column."""
+    R, pivots = _rref_mod_p(A, p)
+    free = [j for j in range(R.shape[1]) if j not in pivots]
+    K = np.zeros((R.shape[1], len(free)), dtype=np.int64)
+    K[free, range(len(free))] = 1
+    K[pivots] = -R[:len(pivots), free] % p
+    return K
+
+
+def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
+    """Indices of rows spanning A's row module over Z/p^k.
+
+    Vectorized echelon sweep with minimal-valuation pivoting; the returned
+    rows (in their original, unreduced form) generate every row of A as a
+    Z/p^k-combination.
+    """
+    q = p ** k
+    W = A % q
+    E, N = W.shape
+    active = np.ones(E, dtype=bool)
+    pivots: list[int] = []
+    for j in range(N):
+        col = W[:, j]
+        cand = np.nonzero(active & (col != 0))[0]
+        if cand.size == 0:
+            continue
+        # p-adic valuations of the candidate entries
+        x = col[cand].copy()
+        v = np.zeros(cand.size, dtype=np.int64)
+        for _ in range(k):
+            divisible = (x % p == 0) & (x != 0)
+            v[divisible] += 1
+            x[divisible] //= p
+        order = np.lexsort((cand, v))
+        r = int(cand[order[0]])
+        vmin = int(v[order[0]])
+        pv = p ** vmin
+        unit = int(col[r]) // pv
+        W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes pv
+        others = cand[cand != r]
+        if others.size:
+            t = col[others] // pv
+            W[others, j:] = (W[others, j:] - t[:, None] * W[r, j:]) % q
+        active[r] = False
+        pivots.append(r)
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,13 @@ class TestAutoeqCommands:
         assert code == 1
         assert payload["error"] == "NotAbelianNormal"
 
+    def test_cap_is_not_the_completion_node_budget(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "--cap", "4", "autoeq", "rprime", "Z/2^2", "--normal", "0,1"
+        )
+        assert code == 0
+        assert payload["result"]["count"] == 4
+
     def test_ev_z8_elementary(self, capsys):
         code, payload, _ = run_json(
             capsys,

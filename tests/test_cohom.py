@@ -26,6 +26,7 @@ from brpic.cyclo import one, root_of_unity, zero
 from brpic.errors import (
     BrpicError,
     BudgetExceeded,
+    CertificationError,
     Degenerate,
     NoSuchElement,
     NotAbelian,
@@ -135,6 +136,24 @@ def test_coboundary_witness_found_and_verified():
     phi = coboundary_witness(eta, eta + shift)
     assert phi is not None
     assert coboundary(G, phi, 8) == shift
+
+
+def test_coboundary_witness_rejects_a_wrong_solution(monkeypatch):
+    import brpic.cohom as cohom
+
+    G = named_group("D4")
+    eta = h2_classes(G, 8)[1]
+    shift = coboundary(G, [0, 3, 1, 4, 1, 5, 0, 2], 8)
+    solve = cohom.solve_mod
+
+    def wrong(A, b, m):
+        x = solve(A, b, m)
+        x[0] = (x[0] + 1) % m
+        return x
+
+    monkeypatch.setattr(cohom, "solve_mod", wrong)
+    with pytest.raises(CertificationError, match="coboundary witness"):
+        coboundary_witness(eta, eta + shift)
 
 
 def test_coboundary_witness_none_between_distinct_classes():

@@ -20,7 +20,8 @@ from brpic.cyclo import (
     zero,
 )
 from brpic.cyclo import _cyclo_poly  # internal, pinned against textbook values
-from brpic.errors import DivisionByZero
+from brpic.cyclo import _lift_matrix, _poly_divmod_exact
+from brpic.errors import CertificationError, DivisionByZero
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +219,11 @@ def test_norm_is_nonnegative_rational(a):
     assert m.conj() == m
     if a.is_zero():
         assert m == 0
+
+
+def test_internal_checks_raise_certification_error():
+    assert _poly_divmod_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(CertificationError, match="nonzero remainder"):
+        _poly_divmod_exact([1, 0, 1], [-1, 1])
+    with pytest.raises(CertificationError, match="lift matrix"):
+        _lift_matrix(3, 8)

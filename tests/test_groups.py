@@ -182,9 +182,9 @@ def test_automorphism_counts_frozen():
 
 
 def test_outer_classes():
-    assert len(gr.outer_classes(gr.named_group("S3"))) == 1
-    assert len(gr.outer_classes(gr.named_group("Z/2^2"))) == 6  # Inn trivial
-    assert len(gr.outer_classes(gr.named_group("D4"))) == 2
+    assert len(gr.outer_representatives(gr.named_group("S3"))) == 1
+    assert len(gr.outer_representatives(gr.named_group("Z/2^2"))) == 6  # Inn trivial
+    assert len(gr.outer_representatives(gr.named_group("D4"))) == 2
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
