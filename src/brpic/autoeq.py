@@ -36,7 +36,6 @@ from .cohom import (
 from .cyclo import root_of_unity
 from .errors import (
     BudgetExceeded,
-    CapExceeded,
     CertificationError,
     ConditionFailed,
     Degenerate,
@@ -53,6 +52,7 @@ from .errors import (
     UnsupportedProvenance,
 )
 from .groups import (
+    CLOSURE_CAP,
     FiniteGroup,
     GroupMorphism,
     Subgroup,
@@ -65,6 +65,7 @@ from .groups import (
     named_group,
     opposite_group,
     quotient,
+    _closure,
 )
 
 __all__ = [
@@ -91,7 +92,6 @@ __all__ = [
     "autoeq_from_json",
 ]
 
-GENERATE_CAP = 1_000_000
 EXTENSION_NODE_BUDGET = 1_000_000
 
 
@@ -101,7 +101,9 @@ class Provenance:
 
     kind is one of "v", "bv", "ev", "rprime", "composite", "searched";
     data holds the construction objects (morphisms, cocycles, subgroups) for
-    the elementary kinds and the factor provenances for "composite".
+    the elementary kinds and the factor provenances for "composite".  An
+    element of ``generate_group`` with word (i1, ..., ik) is the composite
+    whose factors are the provenances of generators i1, ..., ik.
     """
 
     kind: str
@@ -791,13 +793,15 @@ def equal(F: BraidedAutoeq, H: BraidedAutoeq) -> bool:
     return F.mapping == H.mapping
 
 
-def generate_group(generators, cap: int = GENERATE_CAP,
+def generate_group(generators, cap: int = CLOSURE_CAP,
                    group: Optional[FiniteGroup] = None) -> GeneratedGroup:
     """BFS closure under composition with shortest-word provenance.
 
     Element order is discovery order (identity first, then by word length);
     the word (i1, ..., ik) stands for generators[i1] after ... after
-    generators[ik]."""
+    generators[ik], and the element's provenance is the composite of those
+    generators' provenances.  The closure runs on the mappings; each element
+    is then built, and so verified, exactly once."""
     gens = list(generators)
     for F in gens:
         if group is None:
@@ -808,27 +812,17 @@ def generate_group(generators, cap: int = GENERATE_CAP,
         return GeneratedGroup(1, (), ())
 
     ident = identity_autoeq(group)
-    seen: dict[tuple, tuple] = {ident.mapping: ()}
-    elements = [ident]
-    words = [()]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gi, g in enumerate(gens):
-                new = compose(g, cur)
-                if new.mapping in seen:
-                    continue
-                word = (gi,) + seen[cur.mapping]
-                seen[new.mapping] = word
-                if len(seen) > cap:
-                    raise CapExceeded(
-                        f"generated group exceeds the cap of {cap}"
-                    )
-                elements.append(new)
-                words.append(word)
-                nxt.append(new)
-        frontier = nxt
+    mappings, words = _closure(
+        [F.mapping for F in gens],
+        lambda f, h: tuple(f[t] for t in h),
+        ident.mapping,
+        cap,
+    )
+    elements = [ident] + [
+        BraidedAutoeq(group, m, Provenance(
+            "composite", tuple(gens[i].provenance for i in w)))
+        for m, w in zip(mappings[1:], words[1:])
+    ]
     return GeneratedGroup(len(elements), tuple(elements), tuple(words))
 
 

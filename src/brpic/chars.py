@@ -16,7 +16,6 @@ precedes the zeta^2-character).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np

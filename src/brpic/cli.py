@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Optional
 
 from .autoeq import (
-    BraidedAutoeq,
     PartialBrEq,
     autoeq_from_json,
     autoeq_to_json,
@@ -73,6 +72,8 @@ from .fpn import (
     subgroup_generators,
 )
 from .groups import (
+    CLOSURE_CAP,
+    ORDER_CAP,
     FiniteGroup,
     GroupMorphism,
     Subgroup,
@@ -81,10 +82,8 @@ from .groups import (
     identity_morphism,
     named_group,
     semidirect_decompositions,
+    _cycles,
 )
-
-_GROUP_CAP = 200
-_CLOSURE_CAP = 1_000_000
 
 _FPN_CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -104,7 +103,7 @@ def _parse_ids(text: str, what: str) -> tuple:
 
 
 def _resolve_group(name: str, cap: Optional[int]) -> FiniteGroup:
-    return named_group(name, cap=cap if cap else _GROUP_CAP)
+    return named_group(name, cap=cap if cap else ORDER_CAP)
 
 
 def _subgroup_of(G: FiniteGroup, text: str, what: str) -> Subgroup:
@@ -140,21 +139,6 @@ def _cocycle_class(G: FiniteGroup, modulus: Optional[int], index: int):
             f" {len(reps)} classes at modulus {m}"
         )
     return m, reps[index]
-
-
-def _mapping_order(mapping) -> int:
-    seen = [False] * len(mapping)
-    order = 1
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = mapping[i]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def _load_mapping_json(path: str) -> dict:
@@ -289,7 +273,7 @@ def _cmd_autoeq(ns) -> tuple:
     if sub == "generate":
         elements = [autoeq_from_json(_load_mapping_json(p)) for p in ns.files]
         gg = generate_group(
-            elements, cap=ns.cap if ns.cap else _CLOSURE_CAP
+            elements, cap=ns.cap if ns.cap else CLOSURE_CAP
         )
         payload = {
             "order": gg.order,
@@ -358,7 +342,7 @@ def _build_bimodule_element(ns):
 
 def _cmd_fpn(ns) -> tuple:
     p, n = ns.p, ns.n
-    cap = ns.cap if ns.cap else _CLOSURE_CAP
+    cap = ns.cap if ns.cap else CLOSURE_CAP
     sub = ns.fpn_command
     if sub == "orders":
         generated = len(generate_matrix_group(standard_generators(p, n), cap=cap))
@@ -436,7 +420,9 @@ def _example_s3_reflection() -> dict:
         "normal_subgroup": [int(x) for x in rotations],
         "determined": {str(k): int(v) for k, v in sorted(partial.mapping.items())},
         "completions": [list(F.mapping) for F in completions],
-        "completion_orders": [_mapping_order(F.mapping) for F in completions],
+        "completion_orders": [
+            lcm(*(len(c) for c in _cycles(F.mapping))) for F in completions
+        ],
         "generated_order": generated.order,
     }
 

@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import Cyclotomic, cyclo_sum, root_of_unity, zero
+from .cyclo import cyclo_sum, root_of_unity, zero
 from .errors import (
     BrpicError,
     BudgetExceeded,

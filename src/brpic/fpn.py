@@ -42,6 +42,7 @@ the same cell as the standard ``r_d``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -51,14 +52,20 @@ from .autoeq import BraidedAutoeq, Provenance
 from .chars import character_table
 from .errors import (
     BudgetExceeded,
-    CapExceeded,
     DomainMismatch,
     NoFactorization,
     NotAdditive,
     NotFormPreserving,
     NotPrime,
 )
-from .groups import FiniteGroup, class_of, conjugacy_classes, named_group
+from .groups import (
+    CLOSURE_CAP,
+    FiniteGroup,
+    _closure,
+    class_of,
+    conjugacy_classes,
+    named_group,
+)
 from .zmodlin import _inv_mod_p, _is_prime, _primitive_root, _rref_mod_p
 
 __all__ = [
@@ -73,9 +80,6 @@ __all__ = [
     "group_order_oracle",
     "bruhat_factorize",
 ]
-
-#: Default element cap for matrix-group closures.
-GENERATE_CAP = 1_000_000
 
 # Exhaustive-oracle feasibility bounds (matrix size 2n and prime p).
 _ORACLE_MAX_SIZE = 4
@@ -423,7 +427,7 @@ def standard_generators(p: int, n: int) -> List[FpMatrix]:
 
 
 def generate_matrix_group(
-    generators: Iterable[FpMatrix], cap: int = GENERATE_CAP
+    generators: Iterable[FpMatrix], cap: int = CLOSURE_CAP
 ) -> Tuple[FpMatrix, ...]:
     """Breadth-first closure of the group generated by the given matrices.
 
@@ -439,24 +443,7 @@ def generate_matrix_group(
         if g.p != p or g.size != size:
             raise DomainMismatch("generators live over different forms")
     identity = FpMatrix.identity(p, size // 2)
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = g @ x
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"generated matrix group exceeds cap {cap}"
-                        )
-                    seen.add(y)
-                    elements.append(y)
-                    new.append(y)
-        frontier = new
-    return tuple(elements)
+    return tuple(_closure(gens, operator.matmul, identity, cap)[0])
 
 
 # -- independent order oracle ----------------------------------------------

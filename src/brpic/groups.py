@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -64,6 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10000
+ORDER_CAP = 200
+CLOSURE_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -771,16 +774,49 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# breadth-first closure
+# ---------------------------------------------------------------------------
+
+def _closure(generators, multiply, identity, cap: int):
+    """(elements, words) of the group generated by a list of hashable
+    ``generators``.
+
+    Breadth-first: each frontier element x is multiplied on the left by
+    each generator g in order, multiply(g, x).  Elements come in discovery
+    order, identity first; the word (i1, ..., ik) of an element is the
+    shortest one found, generators[i1] * ... * generators[ik].  Raises
+    CapExceeded once there would be more than ``cap`` elements.
+    """
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            wx = words[x]
+            for i, g in enumerate(generators):
+                y = multiply(g, x)
+                if y not in words:
+                    if len(words) >= cap:
+                        raise CapExceeded(
+                            f"generated group exceeds the cap of {cap}"
+                        )
+                    words[y] = (i,) + wx
+                    nxt.append(y)
+        frontier = nxt
+    return list(words), list(words.values())
+
+
+# ---------------------------------------------------------------------------
 # permutation groups and the naming mini-language
 # ---------------------------------------------------------------------------
 
-def _perm_name(perm: tuple[int, ...]) -> str:
-    """Cycle notation on 1-based points, fixed points omitted."""
+def _cycles(perm) -> list[list[int]]:
+    """The cycles of length > 1 of a permutation of 0..n-1, each listed from
+    its smallest point, in order of that point."""
     seen = [False] * len(perm)
     cycles = []
     for i in range(len(perm)):
         if seen[i] or perm[i] == i:
-            seen[i] = True
             continue
         cyc = [i]
         seen[i] = True
@@ -789,8 +825,15 @@ def _perm_name(perm: tuple[int, ...]) -> str:
             cyc.append(j)
             seen[j] = True
             j = perm[j]
-        cycles.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(cycles) if cycles else "e"
+        cycles.append(cyc)
+    return cycles
+
+
+def _perm_name(perm: tuple[int, ...]) -> str:
+    """Cycle notation on 1-based points, fixed points omitted."""
+    return "".join(
+        "(" + " ".join(str(p + 1) for p in cyc) + ")" for cyc in _cycles(perm)
+    ) or "e"
 
 
 def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
@@ -808,19 +851,11 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     )
 
 
-def _perm_closure(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    npts = len(gens[0])
-    ident = tuple(range(npts))
-    have = {ident}
-    queue = [ident]
-    while queue:
-        a = queue.pop()
-        for g in gens:
-            prod = tuple(a[g[i]] for i in range(npts))
-            if prod not in have:
-                have.add(prod)
-                queue.append(prod)
-    return sorted(have)
+def _perm_closure(gens: list[tuple[int, ...]], cap: int = CLOSURE_CAP
+                  ) -> list[tuple[int, ...]]:
+    elements, _ = _closure(gens, lambda a, b: tuple(a[i] for i in b),
+                           tuple(range(len(gens[0]))), cap)
+    return sorted(elements)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -830,21 +865,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
-    def sign(p):
-        s, seen = 1, [False] * len(p)
-        for i in range(len(p)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                s = -s
-        return s
-
-    evens = [p for p in permutations(range(n)) if sign(p) == 1]
+    evens = [p for p in permutations(range(n))
+             if sum(len(cyc) - 1 for cyc in _cycles(p)) % 2 == 0]
     return _group_from_perms(evens, f"A{n}")
 
 
@@ -899,6 +921,10 @@ def quaternion_group() -> FiniteGroup:
 
 def permutation_group(spec: str) -> FiniteGroup:
     """Closure of generators given in cycle notation, e.g. "(1 2 3)(4 5),(1 2)"."""
+    return _permutation_group(spec, CLOSURE_CAP)
+
+
+def _permutation_group(spec: str, cap: int) -> FiniteGroup:
     gen_strs = [s.strip() for s in spec.split(",") if s.strip()]
     if not gen_strs:
         raise UnknownName("empty permutation generator list")
@@ -925,14 +951,15 @@ def permutation_group(spec: str) -> FiniteGroup:
             for i, p in enumerate(cyc):
                 perm[p - 1] = cyc[(i + 1) % len(cyc)] - 1
         gens.append(tuple(perm))
-    return _group_from_perms(_perm_closure(gens), f"perm<{spec}>")
+    return _group_from_perms(_perm_closure(gens, cap), f"perm<{spec}>")
 
 
-def _parse_semidirect(text: str) -> FiniteGroup:
+def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
     head, _, action_spec = text.partition("@")
     npart, _, qpart = head.partition(":")
-    N = named_group(npart.strip())
-    Q = named_group(qpart.strip())
+    N = named_group(npart.strip(), cap)
+    Q = named_group(qpart.strip(), cap)
+    _check_order(text, N.n * Q.n, cap)
     # Bare "N:Q" means the inversion action (so "Z/3:Z/2" is the S3-shaped
     # semidirect product); write "NxQ" for the direct product.
     action_spec = action_spec.strip() or "inv"
@@ -977,9 +1004,6 @@ def _parse_semidirect(text: str) -> FiniteGroup:
     return semidirect_product(N, Q, action)
 
 
-ORDER_CAP = 200
-
-
 def named_group(spec: str, cap: int = ORDER_CAP) -> FiniteGroup:
     """Resolve a group name.
 
@@ -988,26 +1012,32 @@ def named_group(spec: str, cap: int = ORDER_CAP) -> FiniteGroup:
     bare "N:Q" means the inversion action), "perm:<generators in cycle
     notation>", and "AxB" direct products of any of these.  Raises
     UnknownName for anything else and CapExceeded past the order cap
-    (default 200; dense-table algorithms are only sane at desk scale).
+    (default 200; dense-table algorithms are only sane at desk scale),
+    before the table of an over-cap group is built.
     """
-    G = _named_group_inner(spec)
-    if G.n > cap:
-        raise CapExceeded(f"group {spec!r} has order {G.n} > cap {cap}")
+    G = _named_group_inner(spec, cap)
+    _check_order(spec, G.n, cap)
     return G
 
 
-def _named_group_inner(spec: str) -> FiniteGroup:
+def _check_order(spec: str, order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceeded(f"group {spec!r} has order {order} > cap {cap}")
+
+
+def _named_group_inner(spec: str, cap: int) -> FiniteGroup:
     spec = spec.strip()
     if ":" in spec and not spec.startswith("perm:"):
-        return _parse_semidirect(spec)
+        return _parse_semidirect(spec, cap)
     if spec.startswith("perm:"):
-        return permutation_group(spec[len("perm:"):])
+        return _permutation_group(spec[len("perm:"):], cap)
     if "x" in spec and not spec.startswith("perm"):
         parts = spec.split("x")
         try:
-            groups = [named_group(p) for p in parts]
+            groups = [named_group(p, cap) for p in parts]
         except UnknownName:
             raise UnknownName(f"unknown group name {spec!r}") from None
+        _check_order(spec, prod(g.n for g in groups), cap)
         out = groups[0]
         for g in groups[1:]:
             out = direct_product(out, g)
@@ -1034,6 +1064,7 @@ def _named_group_inner(spec: str) -> FiniteGroup:
                 raise UnknownName(f"unknown group name {spec!r}") from None
             if p < 2 or k < 1:
                 raise UnknownName(f"unknown group name {spec!r}")
+            _check_order(spec, p ** k, cap)
             return elementary_abelian(p, k)
         try:
             n = int(body)
@@ -1041,5 +1072,6 @@ def _named_group_inner(spec: str) -> FiniteGroup:
             raise UnknownName(f"unknown group name {spec!r}") from None
         if n < 1:
             raise UnknownName(f"unknown group name {spec!r}")
+        _check_order(spec, n, cap)
         return cyclic_group(n)
     raise UnknownName(f"unknown group name {spec!r}")

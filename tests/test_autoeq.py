@@ -710,6 +710,28 @@ def s3_all_generators():
     return gens
 
 
+def z3_generators():
+    """Inversion and the dualizations of Z/3: they generate a group of
+    order 4."""
+    Z3 = named_group("Z/3")
+    inv = GroupMorphism(Z3, Z3, tuple((-g) % 3 for g in range(3)))
+    whole = Z3.subgroup([0, 1, 2])
+    return [from_hopf_auto(inv)] + complete_extensions(
+        partial_dualization_rprime(whole))
+
+
+def z2sq_generators():
+    """Two automorphisms, the nontrivial cocycle twist and one partial
+    dualization of Z/2^2: they generate a group of order 72."""
+    G = named_group("Z/2^2")
+    gens = [from_hopf_auto(GroupMorphism(G, G, imgs))
+            for imgs in ((0, 2, 1, 3), (0, 2, 3, 1))]
+    gens.append(from_bv(identity_morphism(G), h2_classes(G, 2)[1]))
+    gens.append(complete_extensions(
+        partial_dualization_rprime(G.subgroup([0, 1])))[0])
+    return gens
+
+
 class TestGenerateGroup:
     def test_empty_generators_give_trivial_group(self):
         gg = generate_group([])
@@ -766,6 +788,40 @@ class TestGenerateGroup:
         gens += complete_extensions(partial_dualization_rprime(whole))
         with pytest.raises(CapExceeded):
             generate_group(gens, cap=2)
+
+    def test_cap_boundary(self):
+        gens = z3_generators()
+        assert generate_group(gens, cap=4).order == 4
+        with pytest.raises(CapExceeded):
+            generate_group(gens, cap=3)
+
+    def test_each_element_verified_once(self, monkeypatch):
+        import brpic.autoeq as autoeq
+
+        gens = z2sq_generators()
+        calls = []
+        check = autoeq._check_preservation
+
+        def counted(md, mapping):
+            calls.append(mapping)
+            return check(md, mapping)
+
+        monkeypatch.setattr(autoeq, "_check_preservation", counted)
+        gg = generate_group(gens)
+        assert gg.order == 72
+        assert len(calls) == gg.order
+        assert sorted(calls) == sorted(F.mapping for F in gg.elements)
+
+    def test_provenance_is_the_word(self):
+        gens = z2sq_generators()
+        gg = generate_group(gens)
+        G = gens[0].group
+        assert gg.elements[0].provenance == identity_autoeq(G).provenance
+        for F, word in zip(gg.elements[1:], gg.words[1:]):
+            assert F.provenance.kind == "composite"
+            assert F.provenance.data == tuple(
+                gens[i].provenance for i in word
+            )
 
     def test_mismatched_generators(self):
         with pytest.raises(DomainMismatch):

@@ -1,5 +1,6 @@
 """Tests for the command-line dispatcher: payloads, exit codes, fixtures."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -313,6 +314,44 @@ class TestFpnCommands:
         )
         assert code == 1
         assert payload["error"] == "NotFormPreserving"
+
+
+class TestPinnedClosureOutput:
+    """stdout digests of closure listings: they pin the discovery order and
+    the shortest words, which no payload assertion above covers."""
+
+    Z2SQ_ELEMENTS = {
+        "v1.json": [0, 2, 1, 3, 8, 10, 9, 11, 4, 6, 5, 7, 12, 14, 13, 15],
+        "v2.json": [0, 2, 3, 1, 8, 10, 11, 9, 12, 14, 15, 13, 4, 6, 7, 5],
+        "bv.json": [0, 1, 2, 3, 5, 4, 7, 6, 10, 11, 8, 9, 15, 14, 13, 12],
+        "r.json": [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15],
+    }
+
+    @staticmethod
+    def digest(capsys, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("p, n, sha", [
+        ("2", "2",
+         "6ee4f8c60867f7901135d4712ea0735ad423a0399cf753ed70a8e87ae5b44790"),
+        ("3", "2",
+         "e4a5bade766c79986e5d5b8949ff910f1301ed7b10341891fbc55c07db78e39a"),
+    ])
+    def test_fpn_generate(self, capsys, p, n, sha):
+        assert self.digest(capsys, "fpn", p, n, "generate") == sha
+
+    def test_autoeq_generate(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, mapping in self.Z2SQ_ELEMENTS.items():
+            (tmp_path / name).write_text(
+                json.dumps({"group": "Z/2^2", "mapping": mapping})
+            )
+        sha = self.digest(capsys, "autoeq", "generate", *self.Z2SQ_ELEMENTS)
+        assert sha == (
+            "9775492261c4d571c4beb7b2f6c1e277315fc9b3bedacd8fe643d50367ae584f"
+        )
 
 
 class TestExamples:

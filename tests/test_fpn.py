@@ -268,6 +268,12 @@ class TestGenerateMatrixGroup:
         with pytest.raises(CapExceeded):
             generate_matrix_group(standard_generators(2, 2), cap=10)
 
+    def test_cap_boundary(self):
+        gens = standard_generators(2, 2)
+        assert len(generate_matrix_group(gens, cap=720)) == 720
+        with pytest.raises(CapExceeded):
+            generate_matrix_group(gens, cap=719)
+
     def test_empty(self):
         with pytest.raises(ValueError):
             generate_matrix_group([])

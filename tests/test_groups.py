@@ -104,6 +104,43 @@ def test_order_cap():
     assert gr.named_group("Z/300", cap=500).n == 300
 
 
+def test_factor_orders_use_the_callers_cap():
+    assert gr.named_group("Z/300xZ/2", cap=1000).n == 600
+    assert gr.named_group("Z/300:Z/2", cap=1000).n == 600
+    with pytest.raises(CapExceeded):
+        gr.named_group("Z/50xZ/5", cap=249)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z/1000", "Z/2^11", "Z/50xZ/50", "Z/50:Z/50",
+             "perm:(1 2 3 4 5 6),(1 2)"]
+)
+def test_over_cap_names_are_rejected_before_building(spec):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            gr.named_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_permutation_closure_cap_boundary():
+    assert gr.named_group("perm:(1 2 3 4),(1 2)", cap=24).n == 24
+    with pytest.raises(CapExceeded):
+        gr.named_group("perm:(1 2 3 4),(1 2)", cap=23)
+
+
+def test_cycles():
+    assert gr._cycles((0, 1, 2)) == []
+    assert gr._cycles((1, 2, 0, 4, 3, 5)) == [[0, 1, 2], [3, 4]]
+    assert gr._perm_name((1, 2, 0, 4, 3, 5)) == "(1 2 3)(4 5)"
+    assert gr._perm_name((0, 1)) == "e"
+
+
 def test_d4_presentation():
     """D4 contains reflections x, y with x^2 = y^2 = (xy)^4 = e generating it."""
     G = gr.named_group("D4")
