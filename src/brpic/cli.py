@@ -271,7 +271,11 @@ def _cmd_autoeq(ns) -> tuple:
             0,
         )
     if sub == "generate":
-        elements = [autoeq_from_json(_load_mapping_json(p)) for p in ns.files]
+        elements = []
+        for path in ns.files:
+            data = _load_mapping_json(path)
+            G = _resolve_group(data["group"], ns.cap)
+            elements.append(autoeq_from_json(data, G))
         gg = generate_group(
             elements, cap=ns.cap if ns.cap else CLOSURE_CAP
         )

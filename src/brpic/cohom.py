@@ -190,7 +190,8 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     E = a.size
     if E * N > H2_ENTRY_BUDGET:
         raise BudgetExceeded(
-            f"cocycle system {E}x{N} exceeds the linear-algebra budget"
+            f"cocycle system {E}x{N} = {E * N} entries exceeds"
+            f" H2_ENTRY_BUDGET = {H2_ENTRY_BUDGET}"
         )
     A = np.zeros((E, N), dtype=np.int64)
     rows = np.arange(E)
@@ -202,7 +203,8 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     np.add.at(A, (rows, idx[b] * w + idx[c]), -1)
     keep = bc != G.identity
     np.add.at(A, (rows[keep], idx[a[keep]] * w + idx[bc[keep]]), -1)
-    return A % m
+    A %= m
+    return A
 
 
 def _hom_generators(G: FiniteGroup) -> list[np.ndarray]:
@@ -352,7 +354,9 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     for g in gvec:
         count *= g
     if count > H2_CLASS_BUDGET:
-        raise BudgetExceeded(f"{count} classes exceed the enumeration budget")
+        raise BudgetExceeded(
+            f"{count} classes exceed H2_CLASS_BUDGET = {H2_CLASS_BUDGET}"
+        )
 
     # enumerate labels lexicographically; reconstruct a cocycle per label
     positions = [i for i, g in enumerate(gvec) if g > 1]

@@ -140,7 +140,11 @@ class NoExtension(BrpicError):
 
 
 class BudgetExceeded(BrpicError):
-    """Completion search exceeded its node budget."""
+    """A computation exceeded one of its work budgets; the message names the
+    budget and its value.  The budgets are the completion search's node cap,
+    the H^2 computation's ``H2_ENTRY_BUDGET`` (equation-matrix entries) and
+    ``H2_CLASS_BUDGET`` (class representatives), and the matrix-model
+    oracle's size limits (2n and p)."""
 
 
 class ConditionFailed(BrpicError):

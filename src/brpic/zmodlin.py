@@ -10,7 +10,10 @@ the primitives here.
 * ``diagonalize_mod`` produces U A V = D with U, V invertible mod m (their
   inverses are tracked op-by-op), which is enough to solve linear systems
   and to read off quotient structure mod m.  Entries never leave [0, m), so
-  there is no coefficient blowup.
+  there is no coefficient blowup.  Clearing a pivot's column (then its row)
+  handles each run of entries the pivot divides in one vectorized update;
+  only an entry it does not divide takes a sequential xgcd step, so the
+  operations, and U, V and their inverses, are those of one row at a time.
 * ``smith_normal_form`` is a literal integer Smith normal form with
   unimodular transforms, used as an independent oracle for the mod-m route
   on small instances.
@@ -26,7 +29,10 @@ modules:
   ``_inv_mod_p`` and ``_kernel_mod_p`` are read off it (Dixon eigenspaces in
   ``chars``, Bruhat blocks and generator inverses in ``fpn``).
   ``_select_spanning_rows`` picks rows spanning a row module over Z/p^k (the
-  cocycle systems in ``cohom``).
+  cocycle systems in ``cohom``).  Its system is sparse, so each pivot step
+  updates the other rows only in the pivot row's nonzero columns (entries lie
+  in [0, p^k), where a zero column leaves them unchanged), and it stores the
+  system column-major because each step reads one column.
 * Number-theory section: ``_factorize`` is the one trial division, cached;
   ``_is_prime``, ``_phi`` and ``_primitive_root`` are read off it.
 """
@@ -168,7 +174,7 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
     Z/p^k-combination.
     """
     q = p ** k
-    W = A % q
+    W = np.remainder(A, q, out=np.empty_like(A, order="F"))
     E, N = W.shape
     active = np.ones(E, dtype=bool)
     pivots: list[int] = []
@@ -192,8 +198,12 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
         W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes pv
         others = cand[cand != r]
         if others.size:
+            # entries lie in [0, q), so the pivot row's zero columns leave
+            # the other rows unchanged and are skipped
             t = col[others] // pv
-            W[others, j:] = (W[others, j:] - t[:, None] * W[r, j:]) % q
+            nzc = j + np.flatnonzero(W[r, j:])
+            sub = np.ix_(others, nzc)
+            W[sub] = (W[sub] - t[:, None] * W[r, nzc]) % q
         active[r] = False
         pivots.append(r)
     return pivots
@@ -239,62 +249,71 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Transforms:
-    """Accumulates U (rows) / V (cols) and their inverses under elementary ops."""
+    """U (rows) and V (columns) with their inverses, under elementary ops.
 
-    def __init__(self, r: int, c: int, m: int):
-        self.m = m
+    A column operation on D is the row operation on D.T, V.T and Vinv.T, so
+    ``_swap``, ``_combine`` and ``_clear`` are written once, for rows, on
+    (A, M, Minv) = (D, U, Uinv) or (D.T, V.T, Vinv.T): ``A <- E A``,
+    ``M <- E M`` and ``Minv <- Minv E^-1``.
+    """
+
+    def __init__(self, r: int, c: int):
         self.U = np.eye(r, dtype=np.int64)
         self.Uinv = np.eye(r, dtype=np.int64)
         self.V = np.eye(c, dtype=np.int64)
         self.Vinv = np.eye(c, dtype=np.int64)
 
-    # row ops: A <- E A, U <- E U, Uinv <- Uinv E^-1 (columns)
-    def row_swap(self, A, i, j):
-        A[[i, j]] = A[[j, i]]
-        self.U[[i, j]] = self.U[[j, i]]
-        self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
 
-    def row_add(self, A, i, j, q):
-        """row_i += q * row_j."""
-        m = self.m
-        A[i] = (A[i] + q * A[j]) % m
-        self.U[i] = (self.U[i] + q * self.U[j]) % m
-        self.Uinv[:, j] = (self.Uinv[:, j] - q * self.Uinv[:, i]) % m
+def _swap(A, M, Minv, i, j):
+    A[[i, j]] = A[[j, i]]
+    M[[i, j]] = M[[j, i]]
+    Minv[:, [i, j]] = Minv[:, [j, i]]
 
-    def row_combine(self, A, i, j, s, t, ag, bg):
-        """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj), det = 1."""
-        m = self.m
-        for M in (A, self.U):
-            ri, rj = M[i].copy(), M[j].copy()
-            M[i] = (s * ri + t * rj) % m
-            M[j] = (-bg * ri + ag * rj) % m
-        ci, cj = self.Uinv[:, i].copy(), self.Uinv[:, j].copy()
-        self.Uinv[:, i] = (ag * ci + bg * cj) % m
-        self.Uinv[:, j] = (-t * ci + s * cj) % m
 
-    # column ops: A <- A E, V <- V E, Vinv <- E^-1 Vinv (rows)
-    def col_swap(self, A, i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        self.V[:, [i, j]] = self.V[:, [j, i]]
-        self.Vinv[[i, j]] = self.Vinv[[j, i]]
+def _combine(A, M, Minv, m, i, j, s, t, ag, bg):
+    """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj), det = 1."""
+    for X in (A, M):
+        ri, rj = X[i].copy(), X[j].copy()
+        X[i] = (s * ri + t * rj) % m
+        X[j] = (-bg * ri + ag * rj) % m
+    ci, cj = Minv[:, i].copy(), Minv[:, j].copy()
+    Minv[:, i] = (ag * ci + bg * cj) % m
+    Minv[:, j] = (-t * ci + s * cj) % m
 
-    def col_add(self, A, i, j, q):
-        """col_i += q * col_j."""
-        m = self.m
-        A[:, i] = (A[:, i] + q * A[:, j]) % m
-        self.V[:, i] = (self.V[:, i] + q * self.V[:, j]) % m
-        self.Vinv[j] = (self.Vinv[j] - q * self.Vinv[i]) % m
 
-    def col_combine(self, A, i, j, s, t, ag, bg):
-        """(col_i, col_j) <- (s*ci + t*cj, -bg*ci + ag*cj), det = 1."""
-        m = self.m
-        for M in (A, self.V):
-            ci, cj = M[:, i].copy(), M[:, j].copy()
-            M[:, i] = (s * ci + t * cj) % m
-            M[:, j] = (-bg * ci + ag * cj) % m
-        ri, rj = self.Vinv[i].copy(), self.Vinv[j].copy()
-        self.Vinv[i] = (ag * ri + bg * rj) % m
-        self.Vinv[j] = (-t * ri + s * rj) % m
+def _clear(A, M, Minv, m, k) -> bool:
+    """Clear column k of A off the pivot A[k, k] by row operations.
+
+    Rows are taken in increasing order.  Each run of rows whose entry the
+    pivot a divides is cleared by one update (row_i -= (b_i / a) row_k for
+    all of them at once); the first row that a does not divide gets an xgcd
+    step with row k, which changes a, and the next run uses the new a.  Only
+    row k and the row being cleared change at each step, so the result is
+    that of one row at a time.  Returns whether an xgcd step fired.
+    """
+    rows = np.flatnonzero(A[:, k])
+    rows = rows[rows != k]
+    a = int(A[k, k])
+    dirty = False
+    while rows.size:
+        b = A[rows, k]
+        bad = np.flatnonzero(b % a)
+        stop = int(bad[0]) if bad.size else rows.size
+        if stop:
+            run, q = rows[:stop], -(b[:stop] // a)
+            A[run] = (A[run] + q[:, None] * A[k]) % m
+            M[run] = (M[run] + q[:, None] * M[k]) % m
+            # |sum| < len(run) * m^2, exact in int64 for the moduli in use
+            Minv[:, k] = (Minv[:, k] - Minv[:, run] @ q) % m
+        if stop == rows.size:
+            break
+        i, bi = int(rows[stop]), int(b[stop])
+        g, s, t = xgcd(a, bi)
+        _combine(A, M, Minv, m, k, i, s, t, a // g, bi // g)
+        a = int(A[k, k])
+        dirty = True
+        rows = rows[stop + 1:]
+    return dirty
 
 
 def diagonalize_mod(A, m: int):
@@ -305,7 +324,8 @@ def diagonalize_mod(A, m: int):
     """
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
-    T = _Transforms(r, c, m)
+    T = _Transforms(r, c)
+    rows, cols = (D, T.U, T.Uinv), (D.T, T.V.T, T.Vinv.T)
     for k in range(min(r, c)):
         while True:
             block = D[k:, k:]
@@ -318,35 +338,11 @@ def diagonalize_mod(A, m: int):
             order = np.lexsort((nz[1], nz[0], gs))
             bi, bj = int(nz[0][order[0]]) + k, int(nz[1][order[0]]) + k
             if bi != k:
-                T.row_swap(D, k, bi)
+                _swap(*rows, k, bi)
             if bj != k:
-                T.col_swap(D, k, bj)
-            # clear column k
-            dirty = False
-            a = int(D[k, k])
-            for i in range(r):
-                if i == k or D[i, k] == 0:
-                    continue
-                b = int(D[i, k])
-                if b % a == 0:
-                    T.row_add(D, i, k, -(b // a))
-                else:
-                    g, s, t = xgcd(a, b)
-                    T.row_combine(D, k, i, s, t, a // g, b // g)
-                    a = int(D[k, k])
-                    dirty = True
-            # clear row k
-            for j in range(c):
-                if j == k or D[k, j] == 0:
-                    continue
-                b = int(D[k, j])
-                if b % a == 0:
-                    T.col_add(D, j, k, -(b // a))
-                else:
-                    g, s, t = xgcd(a, b)
-                    T.col_combine(D, k, j, s, t, a // g, b // g)
-                    a = int(D[k, k])
-                    dirty = True
+                _swap(*cols, k, bj)
+            dirty = _clear(*rows, m, k)           # column k
+            dirty = _clear(*cols, m, k) or dirty  # row k
             if not dirty and not D[k, k + 1:].any() and not D[k + 1:, k].any():
                 break
     return D, T

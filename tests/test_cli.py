@@ -218,6 +218,15 @@ class TestAutoeqCommands:
         assert payload["result"]["ok"] is True
         assert payload["result"]["witness"] is None
 
+    def test_generate_resolves_each_group_under_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({"group": "S3", "mapping": list(range(8))}))
+        code, payload, _ = run_json(
+            capsys, "--cap", "4", "autoeq", "generate", str(path)
+        )
+        assert code == 1
+        assert payload["error"] == "CapExceeded"
+
     def test_verify_bad_mapping_reports_witness(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         # Swapping the two objects over the identity class with different

@@ -1,5 +1,6 @@
 """Cocycle classes, pairings, and laziness, with brute-force cross-checks."""
 
+import hashlib
 import itertools
 from math import gcd
 
@@ -127,6 +128,62 @@ def test_classify_ignores_coboundary_shifts():
         shift = coboundary(G, (0,) + phi, 2)
         for i, rep in enumerate(res):
             assert res.class_index(rep + shift) == i
+
+
+# sha256 of each representative's little-endian int64 value table, and the
+# class_index of rep[i] + rep[i+1] + d(phi) with phi(g) = 5g + 3 mod m,
+# recorded before the sparse elimination replaced the dense sweep.
+H2_PINS = [
+    ("S4", 2, [
+        "606f558e014930f9c1669f03c71c28945c4631568e39cd308c6c7f4077c7bfb9",
+        "6edb3c36bbc703a7779265e950443b2c5ebf73fd6352bd2706f05e2ec31a841a",
+    ], [1, 1]),
+    ("Z/5:Z/4", 4, [
+        "5a312281df4bd8dfbb4d4a94ad0bf44d01bb8cfced1206b90e21b4ca0568cdb1",
+    ], [0]),
+    ("S3xZ/3", 6, [
+        "b2069f33fd956c79679b2e5a25c60cd0eab63b023d12111ff0242ae50896e9e1",
+    ], [0]),
+    ("D4xZ/2", 16, [
+        "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+        "06457c43bc0cb51437f5c099c2421cd93370cc82fcdc6325ea4c54bde19109cc",
+        "c7b0c7f9a25d3f9d81a40d8421c10dc7f1c6ab21e989b71b465bc66d001f1e6c",
+        "4cc43a3d6c26172373675d2469675e2b65c9f434cf3a307dc83089f7d84adcd9",
+        "88c13e8b3eb72619624b0d03617c3f685e55bc05e5cd3e8c0d21b745e10cd46d",
+        "6ca2f385368c981df1e253cad90c0388791d871f4cc28cd9576e8043774ab134",
+        "7a560b82141d37bf5ed5cf14b6a70cdb2d2e2d4fc4874e977e61fe53cc2a0165",
+        "236412747ec4e9071fb6bb5f2354fe543d0053f7daefbfbde2a5f8bf7d63a63d",
+    ], [1, 3, 1, 7, 1, 3, 1, 7]),
+    ("A4", 12, [
+        "4cf9816ed1062189ff0c8d427fba5e912cc68fc9af76cf7f08fd255977de3b33",
+        "16a7e3da9ef363d1ca9c09ef3ec6ce11b0fdcd53a6e7832fddc84052d5b3973a",
+    ], [1, 1]),
+    ("D4", 8, [
+        "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+        "affa0679bd0f5c9c572e565baab7c84bd5945eb6722ffccefe74f7ee9cbc82e9",
+    ], [1, 1]),
+]
+
+
+@pytest.mark.parametrize("name,m,digests,shifted", H2_PINS,
+                         ids=[f"{c[0]}@{c[1]}" for c in H2_PINS])
+def test_h2_representatives_pinned(name, m, digests, shifted):
+    G = named_group(name)
+    res = h2_classes(G, m)
+    got = [hashlib.sha256(rep.values.astype("<i8").tobytes()).hexdigest()
+           for rep in res]
+    assert got == digests
+    phi = np.array([(5 * g + 3) % m for g in range(G.n)])
+    phi[G.identity] = 0
+    d = coboundary(G, phi, m)
+    k = len(res)
+    assert [res.class_index(res[i] + res[(i + 1) % k] + d)
+            for i in range(k)] == shifted
+
+
+def test_h2_budget_names_the_entry_limit():
+    with pytest.raises(BudgetExceeded, match="H2_ENTRY_BUDGET = 100000000"):
+        h2_classes(named_group("A5"), 60)
 
 
 def test_coboundary_witness_found_and_verified():

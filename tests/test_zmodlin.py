@@ -1,5 +1,5 @@
-"""Tests for the shared F_p elimination and number-theory helpers in zmodlin,
-each against a brute-force oracle."""
+"""Tests for the shared elimination and number-theory helpers in zmodlin,
+each against a brute-force oracle or the dense reference routine."""
 
 import itertools
 from math import gcd, prod
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brpic.errors import NotPrime
+from brpic import zmodlin
 from brpic.fpn import FpMatrix
 from brpic.zmodlin import (
     _factorize,
@@ -19,6 +20,9 @@ from brpic.zmodlin import (
     _phi,
     _primitive_root,
     _rref_mod_p,
+    _select_spanning_rows,
+    diagonalize_mod,
+    xgcd,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -113,6 +117,177 @@ def test_fixed_examples():
     assert _inv_mod_p([[0, 1], [1, 1]], 2).tolist() == [[1, 1], [1, 0]]
     with pytest.raises(ValueError, match="singular"):
         _inv_mod_p([[1, 2], [2, 4]], 5)
+
+
+# ---------------------------------------------------------------------------
+# elimination over Z/p^k and Z/m against the dense one-step-at-a-time routines
+# ---------------------------------------------------------------------------
+
+def _dense_select_spanning_rows(A, p, k):
+    """Reference: every pivot step rewrites each candidate row across all of
+    its remaining columns."""
+    q = p ** k
+    W = A % q
+    E, N = W.shape
+    active = np.ones(E, dtype=bool)
+    pivots = []
+    for j in range(N):
+        col = W[:, j]
+        cand = np.nonzero(active & (col != 0))[0]
+        if cand.size == 0:
+            continue
+        x = col[cand].copy()
+        v = np.zeros(cand.size, dtype=np.int64)
+        for _ in range(k):
+            divisible = (x % p == 0) & (x != 0)
+            v[divisible] += 1
+            x[divisible] //= p
+        order = np.lexsort((cand, v))
+        r = int(cand[order[0]])
+        pv = p ** int(v[order[0]])
+        W[r, j:] = (W[r, j:] * pow(int(col[r]) // pv, -1, q)) % q
+        others = cand[cand != r]
+        if others.size:
+            t = col[others] // pv
+            W[others, j:] = (W[others, j:] - t[:, None] * W[r, j:]) % q
+        active[r] = False
+        pivots.append(r)
+    return pivots
+
+
+def _sequential_diagonalize_mod(A, m):
+    """Reference: clears the pivot's column, then its row, one elementary
+    operation at a time.  Returns (D, U, Uinv, V, Vinv)."""
+    D = np.asarray(A, dtype=np.int64).copy() % m
+    r, c = D.shape
+    U, Uinv = np.eye(r, dtype=np.int64), np.eye(r, dtype=np.int64)
+    V, Vinv = np.eye(c, dtype=np.int64), np.eye(c, dtype=np.int64)
+
+    def row_add(i, j, q):
+        D[i] = (D[i] + q * D[j]) % m
+        U[i] = (U[i] + q * U[j]) % m
+        Uinv[:, j] = (Uinv[:, j] - q * Uinv[:, i]) % m
+
+    def row_combine(i, j, s, t, ag, bg):
+        for M in (D, U):
+            ri, rj = M[i].copy(), M[j].copy()
+            M[i] = (s * ri + t * rj) % m
+            M[j] = (-bg * ri + ag * rj) % m
+        ci, cj = Uinv[:, i].copy(), Uinv[:, j].copy()
+        Uinv[:, i] = (ag * ci + bg * cj) % m
+        Uinv[:, j] = (-t * ci + s * cj) % m
+
+    def col_add(i, j, q):
+        D[:, i] = (D[:, i] + q * D[:, j]) % m
+        V[:, i] = (V[:, i] + q * V[:, j]) % m
+        Vinv[j] = (Vinv[j] - q * Vinv[i]) % m
+
+    def col_combine(i, j, s, t, ag, bg):
+        for M in (D, V):
+            ci, cj = M[:, i].copy(), M[:, j].copy()
+            M[:, i] = (s * ci + t * cj) % m
+            M[:, j] = (-bg * ci + ag * cj) % m
+        ri, rj = Vinv[i].copy(), Vinv[j].copy()
+        Vinv[i] = (ag * ri + bg * rj) % m
+        Vinv[j] = (-t * ri + s * rj) % m
+
+    for k in range(min(r, c)):
+        while True:
+            block = D[k:, k:]
+            nz = np.nonzero(block)
+            if nz[0].size == 0:
+                break
+            gs = np.gcd(block[nz], m)
+            order = np.lexsort((nz[1], nz[0], gs))
+            bi, bj = int(nz[0][order[0]]) + k, int(nz[1][order[0]]) + k
+            if bi != k:
+                D[[k, bi]] = D[[bi, k]]
+                U[[k, bi]] = U[[bi, k]]
+                Uinv[:, [k, bi]] = Uinv[:, [bi, k]]
+            if bj != k:
+                D[:, [k, bj]] = D[:, [bj, k]]
+                V[:, [k, bj]] = V[:, [bj, k]]
+                Vinv[[k, bj]] = Vinv[[bj, k]]
+            dirty = False
+            a = int(D[k, k])
+            for i in range(r):
+                if i == k or D[i, k] == 0:
+                    continue
+                b = int(D[i, k])
+                if b % a == 0:
+                    row_add(i, k, -(b // a))
+                else:
+                    g, s, t = xgcd(a, b)
+                    row_combine(k, i, s, t, a // g, b // g)
+                    a = int(D[k, k])
+                    dirty = True
+            for j in range(c):
+                if j == k or D[k, j] == 0:
+                    continue
+                b = int(D[k, j])
+                if b % a == 0:
+                    col_add(j, k, -(b // a))
+                else:
+                    g, s, t = xgcd(a, b)
+                    col_combine(k, j, s, t, a // g, b // g)
+                    a = int(D[k, k])
+                    dirty = True
+            if not dirty and not D[k, k + 1:].any() and not D[k + 1:, k].any():
+                break
+    return D, U, Uinv, V, Vinv
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_select_spanning_rows_matches_dense_sweep(seed):
+    rng = np.random.default_rng(seed)
+    p = [2, 3, 5][seed % 3]
+    k = 1 + seed % 4 % 3
+    q = p ** k
+    E, N = int(rng.integers(1, 60)), int(rng.integers(1, 25))
+    density = rng.uniform(0.05, 0.4)
+    A = rng.integers(-q, 2 * q, size=(E, N)) * (rng.random((E, N)) < density)
+    before = A.copy()
+    assert _select_spanning_rows(A, p, k) == _dense_select_spanning_rows(A, p, k)
+    assert np.array_equal(A, before)                 # the input is not modified
+
+
+DIAG_MODULI = [2, 4, 6, 8, 12, 16, 24, 30, 36]
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_diagonalize_mod_matches_sequential_routine(seed):
+    rng = np.random.default_rng(1000 + seed)
+    m = DIAG_MODULI[seed % len(DIAG_MODULI)]
+    r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    A = rng.integers(0, m, size=(r, c)) * (rng.random((r, c)) < 0.6)
+    D, T = diagonalize_mod(A, m)
+    assert not (D * (1 - np.eye(r, c, dtype=np.int64))).any()   # diagonal
+    assert np.array_equal(T.U @ A @ T.V % m, D)
+    assert np.array_equal(T.U @ T.Uinv % m, np.eye(r, dtype=np.int64))
+    assert np.array_equal(T.V @ T.Vinv % m, np.eye(c, dtype=np.int64))
+    ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.Uinv, T.V, T.Vinv), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("A,m", [
+    ([[4, 6]], 12),                     # row k: 4 does not divide 6
+    ([[4], [6]], 12),                   # column k
+    ([[6, 4, 9], [10, 15, 3], [8, 2, 21]], 30),
+    ([[4, 8, 6], [6, 12, 10], [9, 4, 2]], 36),
+])
+def test_diagonalize_mod_xgcd_steps_match(monkeypatch, A, m):
+    calls = []
+    combine = zmodlin._combine
+    monkeypatch.setattr(zmodlin, "_combine",
+                        lambda *a: calls.append(a) or combine(*a))
+    D, T = diagonalize_mod(A, m)
+    assert calls                                     # the xgcd branch fired
+    A = np.asarray(A, dtype=np.int64)
+    assert np.array_equal(T.U @ A @ T.V % m, D)
+    ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.Uinv, T.V, T.Vinv), ref):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
