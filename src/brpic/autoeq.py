@@ -66,6 +66,8 @@ from .groups import (
     opposite_group,
     quotient,
     _closure,
+    _compose_rows,
+    _index_rows,
 )
 
 __all__ = [
@@ -813,15 +815,15 @@ def generate_group(generators, cap: int = CLOSURE_CAP,
 
     ident = identity_autoeq(group)
     mappings, words = _closure(
-        [F.mapping for F in gens],
-        lambda f, h: tuple(f[t] for t in h),
+        _index_rows([F.mapping for F in gens], len(ident.mapping)),
+        _compose_rows,
         ident.mapping,
         cap,
     )
     elements = [ident] + [
-        BraidedAutoeq(group, m, Provenance(
+        BraidedAutoeq(group, tuple(m), Provenance(
             "composite", tuple(gens[i].provenance for i in w)))
-        for m, w in zip(mappings[1:], words[1:])
+        for m, w in zip(mappings[1:].tolist(), words[1:])
     ]
     return GeneratedGroup(len(elements), tuple(elements), tuple(words))
 

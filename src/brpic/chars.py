@@ -139,11 +139,13 @@ def character_table(G: FiniteGroup) -> list[Character]:
             _, Rsel = _rref_mod_p(B.T, p)   # rows making B[Rsel] invertible
             MB = (M @ B) % p
             A = (_inv_mod_p(B[Rsel, :], p) @ MB[Rsel, :]) % p
-            found = []
-            for lam in range(p):
-                K = _kernel_mod_p((A - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if K.shape[1]:
-                    found.append((B @ K) % p)
+            # the eigenspaces of A: the kernels of A - lambda for all lambda
+            # in F_p, swept as stacks of at most about 2**16 entries
+            found, step = [], max(1, 2**16 // (d * d))
+            for lo in range(0, p, step):
+                lams = np.arange(lo, min(lo + step, p))[:, None, None]
+                Ks = _kernel_mod_p((A - lams * np.eye(d, dtype=np.int64)) % p, p)
+                found += [(B @ K) % p for K in Ks if K.shape[1]]
             if sum(k.shape[1] for k in found) != d:
                 raise CharacterTableError("eigen-splitting lost dimensions")
             nxt.extend(found)

@@ -66,10 +66,11 @@ from .errors import (
 from .fpn import (
     FpMatrix,
     bruhat_factorize,
-    generate_matrix_group,
     group_order_oracle,
     standard_generators,
     subgroup_generators,
+    _bruhat_stack,
+    _matrix_closure,
 )
 from .groups import (
     CLOSURE_CAP,
@@ -349,7 +350,7 @@ def _cmd_fpn(ns) -> tuple:
     cap = ns.cap if ns.cap else CLOSURE_CAP
     sub = ns.fpn_command
     if sub == "orders":
-        generated = len(generate_matrix_group(standard_generators(p, n), cap=cap))
+        generated = len(_matrix_closure(standard_generators(p, n), cap)[1])
         oracle = group_order_oracle(p, n)
         payload = {
             "p": p,
@@ -362,17 +363,17 @@ def _cmd_fpn(ns) -> tuple:
     if sub == "generate":
         which = ns.which
         if which == "all":
-            mats = generate_matrix_group(standard_generators(p, n), cap=cap)
+            mats = _matrix_closure(standard_generators(p, n), cap)[1].tolist()
             note = "closure of the V, BV, EV, R families"
         else:
-            mats = subgroup_generators(p, n, which)
+            mats = [M.tolist() for M in subgroup_generators(p, n, which)]
             note = f"generator list for family {which}"
         payload = {
             "p": p,
             "n": n,
             "which": which,
             "count": len(mats),
-            "matrices": [M.tolist() for M in mats],
+            "matrices": mats,
         }
         return payload, [note], 0
     if sub == "bruhat":
@@ -393,15 +394,13 @@ def _cmd_fpn(ns) -> tuple:
             }
             return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
         if ns.all:
-            census: dict = {}
-            for M in generate_matrix_group(standard_generators(p, n), cap=cap):
-                d = bruhat_factorize(M).reflection_rank
-                census[str(d)] = census.get(str(d), 0) + 1
+            E = _matrix_closure(standard_generators(p, n), cap)[1]
+            d = _bruhat_stack(p, E)[0].tolist()
             payload = {
                 "p": p,
                 "n": n,
-                "total": sum(census.values()),
-                "cells": census,
+                "total": len(d),
+                "cells": {str(c): d.count(c) for c in set(d)},
             }
             return payload, ["every element factored; cells keyed by reflection rank"], 0
         raise BadArguments("fpn bruhat needs --all or --matrix")
@@ -450,7 +449,7 @@ def _example_s4_bv_swap() -> dict:
 def _example_fpn_orders() -> dict:
     orders = {}
     for p, n in _FPN_CONFIGS:
-        generated = len(generate_matrix_group(standard_generators(p, n)))
+        generated = len(_matrix_closure(standard_generators(p, n))[1])
         oracle = group_order_oracle(p, n)
         orders[f"{p},{n}"] = {
             "generated": generated,

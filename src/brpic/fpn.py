@@ -14,11 +14,14 @@ with character coordinates.  This module makes that dictionary executable:
 * :func:`subgroup_generators` -- block generators for the four structural
   families: block-diagonal GL_n embeddings ("V"), lower and upper unipotent
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
+* :func:`generate_matrix_group` -- the closure of a generator list, run on
+  one int64 stack ``E [N, 2n, 2n]`` by the shared closure of ``groups``.
 * :func:`group_order_oracle` -- an independent count of all form-preserving
   matrices by constrained column extension, used to cross-check the order of
   the group generated by the four families.
 * :func:`bruhat_factorize` -- the rank-indexed triangular factorization
-  ``M = b @ e @ r`` exhibiting the n + 1 cell partition.
+  ``M = b @ e @ r`` exhibiting the n + 1 cell partition; ``_bruhat_stack``
+  factors a whole stack at once, and one matrix is a stack of one.
 
 Conventions.  At odd ``p`` the form is the split (plus-type) symmetric form
 and the matrix group is O_{2n}^+(F_p).  At ``p = 2`` the same equation is
@@ -42,8 +45,8 @@ the same cell as the standard ``r_d``.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -84,6 +87,9 @@ __all__ = [
 # Exhaustive-oracle feasibility bounds (matrix size 2n and prime p).
 _ORACLE_MAX_SIZE = 4
 _ORACLE_MAX_P = 5
+# Products run on int64: a row-by-column sum, up to 2n (p - 1)^2, stays below.
+FPN_INT64_LIMIT = 2**63
+_BRUHAT_SLICE = 4096   # matrices factored at once (bounds scratch memory)
 
 
 def _check_prime(p: int) -> int:
@@ -93,8 +99,9 @@ def _check_prime(p: int) -> int:
     return p
 
 
+@lru_cache(maxsize=None)
 def hyperbolic_form(p: int, n: int) -> np.ndarray:
-    """The 2n x 2n Gram matrix [[0, I], [I, 0]] over F_p.
+    """The 2n x 2n Gram matrix [[0, I], [I, 0]] over F_p (read-only, cached).
 
     Grading coordinates occupy the first n slots, character coordinates the
     last n; the form pairs each grading coordinate with its dual.  Symmetric
@@ -124,11 +131,17 @@ class FpMatrix:
 
     def __init__(self, p: int, entries) -> None:
         _check_prime(p)
-        arr = np.array(entries, dtype=np.int64) % p
+        arr = np.array(entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must form a square matrix")
         if arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError("matrix size must be even and positive")
+        if arr.shape[0] * (int(p) - 1) ** 2 >= FPN_INT64_LIMIT:
+            raise BudgetExceeded(
+                f"products of {arr.shape[0]} x {arr.shape[0]} matrices mod {p}"
+                f" overflow int64: 2n (p-1)^2 >= FPN_INT64_LIMIT = 2**63"
+            )
+        arr %= p
         arr.setflags(write=False)
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "entries", arr)
@@ -174,17 +187,22 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, {self.entries.tolist()!r})"
 
     def tolist(self) -> List[List[int]]:
-        return [[int(x) for x in row] for row in self.entries]
+        return self.entries.tolist()
 
     def is_form_preserving(self) -> bool:
         """True when M^T J M = J for the hyperbolic Gram matrix."""
-        J = hyperbolic_form(self.p, self.half)
-        lhs = (self.entries.T @ J @ self.entries) % self.p
-        return bool(np.array_equal(lhs, J))
+        return bool(_preserves_form(self.p, self.entries[None])[0])
 
     def inverse(self) -> "FpMatrix":
         """The inverse matrix; raises ValueError when singular."""
         return FpMatrix(self.p, _inv_mod_p(self.entries, self.p))
+
+
+def _preserves_form(p: int, E: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack E [N, 2n, 2n] satisfy M^T J M = J."""
+    J = hyperbolic_form(p, E.shape[-1] // 2)
+    lhs = np.matmul(E.swapaxes(1, 2), J @ E) % p
+    return (lhs == J).all(axis=(1, 2))
 
 
 # -- the label dictionary --------------------------------------------------
@@ -376,13 +394,13 @@ def _embed_gl(p: int, v: np.ndarray) -> FpMatrix:
     return FpMatrix(p, M)
 
 
-def _pair_swap(p: int, n: int, subset: Iterable[int]) -> FpMatrix:
+def _pair_swap(n: int, subset: Iterable[int]) -> np.ndarray:
     """The dualization matrix swapping the listed hyperbolic pairs."""
     M = np.eye(2 * n, dtype=np.int64)
     for i in subset:
         M[i, i] = M[n + i, n + i] = 0
         M[i, n + i] = M[n + i, i] = 1
-    return FpMatrix(p, M)
+    return M
 
 
 def subgroup_generators(p: int, n: int, which: str) -> List[FpMatrix]:
@@ -410,7 +428,7 @@ def subgroup_generators(p: int, n: int, which: str) -> List[FpMatrix]:
             out.append(FpMatrix(p, M))
         return out
     if which == "R":
-        return [_pair_swap(p, n, range(d)) for d in range(n + 1)]
+        return [FpMatrix(p, _pair_swap(n, range(d))) for d in range(n + 1)]
     raise ValueError(f"unknown family {which!r}: expected V, BV, EV, or R")
 
 
@@ -434,7 +452,15 @@ def generate_matrix_group(
     Deterministic order: identity first, then products by generation.
     Raises CapExceeded past ``cap`` elements and DomainMismatch on mixed p
     or size; at least one generator is required (to fix p and the size).
+    Each element becomes an FpMatrix once, after ``_matrix_closure``.
     """
+    p, E = _matrix_closure(generators, cap)
+    return tuple(FpMatrix(p, M) for M in E)
+
+
+def _matrix_closure(generators, cap: int = CLOSURE_CAP):
+    """(p, E): the closure as one stack E [N, 2n, 2n], in the smallest
+    unsigned dtype that holds F_p (products run on int64)."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -442,8 +468,14 @@ def generate_matrix_group(
     for g in gens:
         if g.p != p or g.size != size:
             raise DomainMismatch("generators live over different forms")
-    identity = FpMatrix.identity(p, size // 2)
-    return tuple(_closure(gens, operator.matmul, identity, cap)[0])
+    dt = np.min_scalar_type(p - 1)
+
+    def multiply(G, X):
+        return (np.matmul(G[None], X[:, None], dtype=np.int64) % p).astype(dt)
+
+    E, _ = _closure(np.array([g.entries for g in gens], dtype=dt), multiply,
+                    np.eye(size), cap)
+    return p, E
 
 
 # -- independent order oracle ----------------------------------------------
@@ -518,33 +550,55 @@ def bruhat_factorize(M: FpMatrix) -> BruhatCell:
     coordinate subset works (a counterexample to the cell decomposition,
     reported rather than suppressed).
     """
-    if not M.is_form_preserving():
-        raise NotFormPreserving(
-            "matrix does not preserve the hyperbolic form"
-        )
-    p, n = M.p, M.half
-    E = M.entries
-    d = n - len(_rref_mod_p(E[:n, :n], p)[1])
-    for subset in itertools.combinations(range(n), d):
-        r = _pair_swap(p, n, subset)
-        swapped = (E @ r.entries) % p
-        X = swapped[:n, :n]
-        try:
-            Xinv = _inv_mod_p(X, p)
-        except ValueError:
-            continue
-        Y, Z = swapped[:n, n:], swapped[n:, :n]
-        b = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        b[:n, :n] = X
-        b[n:, :n] = Z
-        b[n:, n:] = Xinv.T
-        e = np.eye(2 * n, dtype=np.int64)
-        e[:n, n:] = (Xinv @ Y) % p
-        bM, eM = FpMatrix(p, b), FpMatrix(p, e)
-        if not (bM.is_form_preserving() and eM.is_form_preserving()):
-            continue
-        if (bM @ eM @ r) == M:
-            return BruhatCell(d, (bM, eM, r))
-    raise NoFactorization(
-        f"no rank-{d} pair subset factorizes the given matrix"
-    )
+    d, b, e, r = _bruhat_stack(M.p, M.entries[None])
+    return BruhatCell(int(d[0]), tuple(FpMatrix(M.p, F[0]) for F in (b, e, r)))
+
+
+@lru_cache(maxsize=None)
+def _swap_stack(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(sizes, r): the pair swaps r [S, 2n, 2n] and their subset sizes, by
+    size and then in ``itertools.combinations`` order, so r[0] = I."""
+    subsets = [s for k in range(n + 1)
+               for s in itertools.combinations(range(n), k)]
+    return (np.array([len(s) for s in subsets]),
+            np.array([_pair_swap(n, s) for s in subsets]))
+
+
+def _bruhat_stack(p: int, E: np.ndarray):
+    """(d, b, e, r) of :func:`bruhat_factorize` for each M of the stack E
+    [N, 2n, 2n], as arrays.  One F_p sweep ranks and inverts the block X of
+    M @ r for every pair swap r (r = I gives d); M keeps the first d-subset
+    in combinations order whose witnesses preserve the form and give M.
+    M's form check runs with the witnesses' but raises first."""
+    N, n = len(E), E.shape[-1] // 2
+    if N > _BRUHAT_SLICE:
+        parts = [_bruhat_stack(p, E[s:s + _BRUHAT_SLICE])
+                 for s in range(0, N, _BRUHAT_SLICE)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+    sizes, rs = _swap_stack(n)
+    aug = np.zeros((N, len(rs), n, 2 * n), dtype=np.int64)     # [X | I]
+    aug[..., :n] = E[:, None, :n] @ rs[:, :, :n] % p
+    aug[..., n:] = np.eye(n, dtype=np.int64)
+    R, pivots = _rref_mod_p(aug.reshape(-1, n, 2 * n), p, n)
+    rank = pivots.sum(axis=1).reshape(N, -1)
+    d = n - rank[:, 0]
+    at, k = ((sizes == d[:, None]) & (rank == n)).nonzero()
+    S, rs = E[at] @ rs[k] % p, rs[k]
+    Xinv = R.reshape(N, -1, n, 2 * n)[at, k, :, n:]
+    b, e = np.zeros_like(S), np.zeros_like(S)
+    b[:, :, :n] = S[:, :, :n]
+    b[:, n:, n:] = Xinv.swapaxes(1, 2)
+    e[:, range(2 * n), range(2 * n)] = 1
+    e[:, :n, n:] = Xinv @ S[:, :n, n:] % p
+    form = _preserves_form(p, np.concatenate([E, b, e]))
+    if not form[:N].all():
+        raise NotFormPreserving("matrix does not preserve the hyperbolic form")
+    ok = form[N:N + len(at)] & form[N + len(at):]
+    ok &= (b @ e % p @ rs % p == E[at]).all(axis=(1, 2))
+    found, first = np.unique(at[ok], return_index=True)
+    if len(found) < N:
+        bad = np.setdiff1d(np.arange(N), found)[0]
+        raise NoFactorization(
+            f"no rank-{d[bad]} pair subset factorizes the given matrix")
+    pick = ok.nonzero()[0][first]
+    return d, b[pick], e[pick], rs[pick]

@@ -67,6 +67,8 @@ __all__ = [
 DEFAULT_CAP = 10000
 ORDER_CAP = 200
 CLOSURE_CAP = 1_000_000
+# frontier rows multiplied at once by _closure (bounds its scratch memory)
+_CLOSURE_SLICE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -778,32 +780,55 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def _closure(generators, multiply, identity, cap: int):
-    """(elements, words) of the group generated by a list of hashable
-    ``generators``.
+    """(elements, words) of the group generated by the rows of the int array
+    ``generators`` [k, ...].
 
-    Breadth-first: each frontier element x is multiplied on the left by
-    each generator g in order, multiply(g, x).  Elements come in discovery
-    order, identity first; the word (i1, ..., ik) of an element is the
+    Breadth-first: the frontier X [f, ...] is multiplied on the left by every
+    generator at once, ``multiply(generators, X) -> [f, k, ...]`` in the
+    generators' dtype, in slices of ``_CLOSURE_SLICE`` rows, and the products
+    are read in flattened (f, i) order, keyed by their bytes (a small dtype
+    keeps the keys small).  Elements [N, ...] come in discovery
+    order, ``identity`` first; the word (i1, ..., ik) of an element is the
     shortest one found, generators[i1] * ... * generators[ik].  Raises
     CapExceeded once there would be more than ``cap`` elements.
     """
-    words = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            wx = words[x]
-            for i, g in enumerate(generators):
-                y = multiply(g, x)
-                if y not in words:
-                    if len(words) >= cap:
+    identity = np.asarray(identity, dtype=generators.dtype)
+    key = np.dtype((np.void, identity.nbytes))
+    frontier = identity[None]
+    seen = {identity.tobytes()}
+    blocks, words = [frontier], [()]
+    while len(frontier):
+        base, found = len(words) - len(frontier), []
+        for s in range(0, len(frontier), _CLOSURE_SLICE):
+            prods = multiply(generators, frontier[s:s + _CLOSURE_SLICE])
+            k = prods.shape[1]
+            prods = np.ascontiguousarray(prods).reshape((-1,) + identity.shape)
+            keys = prods.reshape(len(prods), identity.size).view(key)
+            new = []
+            for j, row in enumerate(keys.ravel().tolist()):
+                if row not in seen:
+                    if len(seen) >= cap:
                         raise CapExceeded(
                             f"generated group exceeds the cap of {cap}"
                         )
-                    words[y] = (i,) + wx
-                    nxt.append(y)
-        frontier = nxt
-    return list(words), list(words.values())
+                    seen.add(row)
+                    new.append(j)
+            words += [(j % k,) + words[base + s + j // k] for j in new]
+            found.append(prods[new])
+        frontier = np.concatenate(found)
+        blocks.append(frontier)
+    return np.concatenate(blocks), words
+
+
+def _index_rows(maps, n: int) -> np.ndarray:
+    """Maps of range(n) to itself as rows of the smallest unsigned dtype."""
+    return np.array(maps, dtype=np.min_scalar_type(n - 1)).reshape(len(maps), n)
+
+
+def _compose_rows(G, X):
+    """The batch multiply of ``_closure`` for maps stored as index rows:
+    entry [f, i] is G[i] after X[f]."""
+    return G[:, X].swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +878,9 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 def _perm_closure(gens: list[tuple[int, ...]], cap: int = CLOSURE_CAP
                   ) -> list[tuple[int, ...]]:
-    elements, _ = _closure(gens, lambda a, b: tuple(a[i] for i in b),
-                           tuple(range(len(gens[0]))), cap)
-    return sorted(elements)
+    elements, _ = _closure(_index_rows(gens, len(gens[0])), _compose_rows,
+                           np.arange(len(gens[0])), cap)
+    return sorted(map(tuple, elements.tolist()))
 
 
 def symmetric_group(n: int) -> FiniteGroup:

@@ -25,9 +25,14 @@ The module is also the one place that eliminates mod a prime power and the
 one place that factors integers.  Its private helpers serve the other
 modules:
 
-* F_p section: ``_rref_mod_p`` is the one Gauss-Jordan sweep over F_p, and
-  ``_inv_mod_p`` and ``_kernel_mod_p`` are read off it (Dixon eigenspaces in
-  ``chars``, Bruhat blocks and generator inverses in ``fpn``).
+* F_p section: ``_rref_mod_p`` is the one Gauss-Jordan sweep over F_p.  It
+  takes a stack of matrices [B, rows, cols] and sweeps them together, column
+  by column, each with its own pivot rows; a single matrix is a stack of
+  one.  Pivot inverses come from Fermat's little theorem on the whole
+  column, and the search can stop short of the carried columns of an
+  augmented system.  ``_inv_mod_p`` and ``_kernel_mod_p`` are read off it
+  (Dixon eigenspaces in ``chars``, generator inverses in ``fpn``), and so
+  are ``fpn``'s stacked ranks and inverses of the Bruhat blocks.
   ``_select_spanning_rows`` picks rows spanning a row module over Z/p^k (the
   cocycle systems in ``cohom``).  Its system is sparse, so each pivot step
   updates the other rows only in the pivot row's nonzero columns (entries lie
@@ -120,27 +125,42 @@ def _primitive_root(p: int) -> int:
 # elimination over F_p and Z/p^k
 # ---------------------------------------------------------------------------
 
-def _rref_mod_p(A, p: int) -> tuple[np.ndarray, list[int]]:
+def _rref_mod_p(A, p: int, pivot_cols=None):
     """(R, pivots): the reduced row echelon form of A read mod the prime p,
-    and its pivot columns."""
-    R = np.array(A, dtype=np.int64) % p
-    rows, cols = R.shape
-    pivots: list[int] = []
-    for j in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nz = np.flatnonzero(R[r:, j])
-        if not nz.size:
+    and its pivot columns, sought among the first ``pivot_cols`` (default
+    all; the rest ride along as in an augmented system).  A stack A
+    [B, rows, cols] is swept as one, column by column, and gives pivots as a
+    mask [B, cols]; a 2-D A is a stack of one and gives a list."""
+    R = np.array(A, dtype=np.int64, ndmin=3) % p
+    B, rows, cols = R.shape
+    free = np.ones((B, rows), dtype=bool)      # rows below the pivot rows
+    pivots = np.zeros((B, cols), dtype=bool)
+    for j in range(cols if pivot_cols is None else pivot_cols):
+        cand = R[:, :, j] != 0
+        cand &= free
+        b = cand.any(axis=1).nonzero()[0]
+        if not b.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        row = R[r] * pow(int(R[r, j]), -1, p) % p
-        R -= np.outer(R[:, j], row)
-        R[r] = row
+        r, i = free[b].argmax(axis=1), cand[b].argmax(axis=1)
+        row = R[b, i]
+        R[b, i] = R[b, r]
+        unit, inv, e = row[:, j], np.ones(b.size, dtype=np.int64), p - 2
+        while e:                               # inv = unit ** (p - 2)
+            inv = inv * unit % p if e & 1 else inv
+            e >>= 1
+            unit = unit * unit % p if e else unit
+        row = row * inv[:, None] % p
+        full = np.zeros((B, cols), dtype=np.int64)
+        full[b] = row
+        R -= R[:, :, j, None] * full[:, None, :]
         R %= p
-        pivots.append(j)
+        R[b, r] = row
+        free[b, r] = False
+        pivots[b, j] = True
+        if not free.any():
+            break
+    if np.ndim(A) == 2:
+        return R[0], pivots[0].nonzero()[0].tolist()
     return R, pivots
 
 
@@ -148,22 +168,27 @@ def _inv_mod_p(A, p: int) -> np.ndarray:
     """Inverse of a square matrix mod the prime p; ValueError when singular."""
     k = len(A)
     R, pivots = _rref_mod_p(
-        np.hstack([np.asarray(A, dtype=np.int64), np.eye(k, dtype=np.int64)]), p
+        np.hstack([np.asarray(A, dtype=np.int64), np.eye(k, dtype=np.int64)]),
+        p, k,
     )
     if pivots != list(range(k)):
         raise ValueError("matrix is singular mod p")
     return R[:, k:]
 
 
-def _kernel_mod_p(A, p: int) -> np.ndarray:
+def _kernel_mod_p(A, p: int):
     """Columns forming a basis of ker(A) mod the prime p: one per free column
-    of the echelon form, with a 1 in that column."""
-    R, pivots = _rref_mod_p(A, p)
-    free = [j for j in range(R.shape[1]) if j not in pivots]
-    K = np.zeros((R.shape[1], len(free)), dtype=np.int64)
-    K[free, range(len(free))] = 1
-    K[pivots] = -R[:len(pivots), free] % p
-    return K
+    of the echelon form, with a 1 in that column.  A stack A [B, rows, cols]
+    is swept once and gives the list of its B kernels."""
+    R, pivots = _rref_mod_p(np.array(A, ndmin=3), p)
+    out = []
+    for Rk, mask in zip(R, pivots):
+        piv, free = mask.nonzero()[0], (~mask).nonzero()[0]
+        K = np.zeros((len(mask), len(free)), dtype=np.int64)
+        K[free, range(len(free))] = 1
+        K[piv] = -Rk[:len(piv), free] % p
+        out.append(K)
+    return out if np.ndim(A) == 3 else out[0]
 
 
 def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:

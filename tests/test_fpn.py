@@ -6,6 +6,7 @@ closed-form order formulas, giving two routes that never share code with
 the generator machinery under test.
 """
 
+import functools
 import itertools
 from math import prod
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brpic import fpn
 from brpic.autoeq import (
     complete_extensions,
     compose,
@@ -28,6 +30,7 @@ from brpic.errors import (
     BudgetExceeded,
     CapExceeded,
     DomainMismatch,
+    NoFactorization,
     NotAdditive,
     NotBraided,
     NotFormPreserving,
@@ -36,6 +39,9 @@ from brpic.errors import (
 from brpic.fpn import (
     BruhatCell,
     FpMatrix,
+    _bruhat_stack,
+    _matrix_closure,
+    _pair_swap,
     autoeq_to_matrix,
     bruhat_factorize,
     generate_matrix_group,
@@ -46,6 +52,7 @@ from brpic.fpn import (
     subgroup_generators,
 )
 from brpic.groups import GroupMorphism, identity_morphism, named_group
+from brpic.zmodlin import _inv_mod_p, _rref_mod_p
 
 CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -453,6 +460,101 @@ class TestBruhat:
             for b in lower[:4]:
                 for e in upper[:4]:
                     assert bruhat_factorize(b @ r @ e).reflection_rank == d
+
+
+def per_element_bruhat(M):
+    """The factorization as it was before the stacked version: one matrix,
+    one subset at a time, every witness an FpMatrix."""
+    if not M.is_form_preserving():
+        raise NotFormPreserving("matrix does not preserve the hyperbolic form")
+    p, n = M.p, M.half
+    E = M.entries
+    d = n - len(_rref_mod_p(E[:n, :n], p)[1])
+    for subset in itertools.combinations(range(n), d):
+        r = FpMatrix(p, _pair_swap(n, subset))
+        swapped = (E @ r.entries) % p
+        X = swapped[:n, :n]
+        try:
+            Xinv = _inv_mod_p(X, p)
+        except ValueError:
+            continue
+        Y, Z = swapped[:n, n:], swapped[n:, :n]
+        b = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        b[:n, :n] = X
+        b[n:, :n] = Z
+        b[n:, n:] = Xinv.T
+        e = np.eye(2 * n, dtype=np.int64)
+        e[:n, n:] = (Xinv @ Y) % p
+        bM, eM = FpMatrix(p, b), FpMatrix(p, e)
+        if not (bM.is_form_preserving() and eM.is_form_preserving()):
+            continue
+        if (bM @ eM @ r) == M:
+            return BruhatCell(d, (bM, eM, r))
+    raise NoFactorization(f"no rank-{d} pair subset factorizes the given matrix")
+
+
+class TestStackedBruhat:
+    @pytest.mark.parametrize("p,n,sample", [(2, 2, None), (3, 2, None),
+                                            (5, 2, 300)])
+    def test_matches_per_element(self, p, n, sample):
+        p, E = _matrix_closure(standard_generators(p, n))
+        if sample:
+            E = E[np.random.default_rng(20170216).choice(len(E), sample,
+                                                         replace=False)]
+        d, b, e, r = _bruhat_stack(p, E)
+        for k, entries in enumerate(E):
+            M = FpMatrix(p, entries)
+            old = per_element_bruhat(M)
+            assert bruhat_factorize(M) == old
+            assert int(d[k]) == old.reflection_rank
+            assert [F.tolist() for F in old.factors] == [
+                b[k].tolist(), e[k].tolist(), r[k].tolist()]
+
+    def test_slices_give_the_same_factors(self, monkeypatch):
+        p, E = _matrix_closure(standard_generators(2, 2))
+        whole = _bruhat_stack(p, E)
+        monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
+        for a, b in zip(whole, _bruhat_stack(p, E)):
+            assert np.array_equal(a, b)
+
+    def test_one_bad_matrix_in_the_stack(self):
+        p, E = _matrix_closure(standard_generators(3, 2))
+        E = E.copy()
+        E[7, 0, 0] = (E[7, 0, 0] + 1) % p
+        with pytest.raises(NotFormPreserving):
+            _bruhat_stack(p, E)
+
+    def test_no_subset_works(self, monkeypatch):
+        p, E = _matrix_closure(standard_generators(2, 2))
+        # every "reflection" is the zero matrix, so no witness multiplies
+        # back to its input
+        monkeypatch.setattr(
+            fpn, "_pair_swap",
+            lambda n, subset: np.zeros((2 * n, 2 * n), dtype=np.int64))
+        # a fresh cache of swaps, built from the patched ones
+        monkeypatch.setattr(
+            fpn, "_swap_stack", functools.lru_cache(fpn._swap_stack.__wrapped__))
+        with pytest.raises(NoFactorization):
+            _bruhat_stack(p, E)
+        with pytest.raises(NoFactorization):
+            bruhat_factorize(FpMatrix.identity(3, 2))
+
+
+class TestInt64Limit:
+    P = 4294967291        # the largest prime below 2**32
+
+    def test_overflowing_prime_is_rejected(self):
+        # 2 (p - 1)^2 >= 2**63: the int64 product would silently wrap
+        p = self.P
+        with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
+            FpMatrix(p, [[p - 1] * 2] * 2)
+
+    def test_limit_counts_the_matrix_size(self):
+        p = 2**31 - 1         # 2 (p - 1)^2 < 2**63 <= 4 (p - 1)^2
+        M = FpMatrix(p, [[p - 1] * 2] * 2)
+        assert (M @ M).tolist() == [[2, 2], [2, 2]]
+        with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
+            FpMatrix.identity(p, 2)
 
 
 class TestCrossModule:

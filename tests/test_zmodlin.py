@@ -119,6 +119,48 @@ def test_fixed_examples():
         _inv_mod_p([[1, 2], [2, 4]], 5)
 
 
+def one_matrix_rref(A, p, pivot_cols=None):
+    """The sweep as it was before it took stacks: one matrix, scalar
+    control flow, pivots searched in the first ``pivot_cols`` columns."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    for j in range(cols if pivot_cols is None else pivot_cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, j])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        row = R[r] * pow(int(R[r, j]), -1, p) % p
+        R -= np.outer(R[:, j], row)
+        R[r] = row
+        R %= p
+        pivots.append(j)
+    return R, pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_stacked_sweep_matches_one_matrix_at_a_time(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        B, rows, cols = (int(x) for x in rng.integers(1, 7, size=3))
+        A = rng.integers(0, p, size=(B, rows, cols))
+        A[::3, :, 0] = 0                 # columns without a pivot
+        A[1::4, -1] = A[1::4, 0]         # repeated rows
+        pivot_cols = None if rng.random() < 0.5 else int(rng.integers(0, cols + 1))
+        R, mask = _rref_mod_p(A, p, pivot_cols)
+        for k in range(B):
+            R1, pivots1 = one_matrix_rref(A[k], p, pivot_cols)
+            assert np.array_equal(R[k], R1)
+            assert np.flatnonzero(mask[k]).tolist() == pivots1
+            R2, pivots2 = _rref_mod_p(A[k], p, pivot_cols)
+            assert np.array_equal(R2, R1) and pivots2 == pivots1
+
+
 # ---------------------------------------------------------------------------
 # elimination over Z/p^k and Z/m against the dense one-step-at-a-time routines
 # ---------------------------------------------------------------------------
