@@ -103,6 +103,16 @@ def _parse_ids(text: str, what: str) -> tuple:
         raise BadArguments(f"{what} must be comma-separated integers, got {text!r}")
 
 
+def _modulus(text: str) -> int:
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {m}")
+    return m
+
+
 def _resolve_group(name: str, cap: Optional[int]) -> FiniteGroup:
     return named_group(name, cap=cap if cap else ORDER_CAP)
 
@@ -533,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--modulus",
-        type=int,
+        type=_modulus,
         default=None,
         help="cohomology coefficient modulus (default: group exponent)",
     )

@@ -54,7 +54,8 @@ __all__ = [
     "sigma_from_eta",
 ]
 
-# ceiling on equation-matrix entries (rows x cols) for the class computation
+# ceiling on the entries (rows x cols) of the generator-row cocycle system,
+# |gens| (n-1)^2 x (n-1)^2, that the class computation builds
 H2_ENTRY_BUDGET = 100_000_000
 # ceiling on the number of class representatives enumerated
 H2_CLASS_BUDGET = 4096
@@ -179,13 +180,31 @@ def _unknown_index(G: FiniteGroup):
 
 
 def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
-    """Dense matrix of the cocycle identity over the (n-1)^2 unknowns."""
+    """Dense matrix of the cocycle identity over the (n-1)^2 unknowns.
+
+    One row F(s, b, c) = 0 per s in ``G.minimal_generators()`` and b, c != 1,
+    where F(a, b, c) = eta(a,b) + eta(ab,c) - eta(b,c) - eta(a,bc).  These
+    |gens| (n-1)^2 rows span the same row module as all (n-1)^3 of them:
+    F = delta(eta) is the coboundary of a 2-cochain, so delta(F) = 0, i.e.
+
+        F(ab, c, d) = F(b, c, d) + F(a, bc, d) - F(a, b, cd) + F(a, b, c).
+
+    Suppose F vanishes whenever its first argument is a generator.  Write
+    any first argument as a word s x with s a generator and x shorter; with
+    a = s and b = x, the identity gives F(sx, c, d) as F(x, c, d), zero by
+    induction on word length, plus three terms with first argument s, zero
+    by assumption.  F vanishes whenever an argument is 1 (eta is
+    normalized), so rows with an identity argument are left out.  The rows
+    come in the order of the full system, restricted to generator first
+    arguments (the generators are ascending).
+    """
     n = G.n
     nz = np.asarray(_nontrivial_elements(G), dtype=np.int64)
     idx = _unknown_index(G)
     w = n - 1
     N = w * w
-    a, b, c = np.meshgrid(nz, nz, nz, indexing="ij")
+    gens = np.asarray(G.minimal_generators(), dtype=np.int64)
+    a, b, c = np.meshgrid(gens, nz, nz, indexing="ij")
     a, b, c = a.ravel(), b.ravel(), c.ravel()
     E = a.size
     if E * N > H2_ENTRY_BUDGET:
@@ -207,29 +226,34 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     return A
 
 
+def _coboundary_rows(G: FiniteGroup) -> np.ndarray:
+    """Integer matrix of phi -> d(phi) on the nontrivial elements: row (a, b),
+    a-major over a, b != 1, holds phi(a) + phi(b) - phi(ab)."""
+    nz = np.asarray(_nontrivial_elements(G), dtype=np.int64)
+    idx = _unknown_index(G)
+    a, b = np.meshgrid(nz, nz, indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    rows = np.arange(a.size)
+    R = np.zeros((a.size, nz.size), dtype=np.int64)
+    np.add.at(R, (rows, idx[a]), 1)
+    np.add.at(R, (rows, idx[b]), 1)
+    ab = G.table[a, b]
+    keep = ab != G.identity
+    np.add.at(R, (rows[keep], idx[ab[keep]]), -1)
+    return R
+
+
 def _hom_generators(G: FiniteGroup) -> list[np.ndarray]:
     """Generators of Hom(G, Z/e), e = exp(G), as value vectors on G."""
     e = G.exponent()
     nz = _nontrivial_elements(G)
-    pos = {g: i for i, g in enumerate(nz)}
-    rows = []
-    for a in nz:
-        for b in nz:
-            row = np.zeros(len(nz), dtype=np.int64)
-            row[pos[a]] += 1
-            row[pos[b]] += 1
-            ab = G.mul(a, b)
-            if ab != G.identity:
-                row[pos[ab]] -= 1
-            rows.append(row % e)
-    if not rows:
+    if not nz:
         return []
-    basis = nullspace_mod(np.vstack(rows), e)
+    basis = nullspace_mod(_coboundary_rows(G) % e, e)
     out = []
     for i in range(basis.shape[1]):
         h = np.zeros(G.n, dtype=np.int64)
-        for g, val in zip(nz, basis[:, i]):
-            h[g] = int(val) % e
+        h[nz] = basis[:, i] % e
         out.append(h)
     return out
 
@@ -301,6 +325,8 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     """
     if m is None:
         m = G.n
+    if m < 1:
+        raise ValueError(f"modulus m = {m} must be at least 1")
     key = ("h2", m)
     if key in G._memo:
         return G._memo[key]
@@ -396,24 +422,11 @@ def coboundary_witness(e1: Cocycle2, e2: Cocycle2):
     G, m = e1.group, e1.m
     diff = (e2.values - e1.values) % m
     nz = _nontrivial_elements(G)
-    pos = {g: i for i, g in enumerate(nz)}
-    rows, rhs = [], []
-    for a in nz:
-        for b in nz:
-            row = np.zeros(len(nz), dtype=np.int64)
-            row[pos[a]] += 1
-            row[pos[b]] += 1
-            ab = G.mul(a, b)
-            if ab != G.identity:
-                row[pos[ab]] -= 1
-            rows.append(row)
-            rhs.append(diff[a, b])
-    sol = solve_mod(np.vstack(rows) % m, np.asarray(rhs) % m, m)
+    sol = solve_mod(_coboundary_rows(G) % m, diff[np.ix_(nz, nz)].ravel(), m)
     if sol is None:
         return None
     phi = np.zeros(G.n, dtype=np.int64)
-    for g, val in zip(nz, sol):
-        phi[g] = int(val)
+    phi[nz] = sol
     if coboundary(G, phi, m) != (e2 - e1):
         raise CertificationError(
             "coboundary witness: the solved phi does not satisfy"

@@ -19,7 +19,11 @@ the primitives here.
   on small instances.
 
 All pivoting is deterministic (smallest gcd with m, then smallest index), so
-outputs are byte-stable.
+outputs are byte-stable.  In ``diagonalize_mod`` the pivot is the nonzero
+entry of the remaining block minimizing (gcd(entry, m), row, col).  Row k is
+the block's first row, so a nonzero entry of row k coprime to m attains that
+minimum: the first such entry is taken after a scan of row k alone, and the
+whole block is searched only when row k holds no unit.
 
 The module is also the one place that eliminates mod a prime power and the
 one place that factors integers.  Its private helpers serve the other
@@ -345,7 +349,8 @@ def diagonalize_mod(A, m: int):
     """(D, T) with T.U @ A @ T.V == D mod m, U and V invertible mod m.
 
     D is diagonal (no divisor chain enforced).  Deterministic pivoting:
-    the entry minimizing (gcd(entry, m), row, col) in the remaining block.
+    the nonzero entry minimizing (gcd(entry, m), row, col) in the remaining
+    block, read off row k when it holds a unit (see the module docstring).
     """
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
@@ -353,15 +358,20 @@ def diagonalize_mod(A, m: int):
     rows, cols = (D, T.U, T.Uinv), (D.T, T.V.T, T.Vinv.T)
     for k in range(min(r, c)):
         while True:
-            block = D[k:, k:]
-            nz = np.nonzero(block)
-            if nz[0].size == 0:
-                break
-            vals = block[nz]
-            gs = np.gcd(vals, m)
-            # deterministic: min gcd, then min row, then min col
-            order = np.lexsort((nz[1], nz[0], gs))
-            bi, bj = int(nz[0][order[0]]) + k, int(nz[1][order[0]]) + k
+            head = D[k, k:]
+            # nonzero as well: at m = 1, gcd(0, m) = 1 too
+            units = np.flatnonzero((head != 0) & (np.gcd(head, m) == 1))
+            if units.size:
+                bi, bj = k, int(units[0]) + k
+            else:
+                block = D[k:, k:]
+                nz = np.nonzero(block)
+                if nz[0].size == 0:
+                    break
+                gs = np.gcd(block[nz], m)
+                # deterministic: min gcd, then min row, then min col
+                order = np.lexsort((nz[1], nz[0], gs))
+                bi, bj = int(nz[0][order[0]]) + k, int(nz[1][order[0]]) + k
             if bi != k:
                 _swap(*rows, k, bi)
             if bj != k:

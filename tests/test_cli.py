@@ -72,6 +72,13 @@ class TestExitCodes:
         assert code == 2
         assert "6 entries" in err
 
+    @pytest.mark.parametrize("modulus", ["-2", "0"])
+    def test_modulus_below_one_is_usage_error(self, capsys, modulus):
+        code, out, err = run(capsys, "--modulus", modulus, "h2", "D4")
+        assert code == 2
+        assert not out
+        assert "--modulus" in err and f"got {modulus}" in err
+
     def test_not_prime_is_domain_error(self, capsys):
         code, payload, _ = run_json(capsys, "fpn", "4", "1", "orders")
         assert code == 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from brpic.chars import character_table
 from brpic.cohom import (
     Cocycle2,
+    _cocycle_equations,
     Pairing,
     antisymmetrize,
     coboundary,
@@ -37,6 +38,7 @@ from brpic.groups import abelian_normal_subgroups, named_group
 from brpic.zmodlin import (
     diagonalize_mod,
     elementary_divisor_chain,
+    nullspace_mod,
     smith_normal_form,
 )
 
@@ -118,7 +120,45 @@ def test_h2_memoized():
 
 def test_h2_budget():
     with pytest.raises(BudgetExceeded):
-        h2_classes(named_group("A5"), 60)
+        h2_classes(named_group("S5"), 120)
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_h2_rejects_modulus_below_one(m):
+    with pytest.raises(ValueError, match=f"m = {m}"):
+        h2_classes(named_group("D4"), m)
+
+
+def _full_cocycle_equations(G, m):
+    """All (n-1)^3 rows F(a, b, c) = 0 with a, b, c != 1, one at a time."""
+    nz = [g for g in range(G.n) if g != G.identity]
+    col = {(x, y): i * len(nz) + j
+           for i, x in enumerate(nz) for j, y in enumerate(nz)}
+    rows = []
+    for a, b, c in itertools.product(nz, repeat=3):
+        row = np.zeros(len(col), dtype=np.int64)
+        ab, bc = G.mul(a, b), G.mul(b, c)
+        row[col[a, b]] += 1
+        if ab != G.identity:
+            row[col[ab, c]] += 1
+        row[col[b, c]] -= 1
+        if bc != G.identity:
+            row[col[a, bc]] -= 1
+        rows.append(row % m)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "Z/2^2", "Z/6",
+                                  "S3xZ/2"])
+def test_generator_rows_define_the_full_cocycle_module(name):
+    G = named_group(name)
+    for m in sorted({2, G.exponent(), G.n}):
+        gen = _cocycle_equations(G, m)
+        full = _full_cocycle_equations(G, m)
+        assert gen.shape == (len(G.minimal_generators()) * (G.n - 1) ** 2,
+                             (G.n - 1) ** 2)
+        assert not (gen @ nullspace_mod(full, m) % m).any()
+        assert not (full @ nullspace_mod(gen, m) % m).any()
 
 
 def test_classify_ignores_coboundary_shifts():
@@ -183,7 +223,7 @@ def test_h2_representatives_pinned(name, m, digests, shifted):
 
 def test_h2_budget_names_the_entry_limit():
     with pytest.raises(BudgetExceeded, match="H2_ENTRY_BUDGET = 100000000"):
-        h2_classes(named_group("A5"), 60)
+        h2_classes(named_group("S5"), 120)
 
 
 def test_coboundary_witness_found_and_verified():

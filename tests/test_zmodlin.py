@@ -313,6 +313,23 @@ def test_diagonalize_mod_matches_sequential_routine(seed):
 
 
 @pytest.mark.parametrize("A,m", [
+    ([[2, 0], [0, 1]], 4),              # row k has no unit; a later row does
+    ([[2, 3], [1, 0]], 4),              # row k's first nonzero is no unit
+    ([[0, 0, 0], [0, 0, 0]], 1),        # at m = 1, gcd(0, m) = 1: no pivot
+])
+def test_diagonalize_mod_pivot_choice_matches(monkeypatch, A, m):
+    calls = []
+    clear = zmodlin._clear
+    monkeypatch.setattr(zmodlin, "_clear",
+                        lambda *a: calls.append(a) or clear(*a))
+    D, T = diagonalize_mod(A, m)
+    assert bool(calls) == (m > 1)        # a zero block is never cleared
+    ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.Uinv, T.V, T.Vinv), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("A,m", [
     ([[4, 6]], 12),                     # row k: 4 does not divide 6
     ([[4], [6]], 12),                   # column k
     ([[6, 4, 9], [10, 15, 3], [8, 2, 21]], 30),
