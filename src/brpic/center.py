@@ -16,8 +16,20 @@ S * conj(S)^T = |G|^2 * Id, S^2 = |G|^2 * C (C the charge conjugation) and
 (S T)^3 = |G| * S^2.  All preservation checks downstream compare
 unnormalized matrices, which is equivalent to comparing the unitary ones.
 
-``ModularData.S`` is an N x N object array of canonical Cyclotomic entries.
-Certification does not use them one by one: it lifts S and T once into the
+S is built without per-entry cyclotomic arithmetic, from the group-theoretic
+formula of Coste, Gannon and Ruelle ("Finite group modular data", Nucl.
+Phys. B 581, 2000).  For the class pair (a, b) let P[u, v] count the x in G
+with x b x^-1 in class u of Cent(a) and x^-1 a x in class v of Cent(b); the
+counts for all pairs come from one pass over all x at once.  With X_a the
+character table of Cent(a) lifted onto the power basis of Q(zeta_L), L the
+lcm of the conductors of all centralizer character values, block (a, b) of
+S is |G| / (|Cent(a)| |Cent(b)|) * conj(X_a) P conj(X_b)^T, and all blocks
+come out of one integer tensor product.  Each distinct coefficient column is
+then decoded once into a canonical Cyclotomic.
+
+``ModularData.S`` is an N x N object array of canonical Cyclotomic entries,
+and equal entries share one object.  Certification neither trusts the build
+nor uses the entries one by one: it lifts the released S and T once into the
 single field Q(zeta_L), L the lcm of their conductors, as integer tensors of
 shape (phi(L), N, N) and (phi(L), N) over a common denominator, and checks
 symmetry, the unit row, the twists, the Gram matrix, S^2, C-invariance of T
@@ -30,6 +42,7 @@ raises CertificationError; none of them is an ``assert``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -37,10 +50,14 @@ import numpy as np
 from .chars import centralizer_table
 from .cyclo import (
     Cyclotomic,
+    _canonicalize,
+    _fit,
     _lift_tensor,
+    _max_abs,
     _tensor_conj,
     _tensor_product,
     cyclo_sum,
+    zero,
 )
 from .errors import CapExceeded, CertificationError, NonIntegralFusion
 from .groups import FiniteGroup, conjugacy_classes
@@ -115,22 +132,6 @@ def simple_objects(G: FiniteGroup) -> list[SimpleObject]:
     return list(G._memo[key])
 
 
-def _entry_profile(G, a, b, cent_a_set, pos_a, pos_b):
-    """Count, over x in G with x b x^-1 in Cent(a), the pairs of positions
-    (x b x^-1 in Cent(a), x^-1 a x in Cent(b)); the S-entry for every
-    character pair over these two classes is a weighted sum over this profile.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for x in range(G.n):
-        u = G.conj(b, x)
-        if u not in cent_a_set:
-            continue
-        v = G.conj(a, G.inv_of(x))
-        k = (pos_a[u], pos_b[v])
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
 def modular_data(G: FiniteGroup) -> ModularData:
     """The exact (S, T) pair; every structural relation is certified."""
     key = ("modular",)
@@ -139,58 +140,79 @@ def modular_data(G: FiniteGroup) -> ModularData:
 
     simples = simple_objects(G)
     classes = conjugacy_classes(G)
-    n = G.n
-    ns = len(simples)
-
-    cents = []          # per class: (H, parent->H position, char table, |C|)
-    for cl in classes:
-        H, elems, table = centralizer_table(G, cl.rep)
-        pos = {e: i for i, e in enumerate(elems)}
-        cents.append((H, pos, table, len(elems)))
+    tables = [centralizer_table(G, cl.rep) for cl in classes]
 
     # T: twists theta = chi(g)/chi(1)
     T = []
     for s in simples:
-        cl = classes[s.class_index]
-        _, pos, table, _ = cents[s.class_index]
+        _, elems, table = tables[s.class_index]
         ch = table[s.char_index]
-        T.append(ch.value_at_element(pos[cl.rep]) / ch.degree)
+        rep = elems.index(classes[s.class_index].rep)
+        T.append(ch.value_at_element(rep) / ch.degree)
 
-    # S: one x-profile per ordered class pair, then all character pairs.
-    # Equal entries share one object: S has N^2 entries but, for abelian G
-    # above all, few distinct values.
-    S = np.empty((ns, ns), dtype=object)
-    entries: dict[Cyclotomic, Cyclotomic] = {}
-    by_class: dict[int, list[int]] = {}
-    for idx, s in enumerate(simples):
-        by_class.setdefault(s.class_index, []).append(idx)
-
-    for ca, rows in by_class.items():
-        a = classes[ca].rep
-        _, pos_a, table_a, cent_a_size = cents[ca]
-        cent_a_set = set(pos_a)
-        for cb, cols in by_class.items():
-            b = classes[cb].rep
-            _, pos_b, table_b, cent_b_size = cents[cb]
-            profile = _entry_profile(G, a, b, cent_a_set, pos_a, pos_b)
-            for i in rows:
-                chi = table_a[simples[i].char_index]
-                for j in cols:
-                    psi = table_b[simples[j].char_index]
-                    total = cyclo_sum(
-                        chi.value_at_element(u).conj()
-                        * psi.value_at_element(v).conj()
-                        * cnt
-                        for (u, v), cnt in profile.items()
-                    )
-                    value = total * n / (cent_a_size * cent_b_size)
-                    S[i, j] = entries.setdefault(value, value)
-
+    S = _s_matrix(G, simples, classes, tables)
     _certify_modular(G, simples, S, T)
     S.setflags(write=False)
     md = ModularData(G, S, tuple(T))
     G._memo[key] = md
     return md
+
+
+def _s_matrix(G, simples, classes, tables):
+    """S as the block product conj(X) (P * W) conj(X)^T over Q(zeta_L).
+
+    Row and column i of the (N, N) tensors stand both for simple i = (a,
+    chi) and for class i of Cent(a): a centralizer has as many classes as
+    irreducible characters.  X is block diagonal with the character table
+    of Cent(a) in block a; P[u, v] counts the x in G with x b x^-1 in class
+    u of Cent(a) and x^-1 a x in class v of Cent(b); W scales block (a, b)
+    by |G| / (|Cent(a)| |Cent(b)|) over a common denominator.  Each distinct
+    coefficient column is decoded once, so equal entries share one object.
+    """
+    n, ns = G.n, len(simples)
+    t, inv, every = G.table, G.inv, np.arange(G.n)
+    reps = np.array([cl.rep for cl in classes])
+    cls = np.array([s.class_index for s in simples])
+    start = np.searchsorted(cls, np.arange(len(classes)))
+
+    # col[a, g]: row of (a, class of g in Cent(a)), or -1 off Cent(a)
+    col = np.full((len(classes), n), -1, dtype=np.int64)
+    values = np.full((ns, ns), zero(), dtype=object)
+    for a, (H, elems, table) in enumerate(tables):
+        conjugacy_classes(H)
+        col[a, list(elems)] = start[a] + H._memo["class_of"]
+        block = slice(start[a], start[a] + len(table))
+        values[block, block] = [ch.values for ch in table]
+    L = lcm(*{v.n for v in values.flat})
+    den, X = _lift_tensor(values, L)
+
+    # over all x at once: U[b, x] = x b x^-1 and V[a, x] = x^-1 a x
+    U = t[t[every, reps[:, None]], inv]
+    V = t[t[inv, reps[:, None]], every]
+    ids = np.arange(len(classes))
+    rows = col[ids[:, None, None], U[None, :, :]]     # [a, b, x]
+    cols = col[ids[None, :, None], V[:, None, :]]
+    hit = rows >= 0
+    P = np.bincount(rows[hit] * ns + cols[hit], minlength=ns * ns)
+
+    sizes = [len(elems) for _, elems, _ in tables]
+    scale = [[Fraction(n, ca * cb) for cb in sizes] for ca in sizes]
+    wden = lcm(*(q.denominator for row in scale for q in row))
+    W = [[int(q * wden) for q in row] for row in scale]
+    Xbar = _tensor_conj(X, L)
+    # every entry of Xbar @ PW sums N products of at most these sizes
+    bound = ns * n * max(map(max, W)) * _max_abs(Xbar)
+    Xbar, P = _fit(bound, Xbar, P.reshape(ns, ns))
+    PW = P * np.array(W, dtype=P.dtype)[np.ix_(cls, cls)]
+    A = _tensor_product(np.matmul(Xbar, PW), Xbar.transpose(0, 2, 1), L)
+
+    total = den * den * wden
+    keys = list(map(tuple, A.reshape(A.shape[0], -1).T.tolist()))
+    decoded = {key: _canonicalize(L, [Fraction(c, total) for c in key])
+               for key in set(keys)}
+    S = np.empty(len(keys), dtype=object)
+    S[:] = [decoded[key] for key in keys]
+    return S.reshape(ns, ns)
 
 
 def _certify_modular(G, simples, S, T):
@@ -207,8 +229,10 @@ def _certify_modular(G, simples, S, T):
     Certified, in this order (the unnormalized convention of the module
     docstring, n = |G|):
 
-    * twist: every T[i] is a root of unity of order dividing exp(G) * n
-      (checked first: it makes the lift of T integral);
+    * twist: every T[i] is a root of unity of order dividing ord(g), g
+      the class representative of simple i: chi(g) = chi(1) theta for the
+      central element g of Cent(g) (checked first: it makes the lift of T
+      integral);
     * symmetry: S = S^T;
     * unit row: S[0, j] is the quantum dimension of simple j;
     * gram: S conj(S)^T = n^2 I;
@@ -221,13 +245,14 @@ def _certify_modular(G, simples, S, T):
     A failure raises CertificationError naming the check and a witness.
     """
     n, ns = G.n, len(simples)
-    bound = G.exponent() * n
+    classes = conjugacy_classes(G)
     for i, th in enumerate(T):
         rt = th.as_root_of_unity()
-        if rt is None or bound % rt[0]:
+        order = G.order_of(classes[simples[i].class_index].rep)
+        if rt is None or order % rt[0]:
             raise CertificationError(
                 f"twist: T[{i}] = {th!r} is not a root of unity of order "
-                f"dividing exp(G)*|G| = {bound} at {(i, i)}"
+                f"dividing ord(g) = {order} at {(i, i)}"
             )
     L = lcm(*{v.n for v in S.flat}, *{t.n for t in T})
     den, A = _lift_tensor(S, L)

@@ -4,8 +4,15 @@ The table is computed by the modular class-algebra method: the class-sum
 structure constants are simultaneously diagonalized over F_p for a prime
 p = 1 (mod exp G), p > 2*sqrt(|G|), and each character is lifted exactly to
 cyclotomic values via root-of-unity multiplicities on cyclic subgroups.  The
-result is certified by exact row and column orthogonality before being
-returned, so downstream consumers can rely on it unconditionally.
+result is certified before being returned, so downstream consumers can rely
+on it unconditionally: the table is lifted once into Q(zeta_L), L the lcm of
+the conductors of its values, as an integer tensor (see
+``cyclo._lift_tensor``), and row and column orthogonality are checked as
+exact tensor equalities.  A failure raises CharacterTableError naming the
+relation and a witness (i, j), also under ``python -O``.
+
+``centralizer_table`` builds one table per distinct centralizer: elements
+with equal centralizers share it.
 
 Row order is deterministic: by (degree, per-class value keys), where the
 value key orders rationals before irrationals and +1 before -1 (so the
@@ -16,11 +23,21 @@ precedes the zeta^2-character).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import Cyclotomic, cyclo_sum, from_rational, one, root_of_unity, zero
+from .cyclo import (
+    Cyclotomic,
+    _fit,
+    _lift_tensor,
+    _max_abs,
+    _tensor_conj,
+    _tensor_product,
+    cyclo_sum,
+    root_of_unity,
+    zero,
+)
 from .errors import (
     CharacterTableError,
     NoSuchCharacter,
@@ -223,43 +240,55 @@ def character_table(G: FiniteGroup) -> list[Character]:
 
 
 def _certify(G: FiniteGroup, chars: list[Character]):
+    """Row and column orthogonality as exact tensor equalities.
+
+    The table X (characters x classes) is lifted once into Q(zeta_L), L the
+    lcm of the conductors of its values, and both relations are checked on
+    the coefficient tensors: X diag(sizes) conj(X)^T = |G| I and
+    conj(X)^T X = diag(|G| / |class|).  For a square table each relation
+    implies the other, so a corrupted table fails the row check first.
+    """
     classes = conjugacy_classes(G)
     r = len(classes)
     if len(chars) != r:
         raise CharacterTableError(f"{len(chars)} characters for {r} classes")
     if sum(ch.degree ** 2 for ch in chars) != G.n:
         raise CharacterTableError("sum of squared degrees != |G|")
-    for i in range(r):
-        for j in range(i, r):
-            got = inner_product(chars[i], chars[j])
-            want = one() if i == j else zero()
-            if got != want:
-                raise CharacterTableError(
-                    f"row orthogonality fails at ({i},{j}): {got!r}"
-                )
-    for a in range(r):
-        for b in range(a, r):
-            s = cyclo_sum(
-                ch.values[a] * ch.values[b].conj() for ch in chars
-            )
-            want = (
-                from_rational(G.n // classes[a].size) if a == b else zero()
-            )
-            if s != want:
-                raise CharacterTableError(
-                    f"column orthogonality fails at ({a},{b}): {s!r}"
-                )
+    X = np.empty((r, r), dtype=object)
+    X[:] = [ch.values for ch in chars]
+    L = lcm(*{v.n for v in X.flat})
+    den, A = _lift_tensor(X, L)
+    AbarT = _tensor_conj(A, L).transpose(0, 2, 1)
+    sizes = [c.size for c in classes]
+    weighted = _fit(_max_abs(A) * max(sizes), A)[0] * np.array(sizes)
+    rows = _tensor_product(weighted, AbarT, L)
+    _orthogonality("row", rows, [G.n * den * den] * r)
+    cols = _tensor_product(AbarT, A, L)
+    _orthogonality("column", cols, [G.n // k * den * den for k in sizes])
+
+
+def _orthogonality(kind, P, diagonal):
+    """Raise CharacterTableError at the first (i, j) where the coefficient
+    tensor P differs from the rational diagonal matrix ``diagonal``."""
+    want = np.zeros(P.shape, dtype=P.dtype)
+    want[0] = np.diag(np.array(diagonal, dtype=P.dtype))
+    hits = np.argwhere(np.any(P != want, axis=0))
+    if len(hits):
+        i, j = (int(x) for x in hits[0])
+        raise CharacterTableError(f"{kind} orthogonality fails at ({i},{j})")
 
 
 def centralizer_table(G: FiniteGroup, g: int):
     """(centralizer-as-group, parent element list, its character table).
 
-    Computed independently per element (memoized); the minimal class
-    representative should be used for stable labels.
+    Memoized by the centralizer's elements: elements with equal centralizers
+    (all of an abelian group, say) share one triple, built from the first
+    such element's centralizer.  The minimal class representative should be
+    used for stable labels.
     """
-    key = ("centtable", g)
+    C = centralizer(G, g)
+    key = ("centtable", C.elements)
     if key not in G._memo:
-        C = centralizer(G, g)
         H, elems = C.as_group()
         G._memo[key] = (H, elems, character_table(H))
     return G._memo[key]

@@ -1,5 +1,7 @@
 """Center simple objects, modular data, and Verlinde fusion."""
 
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -337,8 +339,13 @@ def set_twist(i, value):
     ("gram", "S3", bump((1, 2), (2, 1)), None),
     ("square", "Z/3", householder(1, 2, 3), None),
     ("twist", "S3", None, set_twist(1, one() * 2)),
+    # -1 has order 2: it divides exp(G)*|G| = 36 but not ord(1) = 1
+    pytest.param("twist", "S3", None, set_twist(1, -one()),
+                 id="twist-order-S3"),
     ("twist conjugation", "Z/3", None, swap(4, 5)),
-    ("modular relation", "S3", None, swap(1, 6)),     # T[1] = 1 <-> T[6] = z3
+    # T[5] = 1 <-> T[6] = z3 within the 3-cycle class, so the twist orders
+    # still divide ord(g) = 3
+    ("modular relation", "S3", None, swap(5, 6)),
 ])
 def test_each_corruption_raises_its_check(check, name, edit_s, edit_t):
     with pytest.raises(CertificationError, match=rf"^{check}: .* at \(\d+, \d+\)$"):
@@ -413,3 +420,66 @@ def test_certifies_z3_squared():
     assert md.size == 81
     assert isinstance(md.S[1, 2], type(one()))
     _certify_modular(G, simple_objects(G), md.S, list(md.T))
+
+
+# sha256 of json.dumps of [[S[i, j].to_json()]] and of [T[i].as_root_of_unity()],
+# recorded before S was built as a block tensor product
+MODULAR_PINS = [
+    ("S3", 8, "940603b2226b1498713f8f860bfb7d42376b6e5bd4480f7861f7016191ffd8ef",
+     "171b15f5a6171492af9396f1ccd201249f715e1ba04e07387039c447e2ed4383"),
+    ("D4", 22, "b43762307a79725543b3bb118ab49905cd329aa38ed6da60fce78e5351bc209f",
+     "4cab5f756240581e928eca0d6a2e04d43b401397acbcecddf1a546c758bdc103"),
+    ("Q8", 22, "e07342240da88ce4c4ba64f1865067a68ad3370abf7c25848651a79468846786",
+     "b4d95c288a5f145d9cda5ba5826c50b79c12abcc698029df11b57e5760f8f1a7"),
+    ("A4", 14, "5a370c68f07be7c6ef79c8ed4d34ce5f695ce8ed2de392fbb096e6758686c21d",
+     "a28c1227dec9f937798d5628badc0ca9a0da40b9164505140c54773d56d9e1a0"),
+    ("S4", 21, "83f4c19037d175c2e46bf0434fabb0cea10fcbf8e4342fdc018e911296367dd4",
+     "fb0c9434f62e2cd8053f249bf1490deb125e5679a05af28eab7069909e471987"),
+    ("A5", 22, "b04a1cce7d80ac91362019418dc888698dff329ce74f9be9c0e09acc36a5cd51",
+     "a826824dbe8722fbc57ec5c2c0b66c6938c49edd35b67aeeb2c81b8e41d2e034"),
+    ("S3xZ/2", 32, "5f66a81076796cd03e11ff7747a9fdb8341cfca0c220faee2788debbdd3020a5",
+     "e17aca67e650bb0fdede843809e286c664efe8f3cf4c9a90e2196914b3cf1ccc"),
+    ("Z/2^2", 16, "efccce97d210d05972e75ca8e0a4e15646bb9e68852ace12bae72e41bc9536fd",
+     "5682121254c94c43781c7e1222332846a5b4b6d86a55e8ef3e95b13e6e8fc35e"),
+    ("Z/3", 9, "609046b5c81d0a9eb2e88bddeebf1133a5cffb876162fcff3211da5439da3275",
+     "4b07c0113717f475e3f976ab502b672539579d84405d54885baddc207ba3fb86"),
+    ("Z/5", 25, "3eaee3ab90a234bddc125baef751b4b95878407f15b6777df7bddbb15dbbf181",
+     "e480186795eae7c1f11cf90a768759d446376cc1216ce21785e87f580a05520e"),
+    ("Z/6", 36, "d581a3ce00e4e8b9b3aa1126233e2be3e1773195c2802b6c7c9178a6822a6d63",
+     "ff2c41161336a39b0cf724c955dc2dc20a0d5a1d37c4cfb62c81bf87725c8300"),
+    ("Z/2^3", 64, "68d63aca9aa8d12256c8bc0daab9ca0865edeed1234859f0ac09d4229f3e6acd",
+     "254b3af9fed0418e5d09db47d96681a1b9c4d270fc8967120b0092c94cb21d17"),
+    ("Z/3^2", 81, "a91a4e13458e9aca6e5edba90309dc63637802b16fa54819168bfe324ba4510f",
+     "7c096522e304c2b958252e90eaaefc9b83f1861eef9848e263c35473f86dfb03"),
+    ("Z/7", 49, "4e8cb21cd67a448d8510cacbc4932fe25b0baabe5d88223ca0e1043a8f6c7d52",
+     "770a1f4ca901ba76be40f215ad63817fe21e3fd4b73d7f333fc7984a60ddf9dd"),
+    ("S3xZ/3", 72, "932734e772bf95202dc424b919e7dbd5326f3014abce49230f7d9ebdac15b97c",
+     "1da84ac5d3926a6c473cf094a4f3969aec2698ccb2f7f0f27f0c0a8212dbad79"),
+]
+
+
+@pytest.mark.parametrize("name,size,s_digest,t_digest", MODULAR_PINS,
+                         ids=[c[0] for c in MODULAR_PINS])
+def test_modular_data_pinned(name, size, s_digest, t_digest):
+    md = modular_data(named_group(name))
+    S = md.S
+    assert md.size == size
+    entries = [[S[i, j].to_json() for j in range(size)] for i in range(size)]
+    roots = [list(t.as_root_of_unity()) for t in md.T]
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == s_digest
+    assert hashlib.sha256(json.dumps(roots).encode()).hexdigest() == t_digest
+    # equal entries are one shared object
+    assert len({id(x) for x in S.flat}) == len(set(S.flat))
+
+
+@pytest.mark.parametrize("name", ["S3", "A5"])
+def test_object_route_gives_the_same_modular_data(monkeypatch, name):
+    """With the int64 limit at 1, every tensor step (the table certificates,
+    the S build and its certification) runs on Python ints."""
+    import brpic.cyclo as cyclo_mod
+
+    md = modular_data(named_group(name))
+    monkeypatch.setattr(cyclo_mod, "_INT64_MAX", 1)
+    slow = modular_data(named_group(name))
+    assert slow is not md and slow.T == md.T
+    assert all(x == y for x, y in zip(slow.S.flat, md.S.flat))

@@ -1,9 +1,15 @@
 """Character table construction, restriction, and Clifford components."""
 
+import subprocess
+import sys
+from math import lcm
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brpic.chars as chars_mod
 from brpic.chars import (
     Character,
     centralizer_table,
@@ -17,8 +23,18 @@ from brpic.chars import (
     restrict,
     tensor,
 )
-from brpic.cyclo import Cyclotomic, from_rational, one, root_of_unity, zero
+from brpic.cyclo import (
+    Cyclotomic,
+    _lift_tensor,
+    _tensor_conj,
+    _tensor_product,
+    from_rational,
+    one,
+    root_of_unity,
+    zero,
+)
 from brpic.errors import (
+    CharacterTableError,
     NoSuchCharacter,
     NotAbelianNormal,
     NotASubgroup,
@@ -27,6 +43,7 @@ from brpic.errors import (
 from brpic.groups import (
     abelian_normal_subgroups,
     alternating_group,
+    centralizer,
     conjugacy_classes,
     named_group,
     normal_subgroups,
@@ -343,3 +360,123 @@ def test_a4_linear_characters_see_the_quotient_by_klein():
     z = root_of_unity(3, 1)
     vals = {ch.values[c3.index] for ch in t if ch.degree == 1}
     assert vals == {one(), z, z * z}
+
+
+# ---------------------------------------------------------------------------
+# certification of a table and shared centralizer tables
+# ---------------------------------------------------------------------------
+
+def corrupted_table(name, row, cls):
+    """(G, copy of G's table with the value of ``row`` at class ``cls``
+    raised by 1)."""
+    G = named_group(name)
+    table = [Character(G, ch.values) for ch in character_table(G)]
+    vals = list(table[row].values)
+    vals[cls] = vals[cls] + one()
+    table[row] = Character(G, tuple(vals))
+    return G, table
+
+
+# (row, class) edits: A5's (1, 3) edits the golden ratio at a class of
+# 5-cycles, the others rational values; none touches the identity class, so
+# the degrees stay as they are
+CORRUPTIONS = [("S3", 1, 1), ("S3", 2, 2), ("A5", 1, 3), ("A5", 4, 2)]
+
+
+@pytest.mark.parametrize("name,row,cls", CORRUPTIONS)
+def test_corrupted_table_fails_row_orthogonality(name, row, cls):
+    G, table = corrupted_table(name, row, cls)
+    with pytest.raises(CharacterTableError,
+                       match=r"^row orthogonality fails at \(\d+,\d+\)$"):
+        chars_mod._certify(G, table)
+
+
+@pytest.mark.parametrize("name,row,cls", CORRUPTIONS)
+def test_column_orthogonality_rejects_on_its_own(monkeypatch, name, row, cls):
+    # For a square table the two relations are equivalent: X D conj(X)^T =
+    # |G| I makes X invertible, and conj(X)^T X = |G| D^-1 follows.  So no
+    # edited value fails the column check while the row check passes; with
+    # the row check switched off, the column check must reject each edit
+    # under its own name.
+    G, table = corrupted_table(name, row, cls)
+    check = chars_mod._orthogonality
+
+    def columns_only(kind, P, diagonal):
+        if kind == "column":
+            check(kind, P, diagonal)
+
+    monkeypatch.setattr(chars_mod, "_orthogonality", columns_only)
+    with pytest.raises(CharacterTableError,
+                       match=r"^column orthogonality fails at \(\d+,\d+\)$"):
+        chars_mod._certify(G, table)
+    monkeypatch.undo()
+    chars_mod._certify(G, character_table(G))
+
+
+def test_corrupted_table_raises_under_python_O():
+    code = (
+        "from brpic.chars import Character, _certify, character_table\n"
+        "from brpic.errors import CharacterTableError\n"
+        "from brpic.groups import named_group\n"
+        "G = named_group('A5')\n"
+        "table = list(character_table(G))\n"
+        "vals = list(table[1].values)\n"
+        "vals[3] = vals[3] + 1\n"
+        "table[1] = Character(G, tuple(vals))\n"
+        "try:\n"
+        "    _certify(G, table)\n"
+        "except CharacterTableError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("rejected: row orthogonality")
+
+
+@pytest.mark.parametrize("name", ["A4", "A5"])
+def test_table_certificate_int64_and_object_routes_agree(name):
+    G = named_group(name)
+    X = np.array([ch.values for ch in character_table(G)], dtype=object)
+    L = lcm(*{v.n for v in X.flat})
+    den, A = _lift_tensor(X, L)
+    assert den == 1 and A.dtype == np.int64 and L > 1
+    sizes = np.array([c.size for c in conjugacy_classes(G)])
+
+    def products(A):
+        Abar = _tensor_conj(A, L).transpose(0, 2, 1)
+        return [_tensor_product(A * sizes, Abar, L),
+                _tensor_product(Abar, A, L)]
+
+    fast = products(A)
+    exact = products(A.astype(object))
+    assert all(p.dtype == np.int64 for p in fast)
+    assert all(p.dtype == object for p in exact)
+    for f, e in zip(fast, exact):
+        assert [int(x) for x in f.flat] == [int(x) for x in e.flat]
+    # and both are the orthogonality relations
+    assert np.array_equal(fast[0][0], G.n * np.eye(len(sizes), dtype=np.int64))
+    assert np.array_equal(fast[1][0], np.diag(G.n // sizes))
+    assert not fast[0][1:].any() and not fast[1][1:].any()
+
+
+@pytest.mark.parametrize("name,elements", [
+    ("Z/6", range(6)),
+    ("S3", None),                   # the two 3-cycles
+], ids=["Z/6", "S3-3-cycles"])
+def test_equal_centralizers_share_one_table(name, elements):
+    G = named_group(name)
+    if elements is None:
+        [cl] = [c for c in conjugacy_classes(G) if G.order_of(c.rep) == 3]
+        elements = cl.members
+    elements = list(elements)
+    assert len(elements) > 1
+    first = centralizer_table(G, elements[0])
+    for g in elements:
+        assert centralizer_table(G, g) is first
+        # the table of a freshly built centralizer of g in a new instance
+        F = named_group(name)
+        H, elems = centralizer(F, g).as_group()
+        assert elems == first[1]
+        assert np.array_equal(H.table, first[0].table)
+        assert ([ch.values for ch in character_table(H)]
+                == [ch.values for ch in first[2]])
