@@ -6,6 +6,11 @@ modular data.  Construction data (automorphism, cocycle, subgroup/pairing)
 is retained as provenance so that bimodule-category invariants can be
 derived from the construction rather than from the permutation.
 
+Ids prune, the exact check certifies: the fingerprints, the candidate
+refinement and the completion search compare the integer entry ids
+``ModularData.S_ids`` / ``T_ids``, and every map they return is built as a
+BraidedAutoeq, whose construction compares the exact Cyclotomic entries.
+
 Composition convention: ``compose(F, H)`` applies H first, then F, and a
 generator word (i1, ..., ik) denotes g_{i1} after ... after g_{ik}.
 """
@@ -287,16 +292,13 @@ def _unit_index(G: FiniteGroup) -> int:
     return _simple_index(G)[(class_of(G, G.identity), 0)]
 
 
-def _fingerprints(md: ModularData):
-    """Per-object invariant (qdim row entry, twist, sorted S-row) preserved
-    by every braided autoequivalence; used to prune candidate targets."""
-    S, T = md.S, md.T
-    ns = md.size
-    out = []
-    for i in range(ns):
-        row = tuple(sorted(S[i, j].key() for j in range(ns)))
-        out.append((S[0, i].key(), T[i].key(), row))
-    return out
+def _fingerprints(md: ModularData) -> np.ndarray:
+    """One int class per object: objects share a class exactly when their
+    (qdim row entry, twist, sorted S-row) agree.  Every braided
+    autoequivalence preserves it; used to prune candidate targets."""
+    ids = md.S_ids
+    rows = np.column_stack([ids[0], md.T_ids, np.sort(ids, axis=1)])
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _is_identity_morphism(v: GroupMorphism) -> bool:
@@ -452,30 +454,24 @@ def _dualization_partial(G, S, pairing, provenance) -> PartialBrEq:
 def _refine_candidates(md: ModularData, cand: dict[int, list[int]]) -> None:
     """Arc-consistency pass: a target survives only if every other source
     retains a distinct partner with the same S-entry as the source pair."""
-    S = md.S
+    ids = md.S_ids
     changed = True
     while changed:
         changed = False
         for a, pool_a in cand.items():
-            keep = []
-            for t in pool_a:
-                ok = True
-                for b, pool_b in cand.items():
-                    if b == a:
-                        continue
-                    if not any(
-                        u != t and S[t, u] == S[a, b] for u in pool_b
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    keep.append(t)
-            if not keep:
+            ta = np.array(pool_a)
+            ok = np.ones(len(ta), dtype=bool)
+            for b, pool_b in cand.items():
+                if b != a:
+                    tb = np.array(pool_b)
+                    ok &= ((ids[np.ix_(ta, tb)] == ids[a, b])
+                           & (ta[:, None] != tb[None, :])).any(axis=1)
+            if not ok.any():
                 raise NoExtension(
                     f"source {a} has no S-consistent target left"
                 )
-            if len(keep) != len(pool_a):
-                cand[a] = keep
+            if not ok.all():
+                cand[a] = ta[ok].tolist()
                 changed = True
 
 
@@ -699,66 +695,77 @@ def complete_extensions(partial: PartialBrEq,
 
     Backtracking over the undetermined sources with fingerprint and
     incremental S-consistency pruning; raises NoExtension when the partial
-    map admits no completion and BudgetExceeded past ``cap`` search nodes."""
+    map admits no completion and BudgetExceeded past ``cap`` search nodes
+    (a node is one unused candidate target offered to a source).  Pruning
+    compares the entry ids ``md.S_ids``; each completion is then built as a
+    BraidedAutoeq, whose exact S/T check certifies it."""
     G = partial.group
     if md is None:
         md = modular_data(G)
-    S = md.S
+    ids = md.S_ids
     ns = md.size
     fps = _fingerprints(md)
 
-    assigned = dict(partial.mapping)
-    for a, t in assigned.items():
+    srcs = list(partial.mapping)
+    tgts = list(partial.mapping.values())
+    for a, t in zip(srcs, tgts):
         if fps[a] != fps[t]:
             raise NoExtension(
                 f"determined image {a} -> {t} changes preserved invariants"
             )
-    items = list(assigned.items())
-    for x, (a, t) in enumerate(items):
-        for b, u in items[x + 1:]:
-            if S[t, u] != S[a, b]:
-                raise NoExtension(
-                    f"determined images at ({a}, {b}) break the S-matrix"
-                )
+    bad = np.argwhere(np.triu(
+        ids[np.ix_(tgts, tgts)] != ids[np.ix_(srcs, srcs)], 1))
+    if len(bad):
+        x, y = bad[0]
+        raise NoExtension(
+            f"determined images at ({srcs[x]}, {srcs[y]}) break the S-matrix"
+        )
 
     pools = {}
     for src in range(ns):
-        if src in assigned:
+        if src in partial.mapping:
             continue
-        base = partial.candidates.get(src, range(ns))
-        pool = sorted(t for t in base if fps[t] == fps[src])
-        if not pool:
+        base = np.array(partial.candidates.get(src, range(ns)))
+        pool = np.sort(base[fps[base] == fps[src]])
+        if not len(pool):
             raise NoExtension(f"source {src} has no admissible target")
         pools[src] = pool
 
-    order = sorted(pools, key=lambda s: (len(pools[s]), s))
+    # sources in visiting order: the determined ones, then by pool size;
+    # image[k] is the target of order[k], and the target t of order[k] must
+    # satisfy ids[t, image[:k]] == want[k]
+    order = srcs + sorted(pools, key=lambda s: (len(pools[s]), s))
+    want = [ids[s, order[:k]] for k, s in enumerate(order)]
+    image = np.zeros(ns, dtype=np.int64)
+    image[:len(tgts)] = tgts
+    used = np.zeros(ns, dtype=bool)
+    used[tgts] = True
     results: list[tuple[int, ...]] = []
     nodes = 0
 
-    def dfs(idx: int):
+    def dfs(k: int):
         nonlocal nodes
-        if idx == len(order):
-            full = [0] * ns
-            for a, t in assigned.items():
-                full[a] = t
-            results.append(tuple(full))
+        if k == ns:
+            full = np.empty(ns, dtype=np.int64)
+            full[order] = image
+            results.append(tuple(full.tolist()))
             return
-        src = order[idx]
-        used = set(assigned.values())
-        for t in pools[src]:
-            if t in used:
-                continue
-            nodes += 1
-            if nodes > cap:
-                raise BudgetExceeded(
-                    f"completion search exceeded {cap} nodes"
-                )
-            if all(S[t, u] == S[src, b] for b, u in assigned.items()):
-                assigned[src] = t
-                dfs(idx + 1)
-                del assigned[src]
+        pool = pools[order[k]]
+        pool = pool[~used[pool]]
+        nodes += len(pool)
+        if nodes > cap:
+            raise BudgetExceeded(
+                f"completion search exceeded cap = {cap} nodes"
+                f" (EXTENSION_NODE_BUDGET = {EXTENSION_NODE_BUDGET})"
+            )
+        ok = (ids[pool[:, None], image[:k]] == want[k]).all(axis=1)
+        for t in pool[ok].tolist():
+            image[k] = t
+            used[t] = True
+            dfs(k + 1)
+            used[t] = False
 
-    dfs(0)
+    dfs(len(tgts))
     if not results:
         raise NoExtension("partial map admits no braided completion")
     prov = Provenance("searched", (partial.provenance,))
@@ -990,8 +997,9 @@ def autoeq_from_json(data: dict,
                      G: Optional[FiniteGroup] = None) -> BraidedAutoeq:
     """Rebuild (and re-verify) an autoequivalence from its mapping JSON.
 
-    The construction data is not reconstructed: the result carries
-    provenance "searched" with the original description attached."""
+    The construction data is not reconstructed and the JSON description is
+    dropped: the result carries the bare provenance "searched", so
+    ``bimodule_data`` raises UnsupportedProvenance on it."""
     if G is None:
         G = named_group(data["group"])
     prov = Provenance("searched")

@@ -28,12 +28,14 @@ come out of one integer tensor product.  Each distinct coefficient column is
 then decoded once into a canonical Cyclotomic.
 
 ``ModularData.S`` is an N x N object array of canonical Cyclotomic entries,
-and equal entries share one object.  Certification neither trusts the build
-nor uses the entries one by one: it lifts the released S and T once into the
-single field Q(zeta_L), L the lcm of their conductors, as integer tensors of
-shape (phi(L), N, N) and (phi(L), N) over a common denominator, and checks
-symmetry, the unit row, the twists, the Gram matrix, S^2, C-invariance of T
-and the modular relation as exact integer-array equalities.  Every product
+and equal entries share one object; ``S_ids`` and ``T_ids`` number the
+distinct entries, so searches can compare ints where they only prune.
+Certification neither trusts the build nor uses the entries one by one: it
+lifts the released S and T once into the single field Q(zeta_L), L the lcm
+of their conductors, as integer tensors of shape (phi(L), N, N) and
+(phi(L), N) over a common denominator, and checks symmetry, the unit row,
+the twists, the Gram matrix, S^2, C-invariance of T and the modular
+relation as exact integer-array equalities.  Every product
 first bounds its coefficients; it runs on int64 when the bound fits and on
 Python ints (object arrays, same code) when it does not.  A failed check
 raises CertificationError; none of them is an ``assert``.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -94,6 +97,11 @@ class ModularData:
     ``S`` is an N x N object array of Cyclotomic entries in the unnormalized
     convention documented in the module docstring; ``T`` is the length-N
     diagonal of twists theta = chi(g)/chi(1).
+
+    ``S_ids`` (N x N) and ``T_ids`` (N) are read-only int arrays derived
+    from the entries on first use: two ids are equal exactly when the
+    Cyclotomic entries are equal.  They serve pruning comparisons; the
+    exact entries remain the certificate.
     """
 
     group: FiniteGroup
@@ -103,6 +111,23 @@ class ModularData:
     @property
     def size(self) -> int:
         return len(self.T)
+
+    @cached_property
+    def S_ids(self) -> np.ndarray:
+        return _entry_ids(self.S)
+
+    @cached_property
+    def T_ids(self) -> np.ndarray:
+        return _entry_ids(np.array(self.T, dtype=object))
+
+
+def _entry_ids(entries: np.ndarray) -> np.ndarray:
+    """Read-only int array with equal ids exactly at equal entries."""
+    seen: dict = {}
+    ids = np.array([seen.setdefault(x, len(seen)) for x in entries.flat],
+                   dtype=np.int64).reshape(entries.shape)
+    ids.setflags(write=False)
+    return ids
 
 
 def simple_objects(G: FiniteGroup) -> list[SimpleObject]:

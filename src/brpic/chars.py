@@ -347,12 +347,19 @@ def decompose(a: ClassFunction) -> list[tuple[int, Character]]:
 
 
 def find_character(G: FiniteGroup, values) -> int:
-    """Index of the table row with the given per-class values."""
+    """Index of the table row with the given per-class values.
+
+    The rows of a character table are distinct, so one dict per group,
+    keyed by the rows, finds the index a scan of the table would find."""
+    if "char_index" not in G._memo:
+        G._memo["char_index"] = {
+            ch.values: i for i, ch in enumerate(character_table(G))
+        }
     vals = tuple(values)
-    for i, ch in enumerate(character_table(G)):
-        if ch.values == vals:
-            return i
-    raise NoSuchCharacter(f"no character of {G.name} with values {vals}")
+    i = G._memo["char_index"].get(tuple(map(Cyclotomic._coerce, vals)))
+    if i is None:
+        raise NoSuchCharacter(f"no character of {G.name} with values {vals}")
+    return i
 
 
 def linear_characters(G: FiniteGroup) -> list[tuple[int, Character]]:

@@ -10,7 +10,9 @@ Subcommands
     The simple objects of the center with quantum dimensions and twists.
 ``autoeq {v,bv,ev,rprime,generate,verify,bimodule} ...``
     Construct braided symmetries, close them under composition, re-verify a
-    serialized mapping, or report the bimodule invariant.
+    serialized mapping, or report the bimodule invariant.  The mapping files
+    read by ``autoeq generate`` carry no construction data: each element is
+    re-verified from its mapping alone.
 ``fpn <p> <n> {orders,generate,bruhat}``
     The prime-field matrix model: generated-versus-oracle orders, generator
     or closure listings, and the triangular cell factorization.

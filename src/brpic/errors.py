@@ -141,8 +141,9 @@ class NoExtension(BrpicError):
 
 class BudgetExceeded(BrpicError):
     """A computation exceeded one of its work budgets; the message names the
-    budget and its value.  The budgets are the completion search's node cap,
-    the H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle system
+    budget and its value.  The budgets are the completion search's
+    ``EXTENSION_NODE_BUDGET`` (search nodes, or the ``cap`` passed in), the
+    H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle system
     on generator rows, |gens| (n-1)^2 x (n-1)^2) and
     ``H2_CLASS_BUDGET`` (class representatives), the matrix-model
     oracle's size limits (2n and p), and the matrix model's

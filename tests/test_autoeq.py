@@ -2,6 +2,7 @@
 bimodule invariants."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from brpic.autoeq import (
     partial_dualization_rprime,
     preserves_modular_data,
     self_dual_pairing,
+    _fingerprints,
+    _refine_candidates,
+    _unit_index,
 )
 from brpic.center import modular_data, simple_objects
 from brpic.chars import centralizer_table, character_table, find_character
@@ -56,6 +60,7 @@ from brpic.errors import (
 )
 from brpic.groups import (
     GroupMorphism,
+    abelian_normal_subgroups,
     all_subgroups,
     class_of,
     conjugacy_classes,
@@ -620,11 +625,95 @@ class TestCompleteExtensions:
         with pytest.raises(NoExtension):
             complete_extensions(part)
 
+    @pytest.mark.parametrize("reverse, witness", [(False, "(2, 4)"),
+                                                  (True, "(7, 6)")])
+    def test_determined_images_report_the_first_broken_pair(self, reverse,
+                                                            witness):
+        # pairs (a, b) are scanned in the partial's insertion order, a first
+        D4 = named_group("D4")
+        items = [(0, 0), (1, 1), (2, 19), (3, 18), (4, 4), (5, 5), (6, 6),
+                 (7, 8)]
+        part = PartialBrEq(D4, dict(items[::-1] if reverse else items), {},
+                           Provenance("searched"))
+        with pytest.raises(NoExtension,
+                           match=re.escape(f"determined images at {witness}")):
+            complete_extensions(part)
+
     def test_budget_exceeded(self):
         V4 = named_group("Z/2^2")
         part = PartialBrEq(V4, {}, {}, Provenance("searched"))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="EXTENSION_NODE_BUDGET"):
             complete_extensions(part, cap=3)
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("Z/2^2", 3672), ("D4", 16958), ("S3xZ/2", 811), ("Z/2^3 R'", 197800),
+    ])
+    def test_node_budget_pinned(self, name, nodes):
+        # the exact node count of each search: cap = nodes completes and
+        # cap = nodes - 1 stops, with the cap in force in the message
+        if name == "Z/2^3 R'":
+            G = named_group("Z/2^3")
+            part = partial_dualization_rprime(
+                next(N for N in abelian_normal_subgroups(G) if N.order == 4))
+        else:
+            G = named_group(name)
+            u = _unit_index(G)
+            part = PartialBrEq(G, {u: u}, {}, Provenance("searched"))
+        assert complete_extensions(part, cap=nodes)
+        with pytest.raises(BudgetExceeded, match=f"cap = {nodes - 1} nodes"):
+            complete_extensions(part, cap=nodes - 1)
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S3xZ/2", "Z/2^3"])
+    def test_refinement_matches_the_exact_entry_loop(self, name):
+        # reference: the arc-consistency pass on the Cyclotomic entries
+        def refine(S, cand):
+            changed = True
+            while changed:
+                changed = False
+                for a, pool_a in cand.items():
+                    keep = [t for t in pool_a if all(
+                        any(u != t and S[t, u] == S[a, b] for u in pool_b)
+                        for b, pool_b in cand.items() if b != a)]
+                    if not keep:
+                        return None
+                    if len(keep) != len(pool_a):
+                        cand[a] = keep
+                        changed = True
+            return cand
+
+        md = modular_data(named_group(name))
+        fps = _fingerprints(md)
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            sources = rng.choice(md.size, size=min(6, md.size), replace=False)
+            cand = {}
+            for a in sources.tolist():
+                same = np.flatnonzero(fps == fps[a])
+                cand[a] = sorted(rng.choice(
+                    same, size=rng.integers(1, len(same) + 1),
+                    replace=False).tolist())
+            expected = refine(md.S, {a: list(p) for a, p in cand.items()})
+            if expected is None:
+                with pytest.raises(NoExtension):
+                    _refine_candidates(md, cand)
+            else:
+                _refine_candidates(md, cand)
+                assert cand == expected
+
+    @pytest.mark.parametrize("name", ["S3", "Z/2^2", "D4", "Q8", "A4", "S4",
+                                      "S3xZ/2", "Z/2^3"])
+    def test_fingerprints_partition_like_key_tuples(self, name):
+        md = modular_data(named_group(name))
+        S, T, ns = md.S, md.T, md.size
+        reference = [
+            (S[0, i].key(), T[i].key(),
+             tuple(sorted(S[i, j].key() for j in range(ns))))
+            for i in range(ns)
+        ]
+        fps = _fingerprints(md)
+        for i in range(ns):
+            for j in range(ns):
+                assert (fps[i] == fps[j]) == (reference[i] == reference[j])
 
     def test_partial_validation(self):
         S3 = named_group("S3")
@@ -1000,6 +1089,14 @@ class TestSerialization:
         jc = autoeq_to_json(comp)
         assert jc["provenance"]["kind"] == "composite"
         assert [f["kind"] for f in jc["provenance"]["factors"]] == ["v", "v"]
+
+    def test_loaded_element_carries_no_construction_data(self):
+        V4 = named_group("Z/2^2")
+        F = from_hopf_auto(automorphisms(V4)[1])
+        G = autoeq_from_json(autoeq_to_json(F))
+        assert G.provenance == Provenance("searched")
+        with pytest.raises(UnsupportedProvenance):
+            bimodule_data(G)
 
     def test_bad_mapping_rejected_on_load(self):
         S3 = named_group("S3")

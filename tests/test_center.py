@@ -241,6 +241,43 @@ def test_corrupted_s_matrix_raises_nonintegral():
                     verlinde_fusion(broken, i, j, k)
 
 
+SYMMETRIES_GROUPS = ["S3", "Z/3", "Z/2^2", "A4", "D4", "Q8", "S4", "S3xZ/2",
+                     "Z/2^3"]
+
+
+def assert_ids_match_entries(entries, ids):
+    """Equal ids exactly where the entries are equal: every id stands for
+    one value, and the values of distinct ids differ (compared with ==)."""
+    assert ids.shape == entries.shape and ids.dtype.kind == "i"
+    assert not ids.flags.writeable
+    rep = {}
+    for x, i in zip(entries.flat, ids.flat):
+        assert rep.setdefault(int(i), x) == x
+    values = [rep[i] for i in sorted(rep)]
+    assert sorted(rep) == list(range(len(rep)))
+    for a, x in enumerate(values):
+        assert not any(x == y for y in values[a + 1:])
+
+
+@pytest.mark.parametrize("name", SYMMETRIES_GROUPS)
+def test_entry_ids_equal_exactly_where_entries_are_equal(name):
+    md = modular_data(named_group(name))
+    assert_ids_match_entries(md.S, md.S_ids)
+    assert_ids_match_entries(np.array(md.T, dtype=object), md.T_ids)
+    assert md.S_ids is md.S_ids            # built once, on first use
+
+
+def test_hand_built_modular_data_gets_its_own_ids():
+    md = modular_data(named_group("S3"))
+    bad = np.array(md.S, dtype=object, copy=True)
+    bad[3, 4] = bad[3, 4] + one()
+    broken = ModularData(md.group, bad, md.T)
+    assert_ids_match_entries(bad, broken.S_ids)
+    assert md.S_ids[3, 4] == md.S_ids[4, 3]
+    assert broken.S_ids[3, 4] != broken.S_ids[4, 3]
+    assert np.array_equal(broken.T_ids, md.T_ids)
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

@@ -324,6 +324,20 @@ def test_find_character():
         find_character(G, ints(1, 1, -1))
 
 
+@pytest.mark.parametrize("name", ["S4", "Z/2^3"])
+def test_find_character_agrees_with_a_scan(name):
+    G = named_group(name)
+    for c in conjugacy_classes(G):
+        H, _, table = centralizer_table(G, c.rep)
+        for i, ch in enumerate(table):
+            scan = next(k for k, row in enumerate(table)
+                        if row.values == ch.values)
+            assert find_character(H, list(ch.values)) == scan == i
+        doubled = tuple(v + v for v in table[0].values)
+        with pytest.raises(NoSuchCharacter):
+            find_character(H, doubled)
+
+
 def test_centralizer_table_of_4_cycle():
     G = named_group("S4")
     rep = [c.rep for c in conjugacy_classes(G) if G.order_of(c.rep) == 4][0]
