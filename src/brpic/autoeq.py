@@ -28,6 +28,7 @@ from .chars import (
     character_table,
     clifford_decomposition,
     find_character,
+    _exponent_rows,
 )
 from .cohom import (
     Cocycle2,
@@ -73,6 +74,7 @@ from .groups import (
     _closure,
     _compose_rows,
     _index_rows,
+    _iso_backtrack,
 )
 
 __all__ = [
@@ -522,78 +524,29 @@ def from_ev_lazy(S: Subgroup, eta: Cocycle2,
 
 
 def self_dual_pairing(N: Subgroup, Q, action=None) -> Optional[Pairing]:
-    """Search for a nondegenerate bimultiplicative Q-equivariant pairing
-    N x N -> mu_m with m = exp(N); None if the module is not self-dual.
+    """The first Q-equivariant isomorphism N -> N^, in image-tuple order, as
+    a nondegenerate bimultiplicative pairing N x N -> mu_m with m = exp(N);
+    None if the module is not self-dual.
 
-    ``action`` defaults to conjugation by Q inside the common parent; an
-    explicit action is a sequence of |Q| position-permutations of N."""
+    N^ is the group of exponent rows of ``chars._exponent_rows``, and the
+    isomorphisms come from ``groups._iso_backtrack``.  ``action`` defaults to
+    conjugation by Q inside the common parent; an explicit action is a
+    sequence of |Q| position-permutations of N."""
     if not N.is_abelian():
         raise NotAbelianNormal(f"{N!r} is not abelian")
-    Ngrp, elems = N.as_group()
-    n = Ngrp.n
+    Ngrp, _ = N.as_group()
     perms = _q_action_perms(N, Q, action)
-
-    table = character_table(Ngrp)
-    # value of character c at element x (abelian: class index = element index)
-    m = Ngrp.exponent()
-    expo = np.zeros((len(table), n), dtype=np.int64)
-    for ci, ch in enumerate(table):
-        for x in range(n):
-            order, k = ch.value_at_element(x).as_root_of_unity()
-            expo[ci, x] = (k * (m // order)) % m
-
-    gens = Ngrp.minimal_generators()
-    hom: dict[int, int] = {Ngrp.identity: 0}     # element -> character index
-
-    def assign(gi: int) -> Optional[np.ndarray]:
-        if gi == len(gens):
-            V = np.zeros((n, n), dtype=np.int64)
-            for a, ca in hom.items():
-                V[a] = expo[ca]
-            if len({tuple(r) for r in V}) != n:
-                return None                      # rows repeat: degenerate
-            for q in perms:
-                if not np.array_equal(V[np.ix_(q, q)], V):
-                    return None                  # not Q-equivariant
-            return V
-        g = gens[gi]
-        for ci in range(len(table)):
-            trial = dict(hom)
-            ok = True
-            frontier = [(g, ci)]
-            while frontier and ok:
-                x, cx = frontier.pop()
-                if x in trial:
-                    if trial[x] != cx:
-                        ok = False
-                    continue
-                trial[x] = cx
-                for y, cy in list(trial.items()):
-                    xy = Ngrp.mul(x, y)
-                    cxy = find_character(
-                        Ngrp,
-                        tuple(
-                            table[cx].values[i] * table[cy].values[i]
-                            for i in range(n)
-                        ),
-                    )
-                    frontier.append((xy, cxy))
-            if not ok:
-                continue
-            saved = dict(hom)
-            hom.clear()
-            hom.update(trial)
-            V = assign(gi + 1)
-            if V is not None:
-                return V
-            hom.clear()
-            hom.update(saved)
-        return None
-
-    V = assign(0)
-    if V is None:
-        return None
-    return Pairing(N, m, V)
+    m, expo = _exponent_rows(Ngrp)
+    row = {r.tobytes(): k for k, r in enumerate(expo)}
+    dual = FiniteGroup(
+        [[row[r.tobytes()] for r in (expo + a) % m] for a in expo],
+        name=f"{Ngrp.name}^",
+    )
+    for images in _iso_backtrack(Ngrp, dual):
+        V = expo[list(images)]
+        if all(np.array_equal(V[np.ix_(q, q)], V) for q in perms):
+            return Pairing(N, m, V)
+    return None
 
 
 def _q_action_perms(N: Subgroup, Q, action):

@@ -14,6 +14,12 @@ relation and a witness (i, j), also under ``python -O``.
 ``centralizer_table`` builds one table per distinct centralizer: elements
 with equal centralizers share it.
 
+The characters of an abelian group are also kept as integer exponent rows
+(``_exponent_rows``).  ``clifford_decomposition`` reads the conjugation
+action of G on the characters of an abelian normal S off one integer table,
+``act[g, k]`` = the index of g . lambda_k, so the single-orbit certificate
+is one column of it and each inertia subgroup the rows fixing k.
+
 Row order is deterministic: by (degree, per-class value keys), where the
 value key orders rationals before irrationals and +1 before -1 (so the
 trivial character is always row 0, and for a cyclic group the zeta-character
@@ -370,12 +376,30 @@ def linear_characters(G: FiniteGroup) -> list[tuple[int, Character]]:
 # Clifford decomposition over an abelian normal subgroup
 # ---------------------------------------------------------------------------
 
+def _exponent_rows(H: FiniteGroup):
+    """(m, expo) for an abelian H, m = exp(H): row k of the int array expo
+    holds the k-th character as exponents, chi_k(x) = zeta_m^expo[k, x].
+    Memoized on H."""
+    if "exponent_rows" not in H._memo:
+        m = H.exponent()
+        expo = np.zeros((H.n, H.n), dtype=np.int64)
+        for k, ch in enumerate(character_table(H)):
+            for x in range(H.n):
+                order, e = ch.value_at_element(x).as_root_of_unity()
+                expo[k, x] = e * (m // order) % m
+        expo.setflags(write=False)
+        H._memo["exponent_rows"] = (m, expo)
+    return H._memo["exponent_rows"]
+
+
 def clifford_decomposition(chi: Character, S: Subgroup) -> list[CliffordComponent]:
     """Isotypic components of chi restricted to an abelian normal subgroup.
 
     The returned linear characters form a single orbit under conjugation,
     all with equal multiplicity dimension; inertia subgroups are the
-    stabilizers.  Raises NotAbelianNormal / NotIrreducible on bad input.
+    stabilizers.  Both are read off the action table ``act[g, k]``, the
+    index of g . lambda_k with (g . lambda)(s) = lambda(g^-1 s g).  Raises
+    NotAbelianNormal / NotIrreducible on bad input.
     """
     G = chi.group
     if not isinstance(S, Subgroup) or S.parent != G:
@@ -385,68 +409,27 @@ def clifford_decomposition(chi: Character, S: Subgroup) -> list[CliffordComponen
     if not is_irreducible(chi):
         raise NotIrreducible("Clifford decomposition needs an irreducible character")
     Sgrp, elems = S.as_group()
+    _, expo = _exponent_rows(Sgrp)
+    pos = np.zeros(G.n, dtype=np.int64)
+    pos[list(elems)] = np.arange(Sgrp.n)
+    every = np.arange(G.n)[:, None]
+    moved = pos[G.table[G.table[G.inv[every], np.asarray(elems)], every]]
+    row = {r.tobytes(): k for k, r in enumerate(expo)}
+    act = np.array([[row[r.tobytes()] for r in expo[:, p]] for p in moved])
     res = restrict(chi, S)
-    table = character_table(Sgrp)
     comps = []
-    for idx, lam in enumerate(table):
+    for idx, lam in enumerate(character_table(Sgrp)):
         m = inner_product(res, lam)
         mi = int(m.as_rational())
         if mi == 0:
             continue
-        inertia = _inertia_subgroup(G, S, lam)
+        inertia = Subgroup(G, np.nonzero(act[:, idx] == idx)[0], check=False)
         comps.append((idx, CliffordComponent(lam, mi, inertia)))
     dims = {c.multiplicity_dim for _, c in comps}
     if len(dims) != 1:
         raise CharacterTableError("Clifford multiplicities are not all equal")
-    # single-orbit check: conjugating the first listed character must reach
-    # every listed one and nothing else
-    orbit = _char_orbit(G, S, comps[0][0])
-    if orbit != {i for i, _ in comps}:
+    # single-orbit check: the conjugates of the first listed character must
+    # be every listed one and nothing else
+    if set(act[:, comps[0][0]].tolist()) != {i for i, _ in comps}:
         raise CharacterTableError("Clifford components are not one orbit")
     return [c for _, c in comps]
-
-
-def conjugate_linear_char(G: FiniteGroup, S: Subgroup, lam_idx: int, g: int) -> int:
-    """Index of g . lam, where (g . lam)(s) = lam(g^-1 s g)."""
-    Sgrp, elems = S.as_group()
-    table = character_table(Sgrp)
-    lam = table[lam_idx]
-    pos = {e: i for i, e in enumerate(elems)}
-    ginv = G.inv_of(g)
-    vals = []
-    for c in conjugacy_classes(Sgrp):
-        s = elems[c.rep]
-        moved = G.conj(s, ginv)
-        vals.append(lam.values[class_of(Sgrp, pos[moved])])
-    return find_character(Sgrp, vals)
-
-
-def _char_orbit(G: FiniteGroup, S: Subgroup, lam_idx: int) -> set[int]:
-    orbit = {lam_idx}
-    frontier = [lam_idx]
-    while frontier:
-        cur = frontier.pop()
-        for g in range(G.n):
-            nxt = conjugate_linear_char(G, S, cur, g)
-            if nxt not in orbit:
-                orbit.add(nxt)
-                frontier.append(nxt)
-    return orbit
-
-
-def _inertia_subgroup(G: FiniteGroup, S: Subgroup, lam: Character) -> Subgroup:
-    Sgrp, elems = S.as_group()
-    pos = {e: i for i, e in enumerate(elems)}
-    members = []
-    for g in range(G.n):
-        ginv = G.inv_of(g)
-        ok = True
-        for c in conjugacy_classes(Sgrp):
-            s = elems[c.rep]
-            moved = G.conj(s, ginv)
-            if lam.values[class_of(Sgrp, pos[moved])] != lam.values[c.index]:
-                ok = False
-                break
-        if ok:
-            members.append(g)
-    return Subgroup(G, members, check=False)

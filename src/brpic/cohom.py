@@ -137,13 +137,6 @@ class Cocycle2:
         return f"Cocycle2({self.group.name}, m={self.m}, {tag})"
 
     # -- transport ----------------------------------------------------------
-    def conjugate_by(self, g: int) -> "Cocycle2":
-        """(g . eta)(a, b) = eta(g^-1 a g, g^-1 b g)."""
-        G = self.group
-        ginv = G.inv_of(g)
-        q = np.fromiter((G.conj(a, ginv) for a in range(G.n)), dtype=np.int64)
-        return Cocycle2(G, self.m, self.values[np.ix_(q, q)], check=False)
-
     def restrict(self, S: Subgroup) -> "Cocycle2":
         """The same cocycle on a subgroup, as a cocycle of S's own group."""
         if S.parent != self.group:

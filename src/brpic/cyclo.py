@@ -223,9 +223,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return self.n == 1 and self.c[0] == 0
 
-    def is_one(self) -> bool:
-        return self.n == 1 and self.c[0] == 1
-
     def is_rational(self) -> bool:
         return self.n == 1
 
@@ -417,7 +414,8 @@ class Cyclotomic:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.c))
+            # a rational hashes like its Fraction, so like an equal int
+            self._hash = hash(self.c[0]) if self.n == 1 else hash((self.n, self.c))
         return self._hash
 
     def __bool__(self):

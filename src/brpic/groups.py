@@ -441,93 +441,74 @@ def identity_morphism(G: FiniteGroup) -> GroupMorphism:
     return GroupMorphism(G, G, tuple(range(G.n)), check=False)
 
 
-def _iso_backtrack(G: FiniteGroup, H: FiniteGroup, cap):
-    """All isomorphisms G -> H as image tuples, by generator backtracking."""
+def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
+    """Isomorphisms G -> H as image tuples, lazily, in ascending order.
+
+    The images of ``G.minimal_generators()`` are chosen in turn, each among
+    the elements of H with its generator's element order and class size.  A
+    choice is kept when the chosen pairs (g, h) generate, inside G x H, the
+    graph of an injective map: ``_closure`` on int pairs, stopped as soon as
+    it has more elements than the subgroup of G the chosen g generate.  Every
+    element of G below the next generator lies in that subgroup already, so
+    its image is fixed before the generator's is chosen, and trying the
+    candidates in ascending order yields the image tuples in ascending order.
+    """
     if G.n != H.n:
-        return []
+        return
     gens = G.minimal_generators()
-    orders_G = [G.order_of(g) for g in range(G.n)]
-    orders_H = [H.order_of(h) for h in range(H.n)]
-    class_size_G = {g: len(conjugacy_classes(G)[class_of(G, g)].members)
-                    for g in range(G.n)}
-    class_size_H = {h: len(conjugacy_classes(H)[class_of(H, h)].members)
-                    for h in range(H.n)}
-    results: list[tuple[int, ...]] = []
+    sizes = [len(G.closure(gens[:i + 1])) for i in range(len(gens))]
 
-    def propagate(chosen):
-        """Build the hom on <gens so far> or return None on inconsistency."""
-        imgs = {G.identity: H.identity}
-        frontier = list(imgs)
-        for g, h in chosen:
-            if g in imgs:
-                if imgs[g] != h:
-                    return None
-            else:
-                imgs[g] = h
-                frontier.append(g)
-        work = list(imgs.items())
-        known = dict(imgs)
-        i = 0
-        while i < len(work):
-            a, fa = work[i]
-            i += 1
-            for b, fb in list(known.items()):
-                for x, fx in ((G.mul(a, b), H.mul(fa, fb)),
-                              (G.mul(b, a), H.mul(fb, fa))):
-                    if x in known:
-                        if known[x] != fx:
-                            return None
-                    else:
-                        known[x] = fx
-                        work.append((x, fx))
-        return known
+    def profile(K):
+        classes = conjugacy_classes(K)
+        return [(K.order_of(x), classes[class_of(K, x)].size) for x in range(K.n)]
 
-    def dfs(i, chosen):
-        if len(results) >= cap > 0:
-            raise CapExceeded(
-                f"more than {cap} isomorphisms {G.name} -> {H.name}"
-            )
+    prof_G, prof_H = profile(G), profile(H)
+    candidates = [[h for h in range(H.n) if prof_H[h] == prof_G[g]] for g in gens]
+    dtype = np.min_scalar_type(G.n - 1)
+
+    def multiply(A, X):
+        return np.stack((G.table[A[:, 0], X[:, None, 0]],
+                         H.table[A[:, 1], X[:, None, 1]]), axis=-1).astype(dtype)
+
+    def extend(pairs, graph):
+        i = len(pairs)
         if i == len(gens):
-            known = propagate(chosen)
-            if known is None or len(known) != G.n:
-                return
-            if len(set(known.values())) != G.n:
-                return
-            results.append(tuple(known[g] for g in range(G.n)))
+            images = np.empty(G.n, dtype=np.int64)
+            images[graph[:, 0]] = graph[:, 1]
+            yield tuple(images.tolist())
             return
-        g = gens[i]
-        for h in range(H.n):
-            if orders_H[h] != orders_G[g]:
-                continue
-            if class_size_H[h] != class_size_G[g]:
-                continue
-            known = propagate(chosen + [(g, h)])
-            if known is None:
-                continue
-            dfs(i + 1, chosen + [(g, h)])
+        for h in candidates[i]:
+            chosen = pairs + [(gens[i], h)]
+            try:
+                grown, _ = _closure(np.array(chosen, dtype=dtype), multiply,
+                                    (G.identity, H.identity), sizes[i])
+            except CapExceeded:
+                continue            # more pairs than elements: not a map
+            if len(np.unique(grown[:, 1])) == len(grown):
+                yield from extend(chosen, grown)
 
-    dfs(0, [])
-    return sorted(results)
+    yield from extend([], np.array([[G.identity, H.identity]]))
 
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP):
-    """All isomorphisms G -> H, deterministically ordered by image tuple."""
-    return [GroupMorphism(G, H, imgs) for imgs in _iso_backtrack(G, H, cap)]
+    """All isomorphisms G -> H, ordered by image tuple; CapExceeded past ``cap``."""
+    out = []
+    for images in _iso_backtrack(G, H):
+        if len(out) == cap:
+            raise CapExceeded(f"more than {cap} isomorphisms {G.name} -> {H.name}")
+        out.append(GroupMorphism(G, H, images))
+    return out
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    if G.n != H.n:
-        return False
-    return bool(_iso_backtrack(G, H, cap=1 << 30))
+    return next(_iso_backtrack(G, H), None) is not None
 
 
 def automorphisms(G: FiniteGroup, cap: int = DEFAULT_CAP):
-    """Aut(G) as verified morphisms, sorted by image tuple; CapExceeded if huge."""
+    """Aut(G) as verified morphisms, sorted by image tuple; CapExceeded past ``cap``."""
     key = ("aut", cap)
     if key not in G._memo:
-        G._memo[key] = [
-            GroupMorphism(G, G, imgs) for imgs in _iso_backtrack(G, G, cap)
-        ]
+        G._memo[key] = isomorphisms(G, G, cap)
     return G._memo[key]
 
 

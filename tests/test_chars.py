@@ -287,6 +287,20 @@ def test_clifford_whole_abelian_group():
         assert comps[0].inertia.order == 6
 
 
+def test_clifford_components_outside_one_orbit_raise(monkeypatch):
+    # a restriction meeting the trivial character of A3 and a nontrivial one
+    # once each passes the equal-multiplicity check but spans two orbits
+    G = named_group("S3")
+    A3 = [s for s in abelian_normal_subgroups(G) if s.order == 3][0]
+    A3grp, _ = A3.as_group()
+    lam = character_table(A3grp)
+    fake = chars_mod.ClassFunction(
+        A3grp, tuple(a + b for a, b in zip(lam[0].values, lam[1].values)))
+    monkeypatch.setattr(chars_mod, "restrict", lambda chi, S: fake)
+    with pytest.raises(CharacterTableError, match="not one orbit"):
+        clifford_decomposition(character_table(G)[0], A3)
+
+
 def test_clifford_rejects_nonnormal():
     G = named_group("S3")
     chi = character_table(G)[2]

@@ -149,6 +149,14 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_rational_hashes_like_its_fraction():
+    # equal values hash equally across Cyclotomic, int and Fraction
+    assert one() == 1 and hash(one()) == hash(1)
+    assert 1 in {one()} and one() in {1}
+    assert hash(from_rational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert from_rational(Fraction(-3)) in {-3: "x"}
+
+
 # ---------------------------------------------------------------------------
 # property tests: field axioms
 # ---------------------------------------------------------------------------

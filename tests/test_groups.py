@@ -253,6 +253,24 @@ def test_iso_search_cap():
     assert len(gr.automorphisms(G, cap=200)) == 168
 
 
+@pytest.mark.parametrize("name,order", [
+    ("S3", 6), ("S4", 24), ("Z/2^3", 168), ("Q8", 24),
+])
+def test_iso_search_cap_is_inclusive(name, order):
+    # cap = |Aut G| returns every automorphism; one fewer raises
+    assert len(gr.automorphisms(gr.named_group(name), cap=order)) == order
+    with pytest.raises(CapExceeded):
+        gr.automorphisms(gr.named_group(name), cap=order - 1)
+
+
+def test_isomorphisms_come_lazily_in_image_order():
+    G, H = gr.named_group("S3"), gr.named_group("Z/3:Z/2@inv")
+    isos = [m.images for m in gr.isomorphisms(G, H)]
+    assert isos == sorted(isos) and len(set(isos)) == 6
+    assert next(gr._iso_backtrack(G, H)) == isos[0]
+    assert not gr.is_isomorphic(G, gr.named_group("Z/6"))
+
+
 # ---------------------------------------------------------------------------
 # subgroups / normal structure
 # ---------------------------------------------------------------------------

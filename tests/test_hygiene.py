@@ -1,7 +1,8 @@
 """Source hygiene for src/brpic, checked with the standard-library ast only.
 
-Every imported name is used or re-exported through ``__all__``, and no
-module uses ``assert``: certificates must raise, also under ``python -O``.
+Every imported name is used or re-exported through ``__all__``, no module
+uses ``assert`` (certificates must raise, also under ``python -O``), and
+every function is referenced somewhere.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "brpic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "brpic"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -61,3 +63,54 @@ def test_no_assert_statements(path):
     lines = [n.lineno for n in ast.walk(_tree(path))
              if isinstance(n, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
+class _References(ast.NodeVisitor):
+    """Names read anywhere in a tree, except inside a def of that name
+    (recursion does not count), plus the entries of ``__all__``."""
+
+    def __init__(self):
+        self.names, self.defs = set(), []
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(node.name)
+        self.generic_visit(node)
+        self.defs.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _read(self, name):
+        if name not in self.defs:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_function_is_referenced():
+    """A function or method of src/brpic (dunders and properties aside) is
+    referenced by name outside its own def in src/brpic, tests or
+    benchmarks, or exported through ``__all__``."""
+    refs = _References()
+    for path in MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+            (ROOT / "benchmarks").glob("*.py")):
+        tree = _tree(path)
+        refs.visit(tree)
+        refs.names |= _exported(tree)
+    unused = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_property(node) and node.name not in refs.names
+    )
+    assert not unused, f"functions nothing references: {unused}"
