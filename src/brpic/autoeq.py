@@ -63,6 +63,7 @@ from .groups import (
     GroupMorphism,
     Subgroup,
     all_subgroups,
+    centralizer,
     class_of,
     conjugacy_classes,
     direct_product,
@@ -241,10 +242,6 @@ class PartialBrEq:
             clean[int(k)] = pool
         self.candidates = clean
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.mapping) | set(self.candidates)))
-
     def __repr__(self):
         return (
             f"PartialBrEq({self.group.name}, determined={self.mapping}, "
@@ -355,7 +352,7 @@ def _twisted_transport(G, v, mu, provenance) -> BraidedAutoeq:
         cj = class_of(G, h)
         r = classes[cj].rep
         c = first_conjugator(G, h, r)
-        cent_h = [x for x in range(G.n) if G.mul(x, h) == G.mul(h, x)]
+        cent_h = centralizer(G, h).elements
         twist = None
         if mu is not None:
             m = mu.m
@@ -376,7 +373,7 @@ def _twisted_transport(G, v, mu, provenance) -> BraidedAutoeq:
 
     for i, s in enumerate(simples):
         g = classes[s.class_index].rep
-        Hg, elems_g, table_g = centralizer_table(G, g)
+        _, elems_g, table_g = centralizer_table(G, g)
         pos_g = {e: k for k, e in enumerate(elems_g)}
         chi = table_g[s.char_index]
         cj, c, twist = class_info[s.class_index]
@@ -550,28 +547,20 @@ def self_dual_pairing(N: Subgroup, Q, action=None) -> Optional[Pairing]:
 
 
 def _q_action_perms(N: Subgroup, Q, action):
-    """Position-permutations of N for each element of Q."""
-    Ngrp, elems = N.as_group()
+    """Position-permutations of N for each element of Q: rows of N's
+    conjugation table, or the given ``action``."""
     if action is not None:
         perms = [tuple(int(x) for x in p) for p in action]
         for p in perms:
-            if sorted(p) != list(range(Ngrp.n)):
+            if sorted(p) != list(range(N.order)):
                 raise NotSelfDual("action entry is not a permutation of N")
         return perms
     if not isinstance(Q, Subgroup) or Q.parent != N.parent:
         raise NotASubgroup("Q must be a subgroup of the same parent group")
-    G = N.parent
-    pos = {e: i for i, e in enumerate(elems)}
-    perms = []
-    for q in Q.elements:
-        img = []
-        for e in elems:
-            moved = G.conj(e, q)
-            if moved not in pos:
-                raise NotSelfDual("Q does not normalize N")
-            img.append(pos[moved])
-        perms.append(tuple(img))
-    return perms
+    act = N.conjugation()[list(Q.elements)]
+    if (act < 0).any():
+        raise NotSelfDual("Q does not normalize N")
+    return list(map(tuple, act.tolist()))
 
 
 def partial_dualization_rprime(N: Subgroup, Q: Optional[Subgroup] = None,
@@ -606,10 +595,7 @@ def partial_dualization_rprime(N: Subgroup, Q: Optional[Subgroup] = None,
             raise NotSelfDual("pairing is defined on a different subgroup")
         if not is_nondegenerate(pairing):
             raise NotSelfDual("pairing is degenerate")
-        _, elems = N.as_group()
-        pos = {e: i for i, e in enumerate(elems)}
-        for q in Q.elements:
-            perm = [pos[G.conj(e, q)] for e in elems]
+        for q, perm in zip(Q.elements, _q_action_perms(N, Q, None)):
             if not np.array_equal(
                 pairing.values[np.ix_(perm, perm)], pairing.values
             ):

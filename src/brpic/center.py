@@ -195,7 +195,7 @@ def _s_matrix(G, simples, classes, tables):
     coefficient column is decoded once, so equal entries share one object.
     """
     n, ns = G.n, len(simples)
-    t, inv, every = G.table, G.inv, np.arange(G.n)
+    act = G.conjugation()
     reps = np.array([cl.rep for cl in classes])
     cls = np.array([s.class_index for s in simples])
     start = np.searchsorted(cls, np.arange(len(classes)))
@@ -212,8 +212,8 @@ def _s_matrix(G, simples, classes, tables):
     den, X = _lift_tensor(values, L)
 
     # over all x at once: U[b, x] = x b x^-1 and V[a, x] = x^-1 a x
-    U = t[t[every, reps[:, None]], inv]
-    V = t[t[inv, reps[:, None]], every]
+    U = act[:, reps].T
+    V = act[G.inv][:, reps].T
     ids = np.arange(len(classes))
     rows = col[ids[:, None, None], U[None, :, :]]     # [a, b, x]
     cols = col[ids[None, :, None], V[:, None, :]]

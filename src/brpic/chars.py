@@ -408,12 +408,9 @@ def clifford_decomposition(chi: Character, S: Subgroup) -> list[CliffordComponen
         raise NotAbelianNormal(f"{S!r} is not abelian normal")
     if not is_irreducible(chi):
         raise NotIrreducible("Clifford decomposition needs an irreducible character")
-    Sgrp, elems = S.as_group()
+    Sgrp, _ = S.as_group()
     _, expo = _exponent_rows(Sgrp)
-    pos = np.zeros(G.n, dtype=np.int64)
-    pos[list(elems)] = np.arange(Sgrp.n)
-    every = np.arange(G.n)[:, None]
-    moved = pos[G.table[G.table[G.inv[every], np.asarray(elems)], every]]
+    moved = S.conjugation()[G.inv]          # [g, i]: g^-1 s_i g
     row = {r.tobytes(): k for k, r in enumerate(expo)}
     act = np.array([[row[r.tobytes()] for r in expo[:, p]] for p in moved])
     res = restrict(chi, S)

@@ -26,6 +26,8 @@ from .errors import (
     NoSuchElement,
     NotAbelian,
     NotACocycle,
+    NotASubgroup,
+    NotNormal,
 )
 from .groups import FiniteGroup, Subgroup
 from .zmodlin import (
@@ -294,7 +296,6 @@ class H2Classes:
             raise ValueError("cocycle on a different group or modulus")
         if self._zsolver is None:      # trivial-group or rank-0 case
             return ()
-        idx = _unknown_index(G)
         nz = _nontrivial_elements(G)
         vec = eta.values[np.ix_(nz, nz)].ravel()
         y = self._zsolver.solve(vec)
@@ -339,14 +340,10 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     )
     zsolver = DiagonalizedSystem(zbasis, m)
 
-    # coboundary + connecting-image generators, in cocycle coordinates
+    # coboundary + connecting-image generators, in cocycle coordinates: the
+    # coboundary of the indicator of x is column x of the coboundary rows
     nz = _nontrivial_elements(G)
-    idx = _unknown_index(G)
-    span_vecs = []
-    for x in nz:
-        phi = np.zeros(n, dtype=np.int64)
-        phi[x] = 1
-        span_vecs.append(coboundary(G, phi, m).values[np.ix_(nz, nz)].ravel())
+    span_vecs = list((_coboundary_rows(G) % m).T)
     for h in _hom_generators(G):
         span_vecs.append(_carry_cocycle(G, h, m)[np.ix_(nz, nz)].ravel())
 
@@ -482,7 +479,7 @@ def antisymmetrize(eta: Cocycle2, S: Subgroup) -> Pairing:
     """<a, b> = eta(a,b) - eta(b,a) on an abelian subgroup."""
     if not S.is_abelian():
         raise NotAbelian(f"{S!r} is not abelian")
-    Sgrp, elems = S.as_group()
+    Sgrp, _ = S.as_group()
     if eta.group == S.parent:
         R = eta.restrict(S).values
     elif eta.group == Sgrp:
@@ -540,23 +537,22 @@ def dual_element(pairing: Pairing, linear_char) -> int:
 # laziness
 # ---------------------------------------------------------------------------
 
-def _conj_position_map(G: FiniteGroup, S: Subgroup, g: int) -> np.ndarray:
-    """Positions of s -> g^-1 s g within the subgroup's element list."""
-    _, elems = S.as_group()
-    pos = {e: i for i, e in enumerate(elems)}
-    ginv = G.inv_of(g)
-    return np.fromiter(
-        (pos[G.conj(s, ginv)] for s in elems), dtype=np.int64, count=len(elems)
-    )
+def _check_lazy_input(eta: Cocycle2, G: FiniteGroup, S: Subgroup) -> None:
+    if eta.group != S.as_group()[0]:
+        raise ValueError("cocycle must live on the subgroup's own group")
+    if S.parent != G:
+        raise NotASubgroup(f"{S!r} is not a subgroup of {G.name}")
+    if not S.is_normal():
+        raise NotNormal(f"{S!r} is not normal")
 
 
 def is_lazy(eta: Cocycle2, G: FiniteGroup, S: Subgroup) -> bool:
-    """Whether eta on S is invariant (as a cochain) under G-conjugation."""
-    Sgrp, _ = S.as_group()
-    if eta.group != Sgrp:
-        raise ValueError("cocycle must live on the subgroup's own group")
+    """Whether eta on S is invariant (as a cochain) under G-conjugation:
+    row g^-1 of S's conjugation table, s -> g^-1 s g, fixes it for each
+    generator g of G."""
+    _check_lazy_input(eta, G, S)
     for g in G.minimal_generators():
-        q = _conj_position_map(G, S, g)
+        q = S.conjugation()[G.inv[g]]
         if not np.array_equal(eta.values[np.ix_(q, q)], eta.values):
             return False
     return True
@@ -569,39 +565,30 @@ def lazy_representative(eta: Cocycle2, G: FiniteGroup, S: Subgroup):
     eta(g^-1 . g, g^-1 . g) - eta = d(phi - phi(g^-1 . g)) for each
     generator g of G; solvability is exactly the existence of a lazy
     representative, so None is a certificate of non-laziness for the class.
+    With R = ``_coboundary_rows`` (rows (a, b), columns the nontrivial
+    elements) and q the positions of s -> g^-1 s g, the block of g is
+    R - R o q: R with its columns permuted by q, subtracted from R.
     """
-    Sgrp, elems = S.as_group()
-    if eta.group != Sgrp:
-        raise ValueError("cocycle must live on the subgroup's own group")
+    _check_lazy_input(eta, G, S)
+    Sgrp, _ = S.as_group()
     m = eta.m
-    ns = Sgrp.n
-    e = Sgrp.identity
-    vars_ = [i for i in range(ns) if i != e]
-    vpos = {i: j for j, i in enumerate(vars_)}
-    rows, rhs = [], []
-    for g in G.minimal_generators():
-        q = _conj_position_map(G, S, g)
-        diff = (eta.values[np.ix_(q, q)] - eta.values) % m
-        for a in vars_:
-            for b in vars_:
-                row = np.zeros(len(vars_), dtype=np.int64)
-                for x, sign in ((a, 1), (b, 1), (Sgrp.mul(a, b), -1)):
-                    # psi(x) = phi(x) - phi(g^-1 x g) contributes both terms
-                    if x != e:
-                        row[vpos[x]] += sign
-                    cx = int(q[x])
-                    if cx != e:
-                        row[vpos[cx]] -= sign
-                rows.append(row % m)
-                rhs.append(int(diff[a, b]))
-    if not rows:
+    gens = G.minimal_generators()
+    if Sgrp.n == 1 or not gens:
         return eta
-    sol = solve_mod(np.vstack(rows), np.asarray(rhs, dtype=np.int64) % m, m)
+    nz = _nontrivial_elements(Sgrp)
+    vpos = _unknown_index(Sgrp)
+    R = _coboundary_rows(Sgrp)
+    blocks, rhs = [], []
+    for g in gens:
+        q = S.conjugation()[G.inv[g]]
+        blocks.append((R - R[:, np.argsort(vpos[q[nz]])]) % m)
+        diff = (eta.values[np.ix_(q, q)] - eta.values) % m
+        rhs.append(diff[np.ix_(nz, nz)].ravel())
+    sol = solve_mod(np.vstack(blocks), np.concatenate(rhs), m)
     if sol is None:
         return None
-    phi = np.zeros(ns, dtype=np.int64)
-    for i, val in zip(vars_, sol):
-        phi[i] = int(val)
+    phi = np.zeros(Sgrp.n, dtype=np.int64)
+    phi[nz] = sol
     fixed = eta + coboundary(Sgrp, phi, m)
     if not is_lazy(fixed, G, S):
         raise CertificationError(
@@ -629,7 +616,7 @@ def sigma_from_eta(S: Subgroup, eta: Cocycle2, *,
     pairing = antisymmetrize(eta, S)
     if check_nondegenerate and not is_nondegenerate(pairing):
         raise Degenerate("dual cocycle needs a nondegenerate pairing")
-    Sgrp, elems = S.as_group()
+    _, elems = S.as_group()
     m = eta.m
     if eta.group == G:
         table = eta.restrict(S).values

@@ -299,7 +299,6 @@ class Cyclotomic:
             return Cyclotomic.rational(Fraction(1) / self.c[0])
         # Solve (mult-by-self) y = 1 exactly on the power basis.
         h = _phi(self.n)
-        table = _power_table(self.n)
         cols = []
         for i in range(h):
             unit = [Fraction(0)] * h
@@ -552,7 +551,7 @@ def _canonicalize(n: int, coeffs: list[Fraction]) -> Cyclotomic:
             d = n // p
             kernel = _descent_kernel(n, d)
             if kernel:
-                den, vec = _to_int_vec(coeffs)
+                _, vec = _to_int_vec(coeffs)
                 fixed = True
                 for j in kernel:
                     if _int_matvec(vec, _galois_matrix(n, j)) != vec:

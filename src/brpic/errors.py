@@ -39,7 +39,7 @@ class BadSemidirectAction(BrpicError):
 
 
 class NotNormal(BrpicError):
-    """Quotient requested by a non-normal subgroup."""
+    """A quotient or a laziness question asked of a non-normal subgroup."""
 
 
 class NotAnAutomorphism(BrpicError):

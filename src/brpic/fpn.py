@@ -52,7 +52,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .autoeq import BraidedAutoeq, Provenance
-from .chars import character_table
+from .chars import _exponent_rows
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -258,26 +258,15 @@ def _coordinates(G: FiniteGroup):
             raise NotAdditive(f"{G.name} generators are not independent")
         vec_of_elem[g] = digits
         elem_of_vec[digits] = g
-    table = character_table(G)
-    vec_of_char: List[Tuple[int, ...]] = []
-    char_of_vec: dict = {}
-    for k, chi in enumerate(table):
-        y = []
-        for g in gens:
-            root = chi.value_at_element(g).as_root_of_unity()
-            if root is None:
-                raise NotAdditive(f"character {k} of {G.name} is not linear")
-            m, e = root
-            y.append((e * (p // m)) % p)
-        vec = tuple(y)
-        vec_of_char.append(vec)
-        char_of_vec[vec] = k
+    _, expo = _exponent_rows(G)
+    vec_of_char = list(map(tuple, expo[:, list(gens)].tolist()))
+    char_of_vec = {vec: k for k, vec in enumerate(vec_of_char)}
     G._memo[key] = (p, n, vec_of_elem, elem_of_vec, vec_of_char, char_of_vec)
     return G._memo[key]
 
 
 def _label_of_simple(G: FiniteGroup, index: int) -> Tuple[int, ...]:
-    p, n, vec_of_elem, _, vec_of_char, _ = _coordinates(G)
+    _, _, vec_of_elem, _, vec_of_char, _ = _coordinates(G)
     classes = conjugacy_classes(G)
     a, k = divmod(index, G.n)
     return vec_of_elem[classes[a].rep] + vec_of_char[k]

@@ -10,6 +10,13 @@ results are produced in ascending index order, so repeated runs are
 byte-identical.  Derived data (classes, centralizers, ...) is memoized on the
 group object; groups are immutable after construction, so the memos are safe
 to share.
+
+Conjugation is one read-only int table per group, ``G.conjugation()``, with
+``act[x, g]`` = x g x^-1; ``Subgroup.conjugation()`` is its columns at the
+subgroup, as positions in ``elements`` (-1 where x s x^-1 leaves it).
+Classes, centralizers, conjugators, the center, normality and semidirect
+actions here, and the conjugation actions of the other modules, all read
+these tables.
 """
 
 from __future__ import annotations
@@ -151,6 +158,14 @@ class FiniteGroup:
         """x g x^-1."""
         return int(self.table[self.table[x, g], self.inv[x]])
 
+    def conjugation(self) -> np.ndarray:
+        """The read-only table act[x, g] = x g x^-1.  Memoized."""
+        if "conjugation" not in self._memo:
+            act = self.table[self.table, self.inv[:, None]]
+            act.setflags(write=False)
+            self._memo["conjugation"] = act
+        return self._memo["conjugation"]
+
     def power(self, g: int, k: int) -> int:
         if k < 0:
             g, k = self.inv_of(g), -k
@@ -182,10 +197,8 @@ class FiniteGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
     def center_elements(self) -> tuple[int, ...]:
-        return tuple(
-            g for g in range(self.n)
-            if np.array_equal(self.table[g], self.table[:, g])
-        )
+        fixed = (self.conjugation() == np.arange(self.n)).all(axis=0)
+        return tuple(np.flatnonzero(fixed).tolist())
 
     def closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by ``gens`` (always contains the identity)."""
@@ -253,21 +266,16 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     """Classes sorted by minimal member; reps are the minimal members."""
     if "classes" in G._memo:
         return G._memo["classes"]
-    t, inv = G.table, G.inv
-    every = np.arange(G.n)
-    seen = np.zeros(G.n, dtype=bool)
+    act = G.conjugation()
+    class_of = np.full(G.n, -1, dtype=np.int64)
     out: list[ConjClass] = []
     for g in range(G.n):
-        if seen[g]:
-            continue
-        orbit = np.unique(t[t[every, g], inv[every]])
-        seen[orbit] = True
-        out.append(ConjClass(len(out), g, tuple(int(x) for x in orbit)))
+        if class_of[g] < 0:
+            orbit = np.unique(act[:, g])
+            class_of[orbit] = len(out)
+            out.append(ConjClass(len(out), g, tuple(orbit.tolist())))
     G._memo["classes"] = out
-    G._memo["class_of"] = class_of = np.empty(G.n, dtype=np.int64)
-    for c in out:
-        for m in c.members:
-            class_of[m] = c.index
+    G._memo["class_of"] = class_of
     return out
 
 
@@ -279,15 +287,14 @@ def class_of(G: FiniteGroup, g: int) -> int:
 def centralizer(G: FiniteGroup, g: int) -> "Subgroup":
     key = ("cent", g)
     if key not in G._memo:
-        members = np.nonzero(G.table[:, g] == G.table[g, :])[0]
-        G._memo[key] = Subgroup(G, tuple(int(x) for x in members), check=False)
+        members = np.flatnonzero(G.conjugation()[:, g] == g)
+        G._memo[key] = Subgroup(G, members.tolist(), check=False)
     return G._memo[key]
 
 
 def first_conjugator(G: FiniteGroup, a: int, b: int):
     """Minimal x with x a x^-1 = b, or None."""
-    conj = G.table[G.table[np.arange(G.n), a], G.inv[np.arange(G.n)]]
-    hits = np.nonzero(conj == b)[0]
+    hits = np.flatnonzero(G.conjugation()[:, a] == b)
     return int(hits[0]) if hits.size else None
 
 
@@ -302,6 +309,7 @@ class Subgroup:
         self.parent = parent
         self.elements = tuple(sorted(int(x) for x in set(elements)))
         if check:
+            _check_ids(self.elements, parent)
             got = parent.closure(self.elements)
             if got != self.elements:
                 raise ValueError(
@@ -318,17 +326,21 @@ class Subgroup:
             self._memo["set"] = frozenset(self.elements)
         return int(g) in self._memo["set"]
 
+    def conjugation(self) -> np.ndarray:
+        """The parent's conjugation table at the subgroup's columns:
+        act[x, i] is the position in ``elements`` of x s_i x^-1, or -1
+        where that leaves the subgroup.  Read-only, memoized."""
+        if "conjugation" not in self._memo:
+            pos = np.full(self.parent.n, -1, dtype=np.int64)
+            pos[list(self.elements)] = np.arange(self.order)
+            act = pos[self.parent.conjugation()[:, list(self.elements)]]
+            act.setflags(write=False)
+            self._memo["conjugation"] = act
+        return self._memo["conjugation"]
+
     def is_normal(self) -> bool:
         if "normal" not in self._memo:
-            G, S = self.parent, np.asarray(self.elements)
-            ok = True
-            members = self._memo.setdefault("set", frozenset(self.elements))
-            for x in range(G.n):
-                conj = G.table[G.table[x, S], G.inv[x]]
-                if not all(int(c) in members for c in conj):
-                    ok = False
-                    break
-            self._memo["normal"] = ok
+            self._memo["normal"] = bool((self.conjugation() >= 0).all())
         return self._memo["normal"]
 
     def is_abelian(self) -> bool:
@@ -384,6 +396,7 @@ class GroupMorphism:
         if len(self.images) != source.n:
             raise ValueError("need one image per source element")
         if check:
+            _check_ids(self.images, target)
             img = np.asarray(self.images)
             lhs = target.table[np.ix_(img, img)]
             rhs = img[source.table]
@@ -435,6 +448,13 @@ class GroupMorphism:
 
     def __repr__(self):
         return f"GroupMorphism({self.source.name} -> {self.target.name})"
+
+
+def _check_ids(ids, G: FiniteGroup) -> None:
+    """ValueError naming the first id that is no element of G."""
+    bad = next((x for x in ids if not 0 <= x < G.n), None)
+    if bad is not None:
+        raise ValueError(f"element {bad} is not in {G.name} (order {G.n})")
 
 
 def identity_morphism(G: FiniteGroup) -> GroupMorphism:
@@ -514,11 +534,7 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_CAP):
 
 def inner_automorphisms(G: FiniteGroup):
     """Conjugation maps, deduplicated, sorted by image tuple."""
-    seen = set()
-    every = np.arange(G.n)
-    for g in range(G.n):
-        imgs = tuple(int(x) for x in G.table[G.table[g, every], G.inv[g]])
-        seen.add(imgs)
+    seen = set(map(tuple, G.conjugation().tolist()))
     return [GroupMorphism(G, G, imgs, check=False) for imgs in sorted(seen)]
 
 
@@ -633,18 +649,8 @@ def semidirect_decompositions(G: FiniteGroup, cap: int = DEFAULT_CAP):
             inter = set(N.elements) & set(Q.elements)
             if inter != {G.identity}:
                 continue
-            Ngrp, Nelems = N.as_group()
-            pos = {g: i for i, g in enumerate(Nelems)}
-            action = []
-            ok = True
-            for q in Q.elements:
-                imgs = tuple(pos[G.conj(s, q)] for s in Nelems)
-                if len(set(imgs)) != len(imgs):
-                    ok = False
-                    break
-                action.append(imgs)
-            if ok:
-                out.append(SemidirectDecomposition(N, Q, tuple(action)))
+            action = N.conjugation()[list(Q.elements)].tolist()
+            out.append(SemidirectDecomposition(N, Q, tuple(map(tuple, action))))
     out.sort(key=lambda d: (d.n.order, d.n.elements, d.q.elements))
     return out
 
@@ -1001,7 +1007,7 @@ def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
     power = tuple(range(N.n))
     action = [None] * Q.n
     g = Q.identity
-    for j in range(Q.n):
+    for _ in range(Q.n):
         action[g] = power
         power = tuple(alpha[x] for x in power)
         g = Q.mul(g, gen)

@@ -566,6 +566,12 @@ class TestSelfDualPairing:
         p = self_dual_pairing(whole, None, action=[(0, 1, 2), (0, 2, 1)])
         assert p is not None
 
+    def test_q_must_normalize_n(self):
+        S3 = named_group("S3")
+        N = S3.subgroup([0, 1])                 # abelian, not normal
+        with pytest.raises(NotSelfDual, match="does not normalize"):
+            self_dual_pairing(N, S3.subgroup([0, 3, 4]))
+
     def test_nonabelian_refused(self):
         S3 = named_group("S3")
         whole = S3.subgroup(list(range(6)))

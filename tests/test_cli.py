@@ -72,6 +72,14 @@ class TestExitCodes:
         assert code == 2
         assert "6 entries" in err
 
+    def test_image_outside_the_group_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "autoeq", "v", "S3", "--images", "0,1,2,3,4,9"
+        )
+        assert code == 2
+        assert not out
+        assert "element 9 is not in S3" in err
+
     @pytest.mark.parametrize("modulus", ["-2", "0"])
     def test_modulus_below_one_is_usage_error(self, capsys, modulus):
         code, out, err = run(capsys, "--modulus", modulus, "h2", "D4")
@@ -176,6 +184,15 @@ class TestAutoeqCommands:
         )
         assert code == 1
         assert payload["error"] == "NotASubgroup"
+
+    @pytest.mark.parametrize("ids,bad", [("0,-3,-2", -3), ("0,3,99", 99)])
+    def test_rprime_ids_outside_the_group(self, capsys, ids, bad):
+        code, payload, _ = run_json(
+            capsys, "autoeq", "rprime", "S3", "--normal", ids
+        )
+        assert code == 1
+        assert payload["error"] == "NotASubgroup"
+        assert f"element {bad} is not in S3" in payload["message"]
 
     def test_rprime_nonabelian_normal(self, capsys):
         code, payload, _ = run_json(

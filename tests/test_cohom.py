@@ -33,6 +33,8 @@ from brpic.errors import (
     NoSuchElement,
     NotAbelian,
     NotACocycle,
+    NotASubgroup,
+    NotNormal,
 )
 from brpic.groups import abelian_normal_subgroups, named_group
 from brpic.zmodlin import (
@@ -477,6 +479,20 @@ def test_klein_in_s4_nondegenerate_class_not_lazy():
     assert lazy_representative(res[0], G, K) is not None
     assert not is_lazy(res[1], G, K)
     assert lazy_representative(res[1], G, K) is None
+
+
+def test_laziness_needs_a_normal_subgroup_of_the_given_group():
+    G = named_group("A4")
+    K = [s for s in abelian_normal_subgroups(G) if s.order == 4][0]
+    eta = h2_classes(K.as_group()[0], 2)[1]
+    assert not is_lazy(eta, G, K)
+    for check in (is_lazy, lazy_representative):
+        # Z/12 has A4's order, so its generators would index K's table
+        with pytest.raises(NotASubgroup):
+            check(eta, named_group("Z/12"), K)
+    H = G.subgroup([G.identity, 3])
+    with pytest.raises(NotNormal):
+        is_lazy(h2_classes(H.as_group()[0], 2)[0], G, H)
 
 
 def test_lazy_representative_matches_exhaustive_shift_search():

@@ -363,6 +363,42 @@ def test_first_conjugator():
     assert gr.first_conjugator(G, 1, 3) is None   # different classes
 
 
+def test_conjugation_tables():
+    G = gr.named_group("S3")
+    act = G.conjugation()
+    assert all(act[x, g] == G.conj(g, x)
+               for x in range(G.n) for g in range(G.n))
+    H = G.subgroup([0, 1])                      # generated by (2 3)
+    sub = H.conjugation()
+    assert sub.shape == (G.n, H.order)
+    for x in range(G.n):
+        for i, s in enumerate(H.elements):
+            moved = G.conj(s, x)
+            if moved in H:
+                assert H.elements[sub[x, i]] == moved
+            else:
+                assert sub[x, i] == -1
+    assert (sub == -1).any() and not H.is_normal()
+    assert G.subgroup([0, 3, 4]).is_normal()
+    for table in (act, sub):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+@pytest.mark.parametrize("ids,bad", [((0, -3, -2), -3), ((0, 3, 99), 99)])
+def test_subgroup_rejects_ids_outside_the_group(ids, bad):
+    G = gr.named_group("S3")
+    with pytest.raises(ValueError, match=f"element {bad} is not in S3"):
+        gr.Subgroup(G, ids)
+
+
+def test_morphism_rejects_images_outside_the_group():
+    G = gr.named_group("S3")
+    for images in ((0, 1, 2, 3, 4, 9), (0, 1, 2, 3, 4, -1)):
+        with pytest.raises(ValueError, match="is not in S3"):
+            gr.GroupMorphism(G, G, images)
+
+
 def test_opposite_group():
     G = gr.named_group("S3")
     O = gr.opposite_group(G)

@@ -1,8 +1,9 @@
 """Source hygiene for src/brpic, checked with the standard-library ast only.
 
 Every imported name is used or re-exported through ``__all__``, no module
-uses ``assert`` (certificates must raise, also under ``python -O``), and
-every function is referenced somewhere.
+uses ``assert`` (certificates must raise, also under ``python -O``),
+every function is referenced somewhere, and no function assigns a local
+that nothing reads.
 """
 
 import ast
@@ -65,11 +66,6 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-def _is_property(node):
-    return any(isinstance(d, ast.Name) and d.id == "property"
-               for d in node.decorator_list)
-
-
 class _References(ast.NodeVisitor):
     """Names read anywhere in a tree, except inside a def of that name
     (recursion does not count), plus the entries of ``__all__``."""
@@ -97,7 +93,7 @@ class _References(ast.NodeVisitor):
 
 
 def test_every_function_is_referenced():
-    """A function or method of src/brpic (dunders and properties aside) is
+    """A function, method or property of src/brpic (dunders aside) is
     referenced by name outside its own def in src/brpic, tests or
     benchmarks, or exported through ``__all__``."""
     refs = _References()
@@ -111,6 +107,65 @@ def test_every_function_is_referenced():
         for path in MODULES for node in ast.walk(_tree(path))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and not _is_property(node) and node.name not in refs.names
+        and node.name not in refs.names
     )
     assert not unused, f"functions nothing references: {unused}"
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _functions(tree, prefix):
+    """(dotted name, node) for every def, methods and nested defs too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{node.name}", node
+            yield from _functions(node, f"{prefix}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}.{node.name}")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _own_nodes(func):
+    """The nodes of a function body outside its nested defs, lambdas and
+    classes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_locals(func):
+    """Names the function assigns that nothing in it reads.  Reads in nested
+    functions count, and so does a nested ``nonlocal``; names bound by
+    ``global`` or ``nonlocal`` in the function itself are not its locals."""
+    outer = set()
+    for node in _own_nodes(func):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+    stored = {
+        node.id for node in _own_nodes(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    read = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Nonlocal):
+            read.update(node.names)
+    return sorted(n for n in stored - read - outer if not n.startswith("_"))
+
+
+def test_no_dead_locals():
+    """No function of src/brpic assigns a local (other than an underscore
+    name) that nothing in the function reads."""
+    dead = [
+        f"{name}: {', '.join(names)}"
+        for path in MODULES
+        for name, func in _functions(_tree(path), path.stem)
+        if (names := _dead_locals(func))
+    ]
+    assert not dead, f"locals assigned but never read: {dead}"

@@ -1,19 +1,34 @@
-"""Pinned outputs of the isomorphism search, the R' self-dual pairing search
-and the Clifford decomposition.
+"""Pinned outputs of the isomorphism search, the R' self-dual pairing search,
+the Clifford decomposition and the readers of the conjugation table.
 
 Each digest is the sha256 of the ``repr`` of a plain-Python record of every
 output on one group; the records were taken from the pairwise-propagation
 search and the character-lookup Clifford orbits that preceded the current
-code, so a change of value or of order in any of them shows here.
+code, so a change of value or of order in any of them shows here.  The
+normality, semidirect-action, laziness and R' action records were taken
+from the per-caller conjugation code that preceded ``conjugation()``.
 """
 
 import hashlib
 
 import pytest
 
-from brpic.autoeq import _find_complement, self_dual_pairing
+from brpic.autoeq import (
+    _find_complement,
+    _q_action_perms,
+    partial_dualization_rprime,
+    self_dual_pairing,
+)
 from brpic.chars import character_table, clifford_decomposition
-from brpic.groups import abelian_normal_subgroups, automorphisms, named_group
+from brpic.cohom import coboundary, h2_classes, is_lazy, lazy_representative
+from brpic.groups import (
+    Subgroup,
+    abelian_normal_subgroups,
+    all_subgroups,
+    automorphisms,
+    named_group,
+    semidirect_decompositions,
+)
 
 
 def _digest(record):
@@ -126,3 +141,124 @@ def test_clifford_decompositions_pinned(name):
 def test_case_counts():
     assert sum(c for c, _ in SELF_DUAL.values()) == 129
     assert sum(c for c, _ in CLIFFORD.values()) == 660
+
+
+# ---------------------------------------------------------------------------
+# conjugation readers: normality, semidirect actions, laziness, R' actions
+# ---------------------------------------------------------------------------
+
+NORMALITY = {
+    "S3": (10, "9dff9ffd0edccfcf"),
+    "Z/3": (4, "5c7c219e2e9b72ea"),
+    "Z/2^2": (13, "a5fd6fc179ca2097"),
+    "A4": (15, "06b6b714fc2248a2"),
+    "D4": (19, "7082bba5f90567c1"),
+    "Q8": (7, "b8f28e1f50fc3006"),
+    "S4": (35, "fe6cd2b493c9d8ae"),
+    "S3xZ/2": (28, "14a3707cdc4d8a18"),
+    "Z/2^3": (74, "d80f57d359fdd74e"),
+    "Z/6": (8, "bc333c007ba8c947"),
+    "Z/4xZ/2": (18, "e90a38874486f788"),
+    "Q8xZ/2": (28, "9e2de27c7bcbab38"),
+    "D4xZ/2": (92, "cad6de3e78fd065f"),
+    "Z/3^2": (20, "6cd45f18be867c80"),
+    "A4xZ/2": (36, "0bd11e63656e516f"),
+    "Z/5:Z/4": (16, "531e77c3556819f1"),
+    "S3xZ/3": (22, "af59b815bc62c7f9"),
+    "Z/2^4": (869, "e5f6acd818304a95"),
+}
+
+LAZY = {
+    "S3": (1, "5f6fdf2cce503cda"),
+    "Z/2^2": (7, "0d10637dd03538c8"),
+    "A4": (4, "2a5d58d21539024f"),
+    "D4": (10, "0ea40bfbe0245704"),
+    "Q8": (4, "ea58cb5c6ef3bab1"),
+    "S4": (4, "e836de8ac4b4f0e6"),
+    "S3xZ/2": (3, "b97df0fa5956c812"),
+    "Z/2^3": (51, "bfc63f9cb441fd1e"),
+    "Z/4xZ/2": (13, "0e59afe4f4760bfe"),
+    "D4xZ/2": (61, "e5130d9a188a92c3"),
+    "Q8xZ/2": (25, "29592d37515c8b77"),
+    "A4xZ/2": (21, "06d3e74585dccf87"),
+    "Z/3^2": (10, "95ea05722b6baf96"),
+}
+
+RPRIME = {
+    "S3": (2, "9c64d646f46fcdf2"),
+    "Z/2^2": (8, "259dd2e54a1f53d1"),
+    "A4": (2, "8be8e0502a636d0c"),
+    "D4": (6, "96787c590ea6238d"),
+    "S4": (2, "e52e300dbceff3b6"),
+    "S3xZ/2": (6, "229e150836fd0211"),
+    "Z/2^3": (30, "1e8e56234d552948"),
+    "A4xZ/2": (6, "9b31f633040d4be8"),
+    "Z/5:Z/4": (2, "c9c490b9483e7ddf"),
+    "S3xZ/3": (6, "3bcf63ac3ed80a32"),
+}
+
+
+def _normality_record(G):
+    return [
+        (s.elements, Subgroup(G, s.elements).is_normal())
+        for s in all_subgroups(G)
+    ] + [
+        (d.n.elements, d.q.elements, d.action)
+        for d in semidirect_decompositions(G)
+    ]
+
+
+def _lazy_record(G):
+    """Per class representative eta, the answers for eta and for eta + d(phi)
+    with phi(s_i) = i mod m, a representative that need not be invariant."""
+    out = []
+    for S in abelian_normal_subgroups(G):
+        if S.order == 1:
+            continue
+        Sgrp, _ = S.as_group()
+        for m in sorted({Sgrp.exponent(), Sgrp.n}):
+            shift = coboundary(Sgrp, range(Sgrp.n), m)
+            for eta in h2_classes(Sgrp, m):
+                answers = []
+                for x in (eta, eta + shift):
+                    fixed = lazy_representative(x, G, S)
+                    answers.append((is_lazy(x, G, S), None if fixed is None
+                                    else fixed.values.tolist()))
+                out.append((S.elements, m, eta.values.tolist(), answers))
+    return out
+
+
+def _rprime_record(G):
+    out = []
+    for N in abelian_normal_subgroups(G):
+        Q = _find_complement(G, N) if N.order > 1 else None
+        if Q is None:
+            continue
+        out.append((N.elements, Q.elements, _q_action_perms(N, Q, None)))
+        pairing = self_dual_pairing(N, Q)
+        if pairing is not None:
+            partial = partial_dualization_rprime(N, Q, pairing=pairing)
+            out.append((N.elements, sorted(partial.mapping.items()),
+                        sorted(partial.candidates.items())))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(NORMALITY))
+def test_normality_and_semidirect_actions_pinned(name):
+    _check(NORMALITY, name, _normality_record(named_group(name)))
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_laziness_pinned(name):
+    _check(LAZY, name, _lazy_record(named_group(name)))
+
+
+@pytest.mark.parametrize("name", sorted(RPRIME))
+def test_rprime_actions_and_explicit_pairings_pinned(name):
+    _check(RPRIME, name, _rprime_record(named_group(name)))
+
+
+def test_conjugation_case_counts():
+    assert sum(c for c, _ in NORMALITY.values()) == 1314
+    assert sum(c for c, _ in LAZY.values()) == 214
+    assert sum(c for c, _ in RPRIME.values()) == 70
