@@ -71,7 +71,6 @@ from .groups import (
     identity_morphism,
     named_group,
     opposite_group,
-    quotient,
     _closure,
     _compose_rows,
     _index_rows,
@@ -337,62 +336,58 @@ def from_bv(v: GroupMorphism, mu: Cocycle2,
 
 
 def _twisted_transport(G, v, mu, provenance) -> BraidedAutoeq:
-    simples = simple_objects(G)
+    """Per source class of g: c conjugates h = v(g) to its class
+    representative r, and each class of Cent(r), with representative y, is
+    read in Cent(g) at v^-1(c^-1 y c).  With a cocycle, the characters are
+    multiplied by the additive twist t(u) = mu(v^-1 u, g) - mu(g, v^-1 u)
+    on Cent(h), checked to be a character first."""
     index_of = _simple_index(G)
     classes = conjugacy_classes(G)
-    vinv = v.inverse()
-    mapping = [0] * len(simples)
-
-    # per source class: target class, conjugator to its representative, and
-    # the verified additive twist t(u) = mu(v^-1 u, g) - mu(g, v^-1 u)
-    class_info = {}
+    act = G.conjugation()
+    vinv = np.argsort(v.images)
+    mapping = [0] * len(index_of)
     for cl in classes:
         g = cl.rep
         h = v(g)
         cj = class_of(G, h)
         r = classes[cj].rep
         c = first_conjugator(G, h, r)
-        cent_h = centralizer(G, h).elements
-        twist = None
-        if mu is not None:
-            m = mu.m
-            vals = mu.values
-            twist = {
-                u: int(vals[vinv(u), g] - vals[g, vinv(u)]) % m
-                for u in cent_h
-            }
-            for u1 in cent_h:
-                for u2 in cent_h:
-                    if (twist[G.mul(u1, u2)]
-                            - twist[u1] - twist[u2]) % m:
-                        raise TwistNotCharacter(
-                            f"twist at class of {G.names[g]} is not "
-                            f"multiplicative on ({G.names[u1]}, {G.names[u2]})"
-                        )
-        class_info[cl.index] = (cj, c, twist)
-
-    for i, s in enumerate(simples):
-        g = classes[s.class_index].rep
-        _, elems_g, table_g = centralizer_table(G, g)
-        pos_g = {e: k for k, e in enumerate(elems_g)}
-        chi = table_g[s.char_index]
-        cj, c, twist = class_info[s.class_index]
-        r = classes[cj].rep
+        Hg, elems_g, table_g = centralizer_table(G, g)
         Hr, elems_r, _ = centralizer_table(G, r)
-        cinv = G.inv_of(c)
-        vals = []
-        for cc in conjugacy_classes(Hr):
-            y = elems_r[cc.rep]
-            u = G.mul(G.mul(cinv, y), c)          # in Cent(v(g))
-            w = vinv(u)                           # in Cent(g)
-            val = chi.value_at_element(pos_g[w])
-            if twist is not None and twist[u]:
-                val = val * root_of_unity(mu.m, twist[u])
-            vals.append(val)
-        j = find_character(Hr, vals)
-        mapping[i] = index_of[(cj, j)]
-
+        ys = [elems_r[cc.rep] for cc in conjugacy_classes(Hr)]
+        us = act[G.inv[c], ys]                      # in Cent(h)
+        at = [class_of(Hg, k)
+              for k in np.searchsorted(elems_g, vinv[us]).tolist()]
+        twist = [None] * len(us)
+        if mu is not None:
+            t = _twist(G, mu, g, h, vinv)
+            twist = [root_of_unity(mu.m, x) if x else None
+                     for x in t[us].tolist()]
+        for k, chi in enumerate(table_g):
+            vals = [chi.values[a] if z is None else chi.values[a] * z
+                    for a, z in zip(at, twist)]
+            mapping[index_of[(cl.index, k)]] = index_of[
+                (cj, find_character(Hr, vals))]
     return BraidedAutoeq(G, mapping, provenance)
+
+
+def _twist(G, mu, g, h, vinv) -> np.ndarray:
+    """t(u) = mu(v^-1 u, g) - mu(g, v^-1 u) mod m, on u in Cent(h) (0
+    elsewhere); TwistNotCharacter names the first (u1, u2), row-major, where
+    t(u1 u2) != t(u1) + t(u2)."""
+    cent = np.array(centralizer(G, h).elements)
+    w = vinv[cent]
+    t = np.zeros(G.n, dtype=np.int64)
+    t[cent] = (mu.values[w, g] - mu.values[g, w]) % mu.m
+    bad = np.argwhere((t[G.table[np.ix_(cent, cent)]] - t[cent][:, None]
+                       - t[cent][None, :]) % mu.m)
+    if len(bad):
+        u1, u2 = cent[bad[0]]
+        raise TwistNotCharacter(
+            f"twist at class of {G.names[g]} is not "
+            f"multiplicative on ({G.names[u1]}, {G.names[u2]})"
+        )
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -809,70 +804,53 @@ def _product_group(G: FiniteGroup) -> FiniteGroup:
 def bimodule_data(element: Union[BraidedAutoeq, PartialBrEq]) -> BimoduleData:
     """The invariant (U <= G x G^op, eta description) of the bimodule
     category attached to a constructed element; requires construction
-    provenance (UnsupportedProvenance for searched/composite elements)."""
+    provenance (UnsupportedProvenance for searched/composite elements).
+
+    Every kind has one subgroup formula, U = {(a, b) : a v(b) in S}, with
+    S = 1 for V and BV, S the dualized subgroup for EV and R', and v = id
+    where the construction has none.  It is read off one boolean table
+    ``inside[a, b]``: U is its true entries, U1 its column and U2 its row at
+    the identity, and condition 1 says every row and column meets U.  An EV
+    element whose v moves S raises UnsupportedProvenance: its invariant is
+    not defined here."""
     prov = element.provenance
     G = element.group
     if prov.kind not in ("v", "bv", "ev", "rprime"):
         raise UnsupportedProvenance(
             f"no construction data behind kind {prov.kind!r}"
         )
-    P = _product_group(G)
-    n = G.n
-
-    def idx(a: int, b: int) -> int:
-        return a * n + b
-
     if prov.kind in ("v", "bv"):
-        v = prov.data[0]
-        members = sorted(idx(v(g), G.inv_of(g)) for g in range(G.n))
+        S, v = G.trivial_subgroup(), prov.data[0]
         eta_class = "trivial" if prov.kind == "v" else "pullback of mu"
-        pairing_ok: Optional[bool] = True
+        pairing_ok = True
+    elif prov.kind == "ev":
+        S, eta, v = prov.data
+        eta_class = "pullback of eta"
+        pairing_ok = is_nondegenerate(antisymmetrize(eta, S))
     else:
-        S = prov.data[0]
-        Qgrp, proj = quotient(G, S)
-        vbar = None
-        if prov.kind == "ev" and prov.data[2] is not None:
-            v = prov.data[2]
-            images = [proj(v(r)) for r in range(G.n)]
-            vbar = [0] * Qgrp.n
-            for r in range(G.n):
-                vbar[proj(r)] = images[r]
-        members = sorted(
-            idx(a, b)
-            for a in range(n)
-            for b in range(n)
-            if proj(a) == (
-                Qgrp.inv_of(proj(b)) if vbar is None
-                else vbar[Qgrp.inv_of(proj(b))]
-            )
+        S, v = prov.data[0], None
+        eta_class = "not-computed"
+        pairing_ok = None
+    images = np.arange(G.n) if v is None else np.array(v.images)
+    in_s = np.zeros(G.n, dtype=bool)
+    in_s[list(S.elements)] = True
+    if not in_s[images[in_s]].all():
+        raise UnsupportedProvenance(
+            "EV with a v that moves the dualized subgroup: the bimodule"
+            " invariant is defined only for v(S) = S"
         )
-        if prov.kind == "ev":
-            eta_class = "pullback of eta"
-            eta = prov.data[1]
-            pairing_ok = is_nondegenerate(antisymmetrize(eta, S))
-        else:
-            eta_class = "not-computed"
-            pairing_ok = None
-
-    U = P.subgroup(members, check=True)
-    member_set = set(members)
-    U1 = G.subgroup(sorted(
-        a for a in range(n) if idx(a, G.identity) in member_set
-    ))
-    U2 = G.subgroup(sorted(
-        b for b in range(n) if idx(G.identity, b) in member_set
-    ))
-
-    proj1 = {m // n for m in member_set}
-    proj2 = {m % n for m in member_set}
-    cond1 = proj1 == set(range(n)) and proj2 == set(range(n))
+    inside = in_s[G.table[:, images]]                   # a v(b) in S
+    U = _product_group(G).subgroup(np.flatnonzero(inside).tolist())
+    U1 = G.subgroup(np.flatnonzero(inside[:, G.identity]).tolist())
+    U2 = G.subgroup(np.flatnonzero(inside[G.identity]).tolist())
+    cond1 = bool(inside.any(axis=0).all() and inside.any(axis=1).all())
     cond2 = U1.is_abelian() and U2.is_abelian()
     conditions = (cond1, cond2, pairing_ok)
-    if cond1 is False:
+    if not cond1:
         raise ConditionFailed(
             "condition 1: U does not cover both factors of G x G^op"
         )
-    if cond2 is False:
+    if not cond2:
         raise ConditionFailed("condition 2: U1 or U2 is not abelian")
     if pairing_ok is False:
         raise ConditionFailed(

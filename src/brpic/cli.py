@@ -151,7 +151,7 @@ def _cocycle_class(G: FiniteGroup, modulus: Optional[int], index: int):
             f"--class-index {index} out of range: {G.name} has"
             f" {len(reps)} classes at modulus {m}"
         )
-    return m, reps[index]
+    return reps[index]
 
 
 def _load_mapping_json(path: str) -> dict:
@@ -244,45 +244,42 @@ def _cmd_center(ns) -> tuple:
     return payload, ["objects ordered class-major; theta is the exact twist"], 0
 
 
-def _cmd_autoeq(ns) -> tuple:
-    sub = ns.autoeq_command
-    if sub == "v":
-        G = _resolve_group(ns.group, ns.cap)
-        F = from_hopf_auto(_morphism(G, ns.images))
-        return autoeq_to_json(F), ["construction re-verified S/T equivariance"], 0
-    if sub == "bv":
-        G = _resolve_group(ns.group, ns.cap)
-        m, mu = _cocycle_class(G, ns.modulus, ns.class_index)
-        F = from_bv(_morphism(G, ns.images), mu)
-        return (
-            autoeq_to_json(F),
-            [f"cocycle class {ns.class_index} at modulus {m}"],
-            0,
-        )
-    if sub == "ev":
-        G = _resolve_group(ns.group, ns.cap)
+def _build_element(kind: str, G: FiniteGroup, ns):
+    """The V, BV, EV or R' element that ``autoeq <kind>`` and ``autoeq
+    bimodule <kind>`` construct from the parsed arguments."""
+    if kind == "v":
+        return from_hopf_auto(_morphism(G, ns.images))
+    if kind == "bv":
+        mu = _cocycle_class(G, ns.modulus, ns.class_index)
+        return from_bv(_morphism(G, ns.images), mu)
+    if kind == "ev":
         S = _subgroup_of(G, ns.subgroup, "--subgroup")
         Sg, _ = S.as_group()
-        m, eta = _cocycle_class(Sg, ns.modulus, ns.class_index)
+        eta = _cocycle_class(Sg, ns.modulus, ns.class_index)
         v = _morphism(G, ns.images) if ns.images else None
-        partial = from_ev_lazy(S, eta, v)
-        completions = complete_extensions(partial)
-        return (
-            _partial_report(partial, completions),
-            [f"lazy dualization along {len(S.elements)} elements, eta class {ns.class_index} at modulus {m}"],
-            0,
-        )
-    if sub == "rprime":
-        G = _resolve_group(ns.group, ns.cap)
-        N = _subgroup_of(G, ns.normal, "--normal")
-        Q = _subgroup_of(G, ns.complement, "--complement") if ns.complement else None
-        partial = partial_dualization_rprime(N, Q)
-        completions = complete_extensions(partial)
-        return (
-            _partial_report(partial, completions),
-            ["self-dual pairing found by search; completions sorted by mapping"],
-            0,
-        )
+        return from_ev_lazy(S, eta, v)
+    N = _subgroup_of(G, ns.normal, "--normal")
+    Q = _subgroup_of(G, ns.complement, "--complement") if ns.complement else None
+    return partial_dualization_rprime(N, Q)
+
+
+def _cmd_autoeq(ns) -> tuple:
+    sub = ns.autoeq_command
+    if sub in ("v", "bv", "ev", "rprime"):
+        element = _build_element(sub, _resolve_group(ns.group, ns.cap), ns)
+        prov = element.provenance
+        if sub == "v":
+            return autoeq_to_json(element), ["construction re-verified S/T equivariance"], 0
+        if sub == "bv":
+            note = f"cocycle class {ns.class_index} at modulus {prov.data[1].m}"
+            return autoeq_to_json(element), [note], 0
+        completions = complete_extensions(element)
+        if sub == "ev":
+            S, eta, _ = prov.data
+            note = f"lazy dualization along {len(S.elements)} elements, eta class {ns.class_index} at modulus {eta.m}"
+        else:
+            note = "self-dual pairing found by search; completions sorted by mapping"
+        return _partial_report(element, completions), [note], 0
     if sub == "generate":
         elements = []
         for path in ns.files:
@@ -309,9 +306,14 @@ def _cmd_autoeq(ns) -> tuple:
         }
         return payload, ["exact S/T equivariance with first-failure witness"], 0
     if sub == "bimodule":
-        element = _build_bimodule_element(ns)
-        bd = bimodule_data(element)
-        G = element.group
+        G = _resolve_group(ns.group, ns.cap)
+        if ns.kind == "bv" and ns.class_index is None:
+            raise BadArguments("bimodule bv needs --class-index")
+        if ns.kind == "ev" and (ns.subgroup is None or ns.class_index is None):
+            raise BadArguments("bimodule ev needs --subgroup and --class-index")
+        if ns.kind == "rprime" and ns.normal is None:
+            raise BadArguments("bimodule rprime needs --normal")
+        bd = bimodule_data(_build_element(ns.kind, G, ns))
         pairs = sorted(
             (int(e) // G.n, int(e) % G.n) for e in bd.U.elements
         )
@@ -326,35 +328,6 @@ def _cmd_autoeq(ns) -> tuple:
         }
         return payload, ["U lives in G x G-opposite; conditions are (surjectivity, abelian intersections, pairing)"], 0
     raise BadArguments(f"unknown autoeq subcommand {sub!r}")
-
-
-def _build_bimodule_element(ns):
-    G = _resolve_group(ns.group, ns.cap)
-    kind = ns.kind
-    if kind == "v":
-        return from_hopf_auto(_morphism(G, ns.images))
-    if kind == "bv":
-        if ns.class_index is None:
-            raise BadArguments("bimodule bv needs --class-index")
-        _, mu = _cocycle_class(G, ns.modulus, ns.class_index)
-        return from_bv(_morphism(G, ns.images), mu)
-    if kind == "ev":
-        if ns.subgroup is None or ns.class_index is None:
-            raise BadArguments("bimodule ev needs --subgroup and --class-index")
-        S = _subgroup_of(G, ns.subgroup, "--subgroup")
-        Sg, _ = S.as_group()
-        _, eta = _cocycle_class(Sg, ns.modulus, ns.class_index)
-        v = _morphism(G, ns.images) if ns.images else None
-        return from_ev_lazy(S, eta, v)
-    if kind == "rprime":
-        if ns.normal is None:
-            raise BadArguments("bimodule rprime needs --normal")
-        N = _subgroup_of(G, ns.normal, "--normal")
-        Q = _subgroup_of(G, ns.complement, "--complement") if ns.complement else None
-        return partial_dualization_rprime(N, Q)
-    raise BadArguments(
-        f"unknown bimodule kind {kind!r}: expected v, bv, ev, or rprime"
-    )
 
 
 def _cmd_fpn(ns) -> tuple:

@@ -42,7 +42,6 @@ __all__ = [
     "one",
     "from_rational",
     "cyclo_sum",
-    "cyclo_prod",
 ]
 
 
@@ -606,11 +605,4 @@ def cyclo_sum(values) -> Cyclotomic:
     total = _ZERO
     for v in values:
         total = total + v
-    return total
-
-
-def cyclo_prod(values) -> Cyclotomic:
-    total = _ONE
-    for v in values:
-        total = total * v
     return total

@@ -11,6 +11,9 @@ with character coordinates.  This module makes that dictionary executable:
 * :func:`hyperbolic_form` -- the Gram matrix ``J``.
 * :func:`autoeq_to_matrix` / :func:`matrix_to_autoeq` -- exact translation
   between label-additive braided symmetries and form-preserving matrices.
+  The labels are one int array per group, read off the exponent rows of
+  its characters: a character's coordinates are its exponents at the
+  generators, an element's are the exponents of the dual characters.
 * :func:`subgroup_generators` -- block generators for the four structural
   families: block-diagonal GL_n embeddings ("V"), lower and upper unipotent
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
@@ -65,7 +68,6 @@ from .groups import (
     CLOSURE_CAP,
     FiniteGroup,
     _closure,
-    class_of,
     conjugacy_classes,
     named_group,
 )
@@ -219,19 +221,21 @@ def _label_group(p: int, n: int) -> FiniteGroup:
     return _LABEL_GROUPS[key]
 
 
-def _coordinates(G: FiniteGroup):
-    """Label coordinates of an elementary abelian group.
+def _labels(G: FiniteGroup):
+    """(p, labels, simple_at) for an elementary abelian group of order p**n.
 
-    Returns ``(p, n, vec_of_elem, elem_of_vec, vec_of_char, char_of_vec)``
-    where element vectors are digit tuples relative to a fixed minimal
-    generating set and character vectors are the exponent tuples with
-    ``chi(x) = zeta_p ** <y, x>``.  Raises NotAdditive when the group is not
-    elementary abelian.
+    Row s of the int array ``labels`` [p**2n, 2n] is the label of simple s:
+    the digits of its class representative in a fixed minimal generating
+    set, then its character's exponents at the generators, both read off the
+    exponent rows of ``chars._exponent_rows`` (an element's digits are the
+    exponents of the characters dual to the generators).  ``simple_at``
+    inverts it on the base-p codes ``label @ p**arange(2n)``.  Raises
+    NotAdditive when the group is not elementary abelian.  Memoized on G.
     """
-    key = ("fpn_coordinates",)
+    key = ("fpn_labels",)
     if key in G._memo:
         return G._memo[key]
-    gens = G.minimal_generators()
+    gens = list(G.minimal_generators())
     n = len(gens)
     p = G.exponent()
     try:
@@ -242,41 +246,25 @@ def _coordinates(G: FiniteGroup):
         ) from None
     if not G.is_abelian() or p**n != G.n:
         raise NotAdditive(f"{G.name} is not elementary abelian")
-    powers = []
-    for g in gens:
-        row = [G.identity]
-        for _ in range(p - 1):
-            row.append(G.mul(row[-1], g))
-        powers.append(row)
-    vec_of_elem: List[Tuple[int, ...]] = [None] * G.n  # type: ignore[list-item]
-    elem_of_vec: dict = {}
-    for digits in itertools.product(range(p), repeat=n):
-        g = G.identity
-        for i, d in enumerate(digits):
-            g = G.mul(g, powers[i][d])
-        if vec_of_elem[g] is not None:
-            raise NotAdditive(f"{G.name} generators are not independent")
-        vec_of_elem[g] = digits
-        elem_of_vec[digits] = g
     _, expo = _exponent_rows(G)
-    vec_of_char = list(map(tuple, expo[:, list(gens)].tolist()))
-    char_of_vec = {vec: k for k, vec in enumerate(vec_of_char)}
-    G._memo[key] = (p, n, vec_of_elem, elem_of_vec, vec_of_char, char_of_vec)
+    chars = expo[:, gens]
+    char_at = np.zeros(G.n, dtype=np.int64)
+    char_at[chars @ p ** np.arange(n)] = np.arange(G.n)
+    elems = expo[char_at[p ** np.arange(n)]].T
+    reps = [c.rep for c in conjugacy_classes(G)]
+    labels = np.hstack([elems[reps].repeat(G.n, axis=0),
+                        np.tile(chars, (len(reps), 1))])
+    simple_at = np.full(p ** (2 * n), -1, dtype=np.int64)
+    simple_at[labels @ p ** np.arange(2 * n)] = np.arange(len(labels))
+    if (simple_at < 0).any():
+        raise NotAdditive(f"{G.name} generators are not independent")
+    G._memo[key] = (p, labels, simple_at)
     return G._memo[key]
 
 
-def _label_of_simple(G: FiniteGroup, index: int) -> Tuple[int, ...]:
-    _, _, vec_of_elem, _, vec_of_char, _ = _coordinates(G)
-    classes = conjugacy_classes(G)
-    a, k = divmod(index, G.n)
-    return vec_of_elem[classes[a].rep] + vec_of_char[k]
-
-
-def _simple_of_label(G: FiniteGroup, label) -> int:
-    p, n, _, elem_of_vec, _, char_of_vec = _coordinates(G)
-    g = elem_of_vec[tuple(int(x) % p for x in label[:n])]
-    k = char_of_vec[tuple(int(x) % p for x in label[n:])]
-    return class_of(G, g) * G.n + k
+def _simples_at(p: int, simple_at: np.ndarray, labels: np.ndarray):
+    """The simples with the given labels (rows), read mod p."""
+    return simple_at[labels % p @ p ** np.arange(labels.shape[1])]
 
 
 def autoeq_to_matrix(F: BraidedAutoeq) -> FpMatrix:
@@ -289,21 +277,15 @@ def autoeq_to_matrix(F: BraidedAutoeq) -> FpMatrix:
     (impossible for a verified braided symmetry; kept as a defensive
     cross-check).
     """
-    G = F.group
-    p, n, *_ = _coordinates(G)
-    m = 2 * n
-    cols = []
-    for i in range(m):
-        basis = tuple(1 if j == i else 0 for j in range(m))
-        image = F(_simple_of_label(G, basis))
-        cols.append(_label_of_simple(G, image))
-    M = np.array(cols, dtype=np.int64).T % p
-    for s, target in enumerate(F.mapping):
-        z = np.array(_label_of_simple(G, s), dtype=np.int64)
-        if _simple_of_label(G, (M @ z) % p) != target:
-            raise NotAdditive(
-                f"object mapping is not additive on labels (simple {s})"
-            )
+    p, labels, simple_at = _labels(F.group)
+    m = labels.shape[1]
+    images = np.array(F.mapping)
+    M = labels[images[_simples_at(p, simple_at, np.eye(m, dtype=np.int64))]].T
+    bad = np.flatnonzero(_simples_at(p, simple_at, labels @ M.T) != images)
+    if len(bad):
+        raise NotAdditive(
+            f"object mapping is not additive on labels (simple {bad[0]})"
+        )
     mat = FpMatrix(p, M)
     if not mat.is_form_preserving():
         raise NotFormPreserving(
@@ -326,12 +308,9 @@ def matrix_to_autoeq(M: FpMatrix) -> BraidedAutoeq:
             "matrix does not preserve the hyperbolic form"
         )
     G = _label_group(M.p, M.half)
-    p = M.p
-    mapping = []
-    for s in range(G.n * G.n):
-        z = np.array(_label_of_simple(G, s), dtype=np.int64)
-        mapping.append(_simple_of_label(G, (M.entries @ z) % p))
-    return BraidedAutoeq(G, tuple(mapping), Provenance("searched"))
+    p, labels, simple_at = _labels(G)
+    mapping = _simples_at(p, simple_at, labels @ M.entries.T)
+    return BraidedAutoeq(G, mapping.tolist(), Provenance("searched"))
 
 
 # -- structural generator families ----------------------------------------

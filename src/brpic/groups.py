@@ -51,7 +51,6 @@ __all__ = [
     "alternating_group",
     "dihedral_group_8",
     "quaternion_group",
-    "permutation_group",
     "direct_product",
     "opposite_group",
     "semidirect_product",
@@ -88,7 +87,9 @@ class FiniteGroup:
     ``table[a, b]`` is the index of the product a*b.  Construction validates
     the table is a group (associativity, two-sided identity, inverses) and
     raises with a witness if not; pass ``validate=False`` only for tables
-    produced by the constructors in this module.
+    produced by the constructors in this module.  The identity must be
+    element 0 (ValueError otherwise): class 0, the trivial character and
+    the unit object are read there.
     """
 
     def __init__(self, table, names=None, name="G", validate=True):
@@ -108,6 +109,11 @@ class FiniteGroup:
             self._validate()
         else:
             self.identity = self._find_identity()
+        if self.identity != 0:
+            raise ValueError(
+                f"the identity must be element 0, found it at element"
+                f" {self.identity} ({self.names[self.identity]})"
+            )
         self.inv = self._inverses()
         self._memo: dict = {}
 
@@ -243,7 +249,8 @@ class FiniteGroup:
 
 
 def group_from_table(table, names=None, name="G") -> FiniteGroup:
-    """Validating constructor; raises NoIdentity/NoInverse/NotAssociative."""
+    """Validating constructor; raises NoIdentity/NoInverse/NotAssociative,
+    and ValueError when the identity is not element 0."""
     return FiniteGroup(table, names=names, name=name, validate=True)
 
 
@@ -929,11 +936,6 @@ def quaternion_group() -> FiniteGroup:
             ax, sg = mul_axis[(axis[a], axis[b])]
             table[a][b] = idx[(ax, sg * sign[a] * sign[b])]
     return FiniteGroup(table, names=names, name="Q8", validate=False)
-
-
-def permutation_group(spec: str) -> FiniteGroup:
-    """Closure of generators given in cycle notation, e.g. "(1 2 3)(4 5),(1 2)"."""
-    return _permutation_group(spec, CLOSURE_CAP)
 
 
 def _permutation_group(spec: str, cap: int) -> FiniteGroup:

@@ -62,6 +62,7 @@ from brpic.groups import (
     GroupMorphism,
     abelian_normal_subgroups,
     all_subgroups,
+    automorphisms as automorphism_search,
     class_of,
     conjugacy_classes,
     cyclic_group,
@@ -1054,6 +1055,46 @@ class TestBimoduleData:
         )
         with pytest.raises(ConditionFailed, match="condition 2"):
             bimodule_data(fake)
+
+    def test_ev_with_v_moving_the_subgroup_is_unsupported(self):
+        G = named_group("Z/2^3")
+        S = G.subgroup([0, 1, 2, 3])
+        v = GroupMorphism(G, G, (0, 1, 4, 5, 2, 3, 6, 7))
+        part = from_ev_lazy(S, nondegenerate_class(S), v)
+        with pytest.raises(UnsupportedProvenance, match="v\\(S\\) = S"):
+            bimodule_data(part)
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Z/2^3", "A4"])
+    def test_u_is_the_membership_formula(self, name):
+        # U = {(a, b) : a v(b) in S}, from sets and G.mul
+        G = named_group(name)
+        auts = automorphism_search(G)
+        cases = [(bimodule_data(from_hopf_auto(a)), (G.identity,), a)
+                 for a in auts[:3]]
+        for S in abelian_normal_subgroups(G):
+            if S.order == 1:
+                continue
+            rprime = PartialBrEq(G, {}, {}, Provenance("rprime", (S, None, None)))
+            cases.append((bimodule_data(rprime), S.elements, auts[0]))
+            for a in auts:
+                if sorted(map(a, S.elements)) != list(S.elements):
+                    continue
+                Sgrp, _ = S.as_group()
+                for eta in h2_classes(Sgrp):
+                    part = PartialBrEq(G, {}, {}, Provenance("ev", (S, eta, a)))
+                    try:
+                        cases.append((bimodule_data(part), S.elements, a))
+                    except ConditionFailed:
+                        pass
+        assert len(cases) > 3
+        for bd, S, v in cases:
+            inside = {(x, y) for x in range(G.n) for y in range(G.n)
+                      if G.mul(x, v(y)) in S}
+            assert {divmod(e, G.n) for e in bd.U.elements} == inside
+            assert set(bd.U1.elements) == {x for x, y in inside
+                                           if y == G.identity}
+            assert set(bd.U2.elements) == {y for x, y in inside
+                                           if x == G.identity}
 
     def test_degenerate_eta_fails_condition_three(self):
         Q8 = named_group("Q8")

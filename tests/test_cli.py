@@ -293,6 +293,37 @@ class TestAutoeqCommands:
         assert code == 2
         assert "--class-index" in err
 
+    @pytest.mark.parametrize("kind,args,text", [
+        ("ev", ("--class-index", "0"),
+         "bimodule ev needs --subgroup and --class-index"),
+        ("rprime", (), "bimodule rprime needs --normal"),
+    ])
+    def test_bimodule_missing_args_texts(self, capsys, kind, args, text):
+        code, _, err = run(capsys, "autoeq", "bimodule", kind, "S3", *args)
+        assert code == 2
+        assert text in err
+
+    def test_bimodule_ev_with_v_moving_the_subgroup(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "--modulus", "2", "autoeq", "bimodule", "ev", "Z/2^3",
+            "--subgroup", "0,1,2,3", "--class-index", "1",
+            "--images", "0,1,4,5,2,3,6,7",
+        )
+        assert code == 1
+        assert payload["error"] == "UnsupportedProvenance"
+        assert "v(S) = S" in payload["message"]
+
+    def test_bimodule_ev_with_v_fixing_the_subgroup(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "--modulus", "2", "autoeq", "bimodule", "ev", "Z/2^3",
+            "--subgroup", "0,1,2,3", "--class-index", "1",
+            "--images", "0,2,1,3,4,6,5,7",
+        )
+        assert code == 0
+        result = payload["result"]
+        assert result["U_order"] == 32
+        assert result["U1"] == result["U2"] == [0, 1, 2, 3]
+
 
 class TestFpnCommands:
     def test_orders(self, capsys):

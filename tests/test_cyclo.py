@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from brpic.cyclo import (
     Cyclotomic,
-    cyclo_prod,
     cyclo_sum,
     from_rational,
     one,

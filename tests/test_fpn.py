@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from brpic import fpn
 from brpic.autoeq import (
+    BraidedAutoeq,
+    Provenance,
     complete_extensions,
     compose,
     from_bv,
@@ -375,6 +377,18 @@ class TestDictionary:
     def test_not_additive_for_wrong_exponent(self):
         with pytest.raises(NotAdditive):
             autoeq_to_matrix(identity_autoeq(named_group("Z/4")))
+
+    def test_not_additive_names_the_first_bad_simple(self):
+        # a non-additive mapping smuggled past the BraidedAutoeq checks
+        F = object.__new__(BraidedAutoeq)
+        mapping = list(range(9))
+        mapping[4], mapping[8] = 8, 4
+        for name, value in (("group", named_group("Z/3")),
+                            ("mapping", tuple(mapping)),
+                            ("provenance", Provenance("searched"))):
+            object.__setattr__(F, name, value)
+        with pytest.raises(NotAdditive, match=r"\(simple 4\)"):
+            autoeq_to_matrix(F)
 
     def test_not_form_preserving(self):
         with pytest.raises(NotFormPreserving):

@@ -47,6 +47,16 @@ def test_no_inverse():
         gr.group_from_table([[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_identity_must_be_element_zero(validate):
+    # Z/3 with its identity at element 2: class 0, the trivial character
+    # and the unit object are all read at element 0
+    table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+    with pytest.raises(ValueError, match="identity must be element 0.*"
+                                         "element 2 "):
+        gr.FiniteGroup(table, validate=validate)
+
+
 # ---------------------------------------------------------------------------
 # the naming mini-language
 # ---------------------------------------------------------------------------

@@ -1,26 +1,53 @@
 """Pinned outputs of the isomorphism search, the R' self-dual pairing search,
-the Clifford decomposition and the readers of the conjugation table.
+the Clifford decomposition, the readers of the conjugation table, the V/BV
+transport, the bimodule invariants and the matrix-model dictionary.
 
 Each digest is the sha256 of the ``repr`` of a plain-Python record of every
 output on one group; the records were taken from the pairwise-propagation
 search and the character-lookup Clifford orbits that preceded the current
 code, so a change of value or of order in any of them shows here.  The
 normality, semidirect-action, laziness and R' action records were taken
-from the per-caller conjugation code that preceded ``conjugation()``.
+from the per-caller conjugation code that preceded ``conjugation()``.  The
+transport, bimodule and dictionary records were taken from the per-simple
+``G.mul`` transport, the quotient-group bimodule subgroup and the tuple-dict
+label coordinates that preceded the integer-table readers.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from brpic.autoeq import (
+    PartialBrEq,
+    Provenance,
     _find_complement,
     _q_action_perms,
+    _unit_index,
+    bimodule_data,
+    complete_extensions,
+    from_bv,
+    from_ev_lazy,
+    from_hopf_auto,
     partial_dualization_rprime,
     self_dual_pairing,
 )
 from brpic.chars import character_table, clifford_decomposition
-from brpic.cohom import coboundary, h2_classes, is_lazy, lazy_representative
+from brpic.cohom import (
+    Cocycle2,
+    coboundary,
+    h2_classes,
+    is_lazy,
+    lazy_representative,
+)
+from brpic.errors import BrpicError
+from brpic.fpn import (
+    FpMatrix,
+    autoeq_to_matrix,
+    generate_matrix_group,
+    matrix_to_autoeq,
+    standard_generators,
+)
 from brpic.groups import (
     Subgroup,
     abelian_normal_subgroups,
@@ -262,3 +289,158 @@ def test_conjugation_case_counts():
     assert sum(c for c, _ in NORMALITY.values()) == 1314
     assert sum(c for c, _ in LAZY.values()) == 214
     assert sum(c for c, _ in RPRIME.values()) == 70
+
+
+# ---------------------------------------------------------------------------
+# V/BV transport, bimodule invariants and the matrix-model dictionary
+# ---------------------------------------------------------------------------
+
+# name -> ((count, digest) of the V/BV mappings, (count, digest) of the
+# bimodule invariants)
+CONSTRUCTIONS = {
+    "S3": ((10, "34237996a4d454bb"), (15, "db0c28f06df40c06")),
+    "Z/3": ((4, "176dddea8fc4de66"), (7, "4dc04078f02847d3")),
+    "Z/2^2": ((14, "c6a7e39ca1094d4b"), (35, "853112a498754728")),
+    "D4": ((16, "e5bdd73d66597003"), (47, "a7ddc1ad234c4eeb")),
+    "Q8": ((28, "a8f77cdb3f3290e5"), (53, "f02997af54ad55c2")),
+    "A4": ((32, "23b995e70744120d"), (41, "e4f1322c701f1035")),
+    "S3xZ/2": ((20, "408605ad933c2258"), (38, "81896c5c7f78a908")),
+    "S4": ((32, "7f8e7b0005dcc6ac"), (41, "ae95de6207d1b953")),
+    "Z/2^3": ((200, "230a0b10a25a7ed0"), (250, "3b9ce424f8ee7f5b")),
+    "Z/4xZ/2": ((16, "7439d309496581ba"), (70, "bd38fa6edba81071")),
+    "Z/3^2": ((60, "59c851715ad5367b"), (81, "4f799db4456eb88f")),
+    "Z/5:Z/4": ((44, "4c435b1ae762283f"), (47, "e35563eb487ac468")),
+}
+
+CORRUPTED_TWISTS = {
+    "S3": (24, "887e7248414bab22"),
+    "D4": (24, "6115829ff2084fb6"),
+    "Q8": (24, "9c872b1eda0a6f96"),
+    "A4": (24, "a79900387b030335"),
+    "Z/2^2": (24, "09aa06f15287c6fa"),
+}
+
+TO_MATRIX = {
+    (2, 1): (2, "a3023925ed19ed7c"),
+    (3, 1): (4, "66e665c6671be6d0"),
+    (5, 1): (8, "32d8edd7bc402f0a"),
+    (2, 2): (72, "cebb6f51b1b55256"),
+}
+
+FROM_MATRIX = {
+    (3, 1): (4, "7fe318530e328f63"),
+    (5, 1): (8, "bdc5f31094bcded2"),
+    (2, 2): (720, "f8cc551469175bc1"),
+    (3, 2): (1152, "e99966a5a6a48bcd"),
+}
+
+
+def _outcome(build, read):
+    """read(build()), or the error's type and message."""
+    try:
+        return read(build())
+    except BrpicError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _invariant(element):
+    d = bimodule_data(element)
+    return (d.U.elements, d.U1.elements, d.U2.elements, d.eta_class,
+            d.conditions)
+
+
+def _construction_records(G):
+    """(mappings, invariants) from one pass.  Mappings: V for every
+    automorphism, BV for every H^2 class under the first 4 automorphisms.
+    Invariants: V for the first 24 automorphisms, BV for every class, EV for
+    every abelian normal S != 1 and class of S with v = None and with the
+    first 6 automorphisms that fix S, and R' where S has a complement."""
+    auts = automorphisms(G)
+    maps, out = [], []
+    for k, a in enumerate(auts):
+        F = from_hopf_auto(a)
+        maps.append(F.mapping)
+        if k < 24:
+            out.append(_invariant(F))
+    for mu in h2_classes(G):
+        for k, a in enumerate(auts[:4]):
+            F = from_bv(a, mu)
+            maps.append(F.mapping)
+            if k == 0:
+                out.append(_outcome(lambda: F, _invariant))
+    for S in abelian_normal_subgroups(G):
+        if S.order == 1:
+            continue
+        fixing = [a for a in auts
+                  if sorted(map(a, S.elements)) == list(S.elements)][:6]
+        Sgrp, _ = S.as_group()
+        for k, eta in enumerate(h2_classes(Sgrp)):
+            for v in [None] + fixing:
+                out.append((S.elements, k, _outcome(
+                    lambda: from_ev_lazy(S, eta, v), _invariant)))
+        if _find_complement(G, S) is not None:
+            out.append((S.elements, _outcome(
+                lambda: partial_dualization_rprime(S), _invariant)))
+    return maps, out
+
+
+def _corrupted_twist_record(G):
+    """BV under the first and last automorphism for 12 random normalized
+    tables that skip the cocycle check: mostly TwistNotCharacter with its
+    witness pair."""
+    auts = automorphisms(G)
+    m = G.exponent()
+    out = []
+    for seed in range(12):
+        bad = np.random.default_rng(seed).integers(0, m, size=(G.n, G.n))
+        bad[0, :] = 0
+        bad[:, 0] = 0
+        mu = Cocycle2(G, m, bad, check=False)
+        out += [_outcome(lambda: from_bv(a, mu), lambda F: F.mapping)
+                for a in (auts[0], auts[-1])]
+    return out
+
+
+def _to_matrix_record(p, n):
+    """autoeq_to_matrix of every unit-seeded search result."""
+    G = matrix_to_autoeq(FpMatrix.identity(p, n)).group
+    u = _unit_index(G)
+    found = complete_extensions(
+        PartialBrEq(G, {u: u}, {}, Provenance("searched")))
+    return [_outcome(lambda: autoeq_to_matrix(F), FpMatrix.tolist)
+            for F in found]
+
+
+def _from_matrix_record(p, n):
+    """matrix_to_autoeq on the group the standard generators generate."""
+    return [_outcome(lambda: matrix_to_autoeq(M), lambda F: F.mapping)
+            for M in generate_matrix_group(standard_generators(p, n))]
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_transport_and_bimodule_invariants_pinned(name):
+    maps, invariants = _construction_records(named_group(name))
+    want_maps, want_invariants = CONSTRUCTIONS[name]
+    assert (len(maps), _digest(maps)) == want_maps
+    assert (len(invariants), _digest(invariants)) == want_invariants
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_TWISTS))
+def test_twist_witnesses_pinned(name):
+    _check(CORRUPTED_TWISTS, name, _corrupted_twist_record(named_group(name)))
+
+
+@pytest.mark.parametrize("pn", sorted(TO_MATRIX))
+def test_autoeq_to_matrix_pinned(pn):
+    _check(TO_MATRIX, pn, _to_matrix_record(*pn))
+
+
+@pytest.mark.parametrize("pn", sorted(FROM_MATRIX))
+def test_matrix_to_autoeq_pinned(pn):
+    _check(FROM_MATRIX, pn, _from_matrix_record(*pn))
+
+
+def test_construction_case_counts():
+    assert sum(m for (m, _), _ in CONSTRUCTIONS.values()) == 476
+    assert sum(k for _, (k, _) in CONSTRUCTIONS.values()) == 725
+    assert sum(c for c, _ in FROM_MATRIX.values()) == 1884
