@@ -74,6 +74,7 @@ from .groups import (
     _closure,
     _compose_rows,
     _index_rows,
+    _is_complement,
     _iso_backtrack,
 )
 
@@ -308,27 +309,23 @@ def _is_identity_morphism(v: GroupMorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 def identity_autoeq(G: FiniteGroup) -> BraidedAutoeq:
-    return from_hopf_auto(identity_morphism(G), G)
+    return from_hopf_auto(identity_morphism(G))
 
 
-def from_hopf_auto(v: GroupMorphism, G: Optional[FiniteGroup] = None
-                   ) -> BraidedAutoeq:
+def from_hopf_auto(v: GroupMorphism) -> BraidedAutoeq:
     """The autoequivalence induced by a group automorphism:
     (class of g, chi) -> (class of v(g), chi after v^-1)."""
-    if G is None:
-        G = v.target
-    if v.source != G or v.target != G or not v.is_automorphism():
+    G = v.target
+    if not v.is_automorphism():
         raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
     return _twisted_transport(G, v, None, Provenance("v", (v,)))
 
 
-def from_bv(v: GroupMorphism, mu: Cocycle2,
-            G: Optional[FiniteGroup] = None) -> BraidedAutoeq:
+def from_bv(v: GroupMorphism, mu: Cocycle2) -> BraidedAutoeq:
     """Automorphism plus monoidal 2-cocycle twist:
     (g, chi) -> (v(g), chi(v^-1(.)) times the mu-commutator character)."""
-    if G is None:
-        G = v.target
-    if v.source != G or v.target != G or not v.is_automorphism():
+    G = v.target
+    if not v.is_automorphism():
         raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
     if mu.group != G:
         raise DomainMismatch("cocycle lives on a different group")
@@ -470,18 +467,15 @@ def _refine_candidates(md: ModularData, cand: dict[int, list[int]]) -> None:
 
 
 def from_ev_lazy(S: Subgroup, eta: Cocycle2,
-                 v: Optional[GroupMorphism] = None,
-                 G: Optional[FiniteGroup] = None) -> PartialBrEq:
+                 v: Optional[GroupMorphism] = None) -> PartialBrEq:
     """The dualization along an abelian normal subgroup with a lazy,
     nondegenerate 2-cocycle: O_1^V -> O_[s_i]^(twisted multiplicity).
 
     ``eta`` may be any representative of its class; an invariant one is
     located first (NotLazy if none exists).  A non-identity ``v`` is applied
-    on top of the v = id reduction."""
-    if G is None:
-        G = S.parent
-    if S.parent != G:
-        raise NotASubgroup("S does not live in the given group")
+    on top of the v = id reduction; it must be an automorphism of S's
+    parent (NotAnAutomorphism otherwise)."""
+    G = S.parent
     if not (S.is_abelian() and S.is_normal()):
         raise NotAbelianNormal(f"{S!r} is not abelian normal")
     Sgrp, _ = S.as_group()
@@ -503,8 +497,10 @@ def from_ev_lazy(S: Subgroup, eta: Cocycle2,
     partial = _dualization_partial(
         G, S, pairing, Provenance("ev", (S, eta, v))
     )
+    if v is not None and (v.target != G or not v.is_automorphism()):
+        raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
     if v is not None and not _is_identity_morphism(v):
-        F = from_hopf_auto(v, G)
+        F = from_hopf_auto(v)
         partial = PartialBrEq(
             G,
             {a: F.mapping[t] for a, t in partial.mapping.items()},
@@ -559,26 +555,24 @@ def _q_action_perms(N: Subgroup, Q, action):
 
 
 def partial_dualization_rprime(N: Subgroup, Q: Optional[Subgroup] = None,
-                               pairing: Optional[Pairing] = None,
-                               G: Optional[FiniteGroup] = None) -> PartialBrEq:
-    """Partial dualization along an abelian normal factor of G = N : Q.
+                               pairing: Optional[Pairing] = None
+                               ) -> PartialBrEq:
+    """Partial dualization along an abelian normal factor of G = N : Q,
+    G = N's parent.
 
     A complement Q is located if not supplied (NoComplement when none
-    exists); the pairing must be (or is searched as) a Q-equivariant
-    nondegenerate self-duality of N (NotSelfDual otherwise)."""
-    if G is None:
-        G = N.parent
-    if N.parent != G:
-        raise NotASubgroup("N does not live in the given group")
+    exists, or when a supplied Q fails ``groups._is_complement``); the
+    pairing must be (or is searched as) a Q-equivariant nondegenerate
+    self-duality of N (NotSelfDual otherwise)."""
+    G = N.parent
     if not (N.is_abelian() and N.is_normal()):
         raise NotAbelianNormal(f"{N!r} is not abelian normal")
     if Q is None:
         Q = _find_complement(G, N)
         if Q is None:
             raise NoComplement(f"no complement of order {G.n // N.order}")
-    else:
-        if Q.parent != G or not _is_complement(G, N, Q):
-            raise NoComplement(f"{Q!r} is not a complement of N")
+    elif not _is_complement(N, Q):
+        raise NoComplement(f"{Q!r} is not a complement of N")
     if pairing is None:
         pairing = self_dual_pairing(N, Q)
         if pairing is None:
@@ -602,19 +596,9 @@ def partial_dualization_rprime(N: Subgroup, Q: Optional[Subgroup] = None,
     )
 
 
-def _is_complement(G, N, Q) -> bool:
-    if N.order * Q.order != G.n:
-        return False
-    inter = set(N.elements) & set(Q.elements)
-    return inter == {G.identity}
-
-
 def _find_complement(G, N) -> Optional[Subgroup]:
-    want = G.n // N.order
-    for H in all_subgroups(G):
-        if H.order == want and _is_complement(G, N, H):
-            return H
-    return None
+    """The first member of ``all_subgroups(G)`` that is a complement of N."""
+    return next((H for H in all_subgroups(G) if _is_complement(N, H)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +606,6 @@ def _find_complement(G, N) -> Optional[Subgroup]:
 # ---------------------------------------------------------------------------
 
 def complete_extensions(partial: PartialBrEq,
-                        md: Optional[ModularData] = None,
                         cap: int = EXTENSION_NODE_BUDGET
                         ) -> list[BraidedAutoeq]:
     """All total braided autoequivalences extending a partial map.
@@ -634,8 +617,7 @@ def complete_extensions(partial: PartialBrEq,
     compares the entry ids ``md.S_ids``; each completion is then built as a
     BraidedAutoeq, whose exact S/T check certifies it."""
     G = partial.group
-    if md is None:
-        md = modular_data(G)
+    md = modular_data(G)
     ids = md.S_ids
     ns = md.size
     fps = _fingerprints(md)
@@ -736,8 +718,7 @@ def equal(F: BraidedAutoeq, H: BraidedAutoeq) -> bool:
     return F.mapping == H.mapping
 
 
-def generate_group(generators, cap: int = CLOSURE_CAP,
-                   group: Optional[FiniteGroup] = None) -> GeneratedGroup:
+def generate_group(generators, cap: int = CLOSURE_CAP) -> GeneratedGroup:
     """BFS closure under composition with shortest-word provenance.
 
     Element order is discovery order (identity first, then by word length);
@@ -746,13 +727,11 @@ def generate_group(generators, cap: int = CLOSURE_CAP,
     generators' provenances.  The closure runs on the mappings; each element
     is then built, and so verified, exactly once."""
     gens = list(generators)
-    for F in gens:
-        if group is None:
-            group = F.group
-        elif F.group != group:
-            raise DomainMismatch("generators live over different groups")
-    if group is None:
+    if not gens:
         return GeneratedGroup(1, (), ())
+    group = gens[0].group
+    if any(F.group != group for F in gens):
+        raise DomainMismatch("generators live over different groups")
 
     ident = identity_autoeq(group)
     mappings, words = _closure(

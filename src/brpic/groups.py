@@ -17,6 +17,12 @@ subgroup, as positions in ``elements`` (-1 where x s x^-1 leaves it).
 Classes, centralizers, conjugators, the center, normality and semidirect
 actions here, and the conjugation actions of the other modules, all read
 these tables.
+
+Subgroups are enumerated by one breadth-first join search, ``_joins``: one
+element per piece gives ``all_subgroups``, one conjugacy class per piece
+``normal_subgroups``.  One complement test, ``_is_complement``, serves
+``semidirect_decompositions`` and the R' constructions in ``autoeq``.
+Product and quotient tables are built as array expressions.
 """
 
 from __future__ import annotations
@@ -171,17 +177,6 @@ class FiniteGroup:
             act.setflags(write=False)
             self._memo["conjugation"] = act
         return self._memo["conjugation"]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv_of(g), -k
-        out, base = self.identity, g
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     def order_of(self, g: int) -> int:
         k, x = 1, g
@@ -363,10 +358,10 @@ class Subgroup:
         """
         if "group" not in self._memo:
             S = self.elements
-            pos = {g: i for i, g in enumerate(S)}
-            table = [[pos[self.parent.mul(a, b)] for b in S] for a in S]
+            pos = np.empty(self.parent.n, dtype=np.int64)
+            pos[list(S)] = np.arange(len(S))
             H = FiniteGroup(
-                table,
+                pos[self.parent.table[np.ix_(S, S)]],
                 names=tuple(self.parent.names[g] for g in S),
                 name=f"{self.parent.name}-sub{len(S)}",
                 validate=False,
@@ -563,66 +558,54 @@ def outer_representatives(G: FiniteGroup, cap: int = DEFAULT_CAP):
 # subgroup enumeration / normal structure
 # ---------------------------------------------------------------------------
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
-    """Every subgroup, by breadth-first cyclic extension; sorted by
-    (order, element tuple).  Raises CapExceeded past ``cap`` subgroups."""
-    key = ("subgroups", cap)
-    if key in G._memo:
-        return G._memo[key]
-    found: set[tuple[int, ...]] = set()
-    queue: list[tuple[int, ...]] = []
-    triv = (G.identity,)
-    found.add(triv)
-    queue.append(triv)
-    while queue:
-        base = queue.pop(0)
-        for g in range(G.n):
-            if g in base:
+def _joins(G: FiniteGroup, pieces, cap) -> list[Subgroup]:
+    """Every subgroup generated by a union of ``pieces`` (element tuples),
+    sorted by (order, element tuple).
+
+    Breadth-first from the trivial subgroup: each subgroup found is joined
+    with every piece it misses, one piece per step, by ``G.closure``.  A
+    piece counts as contained when its first element is, so each piece is
+    a single element or a whole conjugacy class.  Raises CapExceeded once
+    more than ``cap`` subgroups are found.
+    """
+    queue = [(G.identity,)]
+    found = set(queue)
+    for base in queue:                  # grows while it is read
+        for piece in pieces:
+            if piece[0] in base:
                 continue
-            ext = G.closure(set(base) | {g})
+            ext = G.closure(base + piece)
             if ext not in found:
                 found.add(ext)
                 if len(found) > cap:
-                    raise CapExceeded(
-                        f"more than {cap} subgroups in {G.name}"
-                    )
+                    raise CapExceeded(f"more than {cap} subgroups in {G.name}")
                 queue.append(ext)
-    out = [Subgroup(G, elems, check=False)
-           for elems in sorted(found, key=lambda e: (len(e), e))]
-    G._memo[key] = out
-    return out
+    return [Subgroup(G, elems, check=False)
+            for elems in sorted(found, key=lambda e: (len(e), e))]
+
+
+def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
+    """Every subgroup: the joins of cyclic subgroups, one element per
+    piece.  Sorted by (order, element tuple); CapExceeded past ``cap``."""
+    key = ("subgroups", cap)
+    if key not in G._memo:
+        G._memo[key] = _joins(G, [(g,) for g in range(G.n)], cap)
+    return G._memo[key]
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, via closures of unions of conjugacy classes.
-
-    Breadth-first join closure: start from the trivial subgroup and keep
-    adjoining whole conjugacy classes; every normal subgroup is a join of
-    class-closures, so this enumerates them all without enumerating all
-    subgroups.  Sorted by (order, element tuple).
+    """All normal subgroups: the joins of conjugacy classes, one class per
+    piece.  Every normal subgroup is a union of classes, so this finds
+    them all without enumerating all subgroups.  Sorted by (order,
+    element tuple).
     """
-    if "normals" in G._memo:
-        return G._memo["normals"]
-    classes = conjugacy_classes(G)
-    found: set[tuple[int, ...]] = set()
-    triv = (G.identity,)
-    found.add(triv)
-    queue = [triv]
-    while queue:
-        base = queue.pop(0)
-        for c in classes:
-            if c.members[0] in base:
-                continue
-            ext = G.closure(set(base) | set(c.members))
-            if ext not in found:
-                found.add(ext)
-                queue.append(ext)
-    out = [Subgroup(G, elems, check=False)
-           for elems in sorted(found, key=lambda e: (len(e), e))]
-    for s in out:
-        s._memo["normal"] = True
-    G._memo["normals"] = out
-    return out
+    if "normals" not in G._memo:
+        out = _joins(G, [c.members for c in conjugacy_classes(G)],
+                     float("inf"))
+        for s in out:
+            s._memo["normal"] = True
+        G._memo["normals"] = out
+    return G._memo["normals"]
 
 
 def abelian_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -639,27 +622,30 @@ class SemidirectDecomposition:
     action: tuple[tuple[int, ...], ...]
 
 
-def semidirect_decompositions(G: FiniteGroup, cap: int = DEFAULT_CAP):
-    """All decompositions G = N : Q with N abelian normal.
+def _is_complement(N: Subgroup, Q: Subgroup) -> bool:
+    """Q is a complement of N in N's parent G: Q lies in G, |N| |Q| = |G|
+    and N and Q meet only in the identity."""
+    G = N.parent
+    return (Q.parent == G and N.order * Q.order == G.n
+            and set(N.elements) & set(Q.elements) == {G.identity})
+
+
+def semidirect_decompositions(G: FiniteGroup):
+    """All decompositions G = N : Q with N abelian normal: each N of
+    ``abelian_normal_subgroups`` with each member of ``all_subgroups`` that
+    is a complement of it (``_is_complement``).
 
     Includes the trivial ones (N = 1, Q = G; and N = G, Q = 1 when G is
-    abelian).  Deterministic order: by (|N|, N elements, Q elements).
+    abelian).  Both lists are sorted by (order, elements) and every
+    complement of N has the same order, so the decompositions come by
+    (|N|, N elements, Q elements).
     """
-    subs = all_subgroups(G, cap=cap)
-    by_order: dict[int, list[Subgroup]] = {}
-    for s in subs:
-        by_order.setdefault(s.order, []).append(s)
-    out = []
-    for N in abelian_normal_subgroups(G):
-        want = G.n // N.order
-        for Q in by_order.get(want, []):
-            inter = set(N.elements) & set(Q.elements)
-            if inter != {G.identity}:
-                continue
-            action = N.conjugation()[list(Q.elements)].tolist()
-            out.append(SemidirectDecomposition(N, Q, tuple(map(tuple, action))))
-    out.sort(key=lambda d: (d.n.order, d.n.elements, d.q.elements))
-    return out
+    return [
+        SemidirectDecomposition(N, Q, tuple(map(
+            tuple, N.conjugation()[list(Q.elements)].tolist())))
+        for N in abelian_normal_subgroups(G)
+        for Q in all_subgroups(G) if _is_complement(N, Q)
+    ]
 
 
 def quotient(G: FiniteGroup, N: Subgroup):
@@ -672,25 +658,15 @@ def quotient(G: FiniteGroup, N: Subgroup):
         raise ValueError("subgroup of a different parent")
     if not N.is_normal():
         raise NotNormal(f"subgroup {N.elements} is not normal in {G.name}")
-    coset_of = np.full(G.n, -1, dtype=np.int64)
-    reps: list[int] = []
-    S = np.asarray(N.elements)
-    for g in range(G.n):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        coset_of[G.table[g, S]] = idx
-    m = len(reps)
-    table = [[int(coset_of[G.mul(reps[i], reps[j])]) for j in range(m)]
-             for i in range(m)]
+    reps, coset_of = np.unique(G.table[:, list(N.elements)].min(axis=1),
+                               return_inverse=True)
     Q = FiniteGroup(
-        table,
+        coset_of[G.table[np.ix_(reps, reps)]],
         names=tuple(f"{G.names[r]}N" for r in reps),
         name=f"{G.name}/N{N.order}",
         validate=False,
     )
-    proj = GroupMorphism(G, Q, tuple(int(x) for x in coset_of), check=False)
+    proj = GroupMorphism(G, Q, coset_of.tolist(), check=False)
     return Q, proj
 
 
@@ -701,11 +677,9 @@ def quotient(G: FiniteGroup, N: Subgroup):
 def direct_product(A: FiniteGroup, B: FiniteGroup, name=None) -> FiniteGroup:
     """A x B with pairs ordered lexicographically (A-coordinate major)."""
     n, m = A.n, B.n
-    table = np.empty((n * m, n * m), dtype=np.int64)
-    for a1 in range(n):
-        for b1 in range(m):
-            row = (A.table[a1][:, None] * m + B.table[b1][None, :])
-            table[a1 * m + b1] = row.reshape(-1)
+    # [a1, b1, a2, b2] -> (a1 a2, b1 b2)
+    table = (A.table[:, None, :, None] * m + B.table[None, :, None, :]
+             ).reshape(n * m, n * m)
     names = tuple(
         f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)
     )
@@ -742,25 +716,19 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action) -> FiniteGroup:
             raise BadSemidirectAction(
                 f"action of {Q.names[q]} is not an automorphism: {exc}"
             ) from exc
-    for q1 in range(Q.n):
-        for q2 in range(Q.n):
-            composed = tuple(action[q1][x] for x in action[q2])
-            if composed != action[Q.mul(q1, q2)]:
-                raise BadSemidirectAction(
-                    f"q -> alpha_q is not a homomorphism at "
-                    f"({Q.names[q1]}, {Q.names[q2]})"
-                )
+    A = np.array(action, dtype=np.int64)
+    # [q1, q2] -> is alpha_q1 after alpha_q2 != alpha_(q1 q2)?
+    bad = np.argwhere((A[:, A] != A[Q.table]).any(axis=2))
+    if len(bad):
+        q1, q2 = bad[0]
+        raise BadSemidirectAction(
+            f"q -> alpha_q is not a homomorphism at "
+            f"({Q.names[q1]}, {Q.names[q2]})"
+        )
     m = Q.n
-    size = N.n * m
-    table = np.empty((size, size), dtype=np.int64)
-    for n1 in range(N.n):
-        for q1 in range(m):
-            a = action[q1]
-            for n2 in range(N.n):
-                prod_n = N.table[n1, a[n2]]
-                table[n1 * m + q1, n2 * m:(n2 + 1) * m] = (
-                    prod_n * m + Q.table[q1]
-                )
+    # [n1, q1, n2, q2] -> (n1 alpha_q1(n2), q1 q2)
+    table = (N.table[:, A][..., None] * m + Q.table[None, :, None, :]
+             ).reshape(N.n * m, N.n * m)
     names = tuple(
         f"({N.names[i]},{Q.names[j]})" for i in range(N.n) for j in range(m)
     )

@@ -72,7 +72,7 @@ from brpic.groups import (
 )
 
 
-def automorphisms(G):
+def brute_force_automorphisms(G):
     """All automorphisms, by brute force (use only on tiny groups)."""
     out = []
     for imgs in itertools.permutations(range(G.n)):
@@ -133,7 +133,7 @@ class TestHopfAuto:
             from_hopf_auto(collapse)
         Z2 = named_group("Z/2")
         with pytest.raises(NotAnAutomorphism):
-            from_hopf_auto(identity_morphism(Z2), S3)
+            from_hopf_auto(GroupMorphism(Z2, S3, (0, 1)))
 
     def test_conjugator_choice_is_immaterial(self):
         # transported characters agree for every conjugator choice, since
@@ -258,7 +258,7 @@ class TestBV:
         # F_{v,mu} after F_{w,nu} = F_{vw, nu + pullback of mu along w}
         V4 = named_group("Z/2^2")
         reps = list(h2_classes(V4, 2))
-        auts = automorphisms(V4)
+        auts = brute_force_automorphisms(V4)
         for v, w in itertools.product(auts, repeat=2):
             for mu, nu in itertools.product(reps, repeat=2):
                 left = compose(from_bv(v, mu), from_bv(w, nu))
@@ -385,7 +385,7 @@ class TestEV:
         whole = V4.subgroup(list(range(4)))
         eta = nondegenerate_class(whole)
         base = from_ev_lazy(whole, eta)
-        v = next(a for a in automorphisms(V4)
+        v = next(a for a in brute_force_automorphisms(V4)
                  if not all(a(g) == g for g in range(4)))
         twisted = from_ev_lazy(whole, eta, v=v)
         Fv = from_hopf_auto(v)
@@ -396,6 +396,18 @@ class TestEV:
             a: tuple(sorted(Fv.mapping[t] for t in pool))
             for a, pool in base.candidates.items()
         }
+
+    @pytest.mark.parametrize("images", [(0, 3, 2, 1), (0, 1, 2, 3)])
+    def test_automorphism_of_another_group_refused(self, images):
+        # the identity of another group too: it would be recorded as the
+        # construction's v, which bimodule_data then reads on the wrong group
+        V4 = named_group("Z/2^2")
+        whole = V4.subgroup(list(range(4)))
+        Z4 = cyclic_group(4)
+        with pytest.raises(NotAnAutomorphism,
+                           match=r"is not an automorphism of Z/2\^2$"):
+            from_ev_lazy(whole, nondegenerate_class(whole),
+                         GroupMorphism(Z4, Z4, images))
 
     def test_proper_subgroup_in_elementary_abelian_cube(self):
         G = named_group("Z/2^3")
@@ -548,7 +560,7 @@ class TestSelfDualPairing:
         Q = F20.subgroup(list(range(4)))
         assert self_dual_pairing(N, Q) is None
         with pytest.raises(NotSelfDual):
-            partial_dualization_rprime(N, G=F20)
+            partial_dualization_rprime(N)
 
     def test_inversion_action_is_self_dual(self):
         # control for the previous test: c = -1 squares to 1
@@ -943,7 +955,7 @@ class TestPreservation:
     def test_constructed_families_preserve(self, name):
         G = named_group(name)
         if G.n <= 4:
-            auts = automorphisms(G)
+            auts = brute_force_automorphisms(G)
         else:
             auts = [inner_automorphism(G, c) for c in range(min(G.n, 6))]
         reps = list(h2_classes(G, 2))
@@ -999,7 +1011,7 @@ class TestBimoduleData:
 
     def test_v_nontrivial_graph(self):
         V4 = named_group("Z/2^2")
-        v = next(a for a in automorphisms(V4)
+        v = next(a for a in brute_force_automorphisms(V4)
                  if not all(a(g) == g for g in range(4)))
         bd = bimodule_data(from_hopf_auto(v))
         expected = sorted(v(g) * 4 + V4.inv_of(g) for g in range(4))
@@ -1124,7 +1136,7 @@ class TestSerialization:
 
     def test_provenance_descriptions(self):
         V4 = named_group("Z/2^2")
-        v = automorphisms(V4)[1]
+        v = brute_force_automorphisms(V4)[1]
         mu = h2_classes(V4, 2)[1]
         jv = autoeq_to_json(from_hopf_auto(v))
         assert jv["provenance"]["kind"] == "v"
@@ -1139,7 +1151,7 @@ class TestSerialization:
 
     def test_loaded_element_carries_no_construction_data(self):
         V4 = named_group("Z/2^2")
-        F = from_hopf_auto(automorphisms(V4)[1])
+        F = from_hopf_auto(brute_force_automorphisms(V4)[1])
         G = autoeq_from_json(autoeq_to_json(F))
         assert G.provenance == Provenance("searched")
         with pytest.raises(UnsupportedProvenance):

@@ -68,10 +68,11 @@ def test_no_assert_statements(path):
 
 class _References(ast.NodeVisitor):
     """Names read anywhere in a tree, except inside a def of that name
-    (recursion does not count), plus the entries of ``__all__``."""
+    (recursion does not count); ``attrs`` holds those read as an attribute
+    (``x.name``)."""
 
     def __init__(self):
-        self.names, self.defs = set(), []
+        self.names, self.attrs, self.defs = set(), set(), []
 
     def visit_FunctionDef(self, node):
         self.defs.append(node.name)
@@ -80,36 +81,48 @@ class _References(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def _read(self, name):
+    def _read(self, name, into):
         if name not in self.defs:
-            self.names.add(name)
+            into.add(name)
 
     def visit_Name(self, node):
-        self._read(node.id)
+        self._read(node.id, self.names)
 
     def visit_Attribute(self, node):
-        self._read(node.attr)
+        self._read(node.attr, self.attrs)
         self.generic_visit(node)
+
+
+def _methods(tree):
+    """The defs that sit directly in a class body."""
+    return {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body}
 
 
 def test_every_function_is_referenced():
     """A function, method or property of src/brpic (dunders aside) is
     referenced by name outside its own def in src/brpic, tests or
-    benchmarks, or exported through the package's ``__all__``.  A module's
-    own ``__all__`` does not count: listing a name there keeps nothing
-    alive."""
+    benchmarks, or exported through the package's ``__all__``.  A method
+    or property counts as referenced only when it is read as an attribute
+    (``x.name``): a local variable of the same name keeps nothing alive.
+    A module's own ``__all__`` does not count either."""
     refs = _References()
     for path in MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
             (ROOT / "benchmarks").glob("*.py")):
         refs.visit(_tree(path))
-    refs.names |= _exported(_tree(SRC / "__init__.py"))
-    unused = sorted(
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in MODULES for node in ast.walk(_tree(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in refs.names
-    )
+    exported = _exported(_tree(SRC / "__init__.py"))
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        methods = _methods(tree)
+        unused += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in refs.attrs | exported
+            and (id(node) in methods or node.name not in refs.names)
+        ]
     assert not unused, f"functions nothing references: {unused}"
 
 

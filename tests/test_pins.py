@@ -10,7 +10,11 @@ normality, semidirect-action, laziness and R' action records were taken
 from the per-caller conjugation code that preceded ``conjugation()``.  The
 transport, bimodule and dictionary records were taken from the per-simple
 ``G.mul`` transport, the quotient-group bimodule subgroup and the tuple-dict
-label coordinates that preceded the integer-table readers.
+label coordinates that preceded the integer-table readers.  The group
+structure, complement and product records were taken from the two
+breadth-first subgroup searches, the two complement tests and the
+hand-indexed product and quotient tables that preceded ``groups._joins``,
+``groups._is_complement`` and the array-built tables.
 """
 
 import hashlib
@@ -53,8 +57,13 @@ from brpic.groups import (
     abelian_normal_subgroups,
     all_subgroups,
     automorphisms,
+    cyclic_group,
+    direct_product,
     named_group,
+    normal_subgroups,
+    quotient,
     semidirect_decompositions,
+    semidirect_product,
 )
 
 
@@ -444,3 +453,146 @@ def test_construction_case_counts():
     assert sum(m for (m, _), _ in CONSTRUCTIONS.values()) == 476
     assert sum(k for _, (k, _) in CONSTRUCTIONS.values()) == 725
     assert sum(c for c, _ in FROM_MATRIX.values()) == 1884
+
+
+# ---------------------------------------------------------------------------
+# group structure: tables, normal subgroups, quotients, complements, products
+# ---------------------------------------------------------------------------
+
+# name -> (number of normal subgroups, digest of the table, names, name and
+# every quotient's table, names and projection)
+STRUCTURES = {
+    "S3": (3, "51306f88e650094b"),
+    "S4": (4, "5bfbb5d951c3b135"),
+    "A4": (3, "04bcd06f30b00352"),
+    "A5": (2, "9089b8bb81ba0681"),
+    "D4": (6, "b74d9148f5dd84af"),
+    "Q8": (6, "dd8f463490b33415"),
+    "Z/6": (4, "11843b6067243dc0"),
+    "Z/2^3": (16, "57e657dcc3e176dc"),
+    "S3xZ/2": (7, "411f772aa36b57f4"),
+    "D4xZ/2": (19, "dd5f8001cf80663f"),
+    "Q8xZ/3": (12, "08fd706314f1a8d6"),
+    "Z/5:Z/4@[0,2,4,1,3]": (4, "57aacfbf0ea7a0d8"),
+    "Z/7:Z/3@[0,2,4,6,1,3,5]": (3, "60ccff79213bd12a"),
+    "Z/3:Z/4": (5, "5a59b32c220a3137"),
+    "Z/4:Z/4@[0,3,2,1]": (11, "cb6e37f0d039be49"),
+    "Z/3^2:Z/2": (7, "a39ea146b2af9351"),
+    "S3xS3": (10, "886f8187a520b6e3"),
+    "A4xZ/2": (6, "14e9bc40a9b58525"),
+}
+
+# groups outside NORMALITY (A5 aside: its subgroup lattice takes a second)
+# -> (number of abelian normal subgroups, digest of the decompositions and
+# of the first complement of each)
+COMPLEMENTS = {
+    "Q8xZ/3": (10, "716055dc5a130e19"),
+    "Z/5:Z/4@[0,2,4,1,3]": (2, "2aa7bfc4101a4f0e"),
+    "Z/7:Z/3@[0,2,4,6,1,3,5]": (2, "fd2535eb79ee15cb"),
+    "Z/3:Z/4": (4, "6ddd1fa18d42484b"),
+    "Z/4:Z/4@[0,3,2,1]": (10, "1637e0270aa8dc49"),
+    "Z/3^2:Z/2": (6, "9c62bbab9b696d1c"),
+    "S3xS3": (4, "b9792df3bd97de99"),
+}
+
+
+def _powers(alpha, k):
+    """The action q -> alpha^q of Z/k."""
+    out = [tuple(range(len(alpha)))]
+    for _ in range(k - 1):
+        out.append(tuple(alpha[x] for x in out[-1]))
+    return out
+
+
+def _products():
+    """Explicit product calls: label -> thunk."""
+    S3, Z2, Z3, Z4, Z5 = (named_group("S3"), cyclic_group(2), cyclic_group(3),
+                          cyclic_group(4), cyclic_group(5))
+    swap = (0, 2, 1, 4, 3, 5)       # conjugation by (2 3) on S3
+    return {
+        "S3xZ/2": lambda: direct_product(S3, Z2),
+        "Z/2xS3": lambda: direct_product(Z2, S3),
+        "Q8xZ/3 named": lambda: direct_product(
+            named_group("Q8"), Z3, name="Q8 by Z/3"),
+        "Z/5:Z/4 doubling": lambda: semidirect_product(
+            Z5, Z4, _powers((0, 2, 4, 1, 3), 4)),
+        "S3:Z/2 nonabelian N": lambda: semidirect_product(
+            S3, Z2, _powers(swap, 2)),
+        "S3:Z/2 trivial action": lambda: semidirect_product(
+            S3, Z2, _powers(tuple(range(6)), 2)),
+        "wrong length": lambda: semidirect_product(
+            Z3, Z2, [tuple(range(3))]),
+        "not a bijection": lambda: semidirect_product(
+            Z3, Z2, [(0, 1, 2), (0, 0, 1)]),
+        "not an automorphism": lambda: semidirect_product(
+            Z4, Z2, [(0, 1, 2, 3), (0, 2, 1, 3)]),
+        "not a homomorphism": lambda: semidirect_product(
+            Z5, Z2, _powers((0, 2, 4, 1, 3), 2)),
+        "not a homomorphism after (1, 1)": lambda: semidirect_product(
+            Z3, Z4, [(0, 1, 2), (0, 2, 1), (0, 1, 2), (0, 1, 2)]),
+    }
+
+
+PRODUCTS = {
+    "S3xZ/2": "4743cd0fada96ce0",
+    "Z/2xS3": "46903788f6312276",
+    "Q8xZ/3 named": "1d2425166242bd26",
+    "Z/5:Z/4 doubling": "ef628d9174c20f4a",
+    "S3:Z/2 nonabelian N": "76a72d01fc0f59e9",
+    "S3:Z/2 trivial action": "8e271168e7ad1948",
+    "wrong length": "346c67fbcd7fe14b",
+    "not a bijection": "5c527b6641c8019d",
+    "not an automorphism": "a9dba618e9efa0cb",
+    "not a homomorphism": "cc6c9b4148955b83",
+    "not a homomorphism after (1, 1)": "d2158412b89ef8b6",
+}
+
+
+def _group_record(G):
+    return (G.name, G.names, G.table.tolist())
+
+
+def _structure_record(G):
+    """(G's record, one record per normal subgroup N: N and the quotient
+    G/N with its projection)."""
+    quotients = []
+    for N in normal_subgroups(G):
+        Q, proj = quotient(G, N)
+        quotients.append((N.elements, _group_record(Q), proj.images))
+    return _group_record(G), quotients
+
+
+def _complement_record(G):
+    """One record per abelian normal N: its first complement and every
+    decomposition along it."""
+    decompositions = semidirect_decompositions(G)
+    out = []
+    for N in abelian_normal_subgroups(G):
+        Q = _find_complement(G, N)
+        out.append((N.elements, None if Q is None else Q.elements, [
+            (d.q.elements, d.action) for d in decompositions if d.n == N]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_tables_normal_subgroups_and_quotients_pinned(name):
+    group, quotients = _structure_record(named_group(name))
+    assert (len(quotients), _digest((group, quotients))) == STRUCTURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEMENTS))
+def test_complements_and_decompositions_pinned(name):
+    _check(COMPLEMENTS, name, _complement_record(named_group(name)))
+
+
+@pytest.mark.parametrize("label", sorted(PRODUCTS))
+def test_explicit_products_pinned(label):
+    record = _outcome(_products()[label], _group_record)
+    assert _digest(record) == PRODUCTS[label]
+
+
+def test_structure_case_counts():
+    assert sum(c for c, _ in STRUCTURES.values()) == 128
+    assert sum(c for c, _ in COMPLEMENTS.values()) == 38
+    assert sum(isinstance(_outcome(make, _group_record), str)
+               for make in _products().values()) == 5
