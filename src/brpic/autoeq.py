@@ -787,11 +787,13 @@ def bimodule_data(element: Union[BraidedAutoeq, PartialBrEq]) -> BimoduleData:
 
     Every kind has one subgroup formula, U = {(a, b) : a v(b) in S}, with
     S = 1 for V and BV, S the dualized subgroup for EV and R', and v = id
-    where the construction has none.  It is read off one boolean table
-    ``inside[a, b]``: U is its true entries, U1 its column and U2 its row at
-    the identity, and condition 1 says every row and column meets U.  An EV
-    element whose v moves S raises UnsupportedProvenance: its invariant is
-    not defined here."""
+    where the construction has none.  U is read off one boolean table
+    ``inside[a, b]``.  Once v(S) = S is checked, (a, 1) is in U exactly
+    when a is in S and (1, b) exactly when b is in v^-1(S) = S, so U1 = U2
+    = S; and (a, v^-1(a^-1)) and (v(b)^-1, b) lie in U, so condition 1
+    (every row and column meets U) always holds.  An EV element whose v
+    moves S raises UnsupportedProvenance: its invariant is not defined
+    here."""
     prov = element.provenance
     G = element.group
     if prov.kind not in ("v", "bv", "ev", "rprime"):
@@ -820,22 +822,13 @@ def bimodule_data(element: Union[BraidedAutoeq, PartialBrEq]) -> BimoduleData:
         )
     inside = in_s[G.table[:, images]]                   # a v(b) in S
     U = _product_group(G).subgroup(np.flatnonzero(inside).tolist())
-    U1 = G.subgroup(np.flatnonzero(inside[:, G.identity]).tolist())
-    U2 = G.subgroup(np.flatnonzero(inside[G.identity]).tolist())
-    cond1 = bool(inside.any(axis=0).all() and inside.any(axis=1).all())
-    cond2 = U1.is_abelian() and U2.is_abelian()
-    conditions = (cond1, cond2, pairing_ok)
-    if not cond1:
-        raise ConditionFailed(
-            "condition 1: U does not cover both factors of G x G^op"
-        )
-    if not cond2:
+    if not S.is_abelian():
         raise ConditionFailed("condition 2: U1 or U2 is not abelian")
     if pairing_ok is False:
         raise ConditionFailed(
             "condition 3: the eta pairing on U1 x U2 is degenerate"
         )
-    return BimoduleData(U, eta_class, U1, U2, conditions)
+    return BimoduleData(U, eta_class, S, S, (True, True, pairing_ok))
 
 
 # ---------------------------------------------------------------------------

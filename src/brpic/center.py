@@ -21,24 +21,21 @@ formula of Coste, Gannon and Ruelle ("Finite group modular data", Nucl.
 Phys. B 581, 2000).  For the class pair (a, b) let P[u, v] count the x in G
 with x b x^-1 in class u of Cent(a) and x^-1 a x in class v of Cent(b); the
 counts for all pairs come from one pass over all x at once.  With X_a the
-character table of Cent(a) lifted onto the power basis of Q(zeta_L), L the
-lcm of the conductors of all centralizer character values, block (a, b) of
-S is |G| / (|Cent(a)| |Cent(b)|) * conj(X_a) P conj(X_b)^T, and all blocks
-come out of one integer tensor product.  Each distinct coefficient column is
-then decoded once into a canonical Cyclotomic.
+character table of Cent(a) lifted into Q(zeta_L), L the lcm of the
+conductors of all centralizer character values, block (a, b) of S is
+|G| / (|Cent(a)| |Cent(b)|) * conj(X_a) P conj(X_b)^T, and all blocks come
+out of one ``cyclo.CycloArray`` product.  Each distinct value is then
+decoded once into a canonical Cyclotomic.
 
 ``ModularData.S`` is an N x N object array of canonical Cyclotomic entries,
 and equal entries share one object; ``S_ids`` and ``T_ids`` number the
 distinct entries, so searches can compare ints where they only prune.
 Certification neither trusts the build nor uses the entries one by one: it
 lifts the released S and T once into the single field Q(zeta_L), L the lcm
-of their conductors, as integer tensors of shape (phi(L), N, N) and
-(phi(L), N) over a common denominator, and checks symmetry, the unit row,
-the twists, the Gram matrix, S^2, C-invariance of T and the modular
-relation as exact integer-array equalities.  Every product
-first bounds its coefficients; it runs on int64 when the bound fits and on
-Python ints (object arrays, same code) when it does not.  A failed check
-raises CertificationError; none of them is an ``assert``.
+of their conductors, as ``CycloArray`` values, and checks symmetry, the unit
+row, the twists, the Gram matrix, S^2, C-invariance of T and the modular
+relation as exact array equalities.  A failed check raises
+CertificationError; none of them is an ``assert``.
 """
 
 from __future__ import annotations
@@ -51,17 +48,7 @@ from math import lcm
 import numpy as np
 
 from .chars import centralizer_table
-from .cyclo import (
-    Cyclotomic,
-    _canonicalize,
-    _fit,
-    _lift_tensor,
-    _max_abs,
-    _tensor_conj,
-    _tensor_product,
-    cyclo_sum,
-    zero,
-)
+from .cyclo import Cyclotomic, CycloArray, cyclo_sum, zero
 from .errors import CapExceeded, CertificationError, NonIntegralFusion
 from .groups import FiniteGroup, conjugacy_classes
 
@@ -184,15 +171,16 @@ def modular_data(G: FiniteGroup) -> ModularData:
 
 
 def _s_matrix(G, simples, classes, tables):
-    """S as the block product conj(X) (P * W) conj(X)^T over Q(zeta_L).
+    """S as the block product conj(X) (P * W / wden) conj(X)^T over
+    Q(zeta_L).
 
     Row and column i of the (N, N) tensors stand both for simple i = (a,
     chi) and for class i of Cent(a): a centralizer has as many classes as
     irreducible characters.  X is block diagonal with the character table
     of Cent(a) in block a; P[u, v] counts the x in G with x b x^-1 in class
     u of Cent(a) and x^-1 a x in class v of Cent(b); W scales block (a, b)
-    by |G| / (|Cent(a)| |Cent(b)|) over a common denominator.  Each distinct
-    coefficient column is decoded once, so equal entries share one object.
+    by |G| / (|Cent(a)| |Cent(b)|) over the common denominator wden.  Each
+    distinct value is decoded once, so equal entries share one object.
     """
     n, ns = G.n, len(simples)
     act = G.conjugation()
@@ -208,8 +196,7 @@ def _s_matrix(G, simples, classes, tables):
         col[a, list(elems)] = start[a] + H._memo["class_of"]
         block = slice(start[a], start[a] + len(table))
         values[block, block] = [ch.values for ch in table]
-    L = lcm(*{v.n for v in values.flat})
-    den, X = _lift_tensor(values, L)
+    Xbar = CycloArray.lift(values).conj()
 
     # over all x at once: U[b, x] = x b x^-1 and V[a, x] = x^-1 a x
     U = act[:, reps].T
@@ -223,33 +210,18 @@ def _s_matrix(G, simples, classes, tables):
     sizes = [len(elems) for _, elems, _ in tables]
     scale = [[Fraction(n, ca * cb) for cb in sizes] for ca in sizes]
     wden = lcm(*(q.denominator for row in scale for q in row))
-    W = [[int(q * wden) for q in row] for row in scale]
-    Xbar = _tensor_conj(X, L)
-    # every entry of Xbar @ PW sums N products of at most these sizes
-    bound = ns * n * max(map(max, W)) * _max_abs(Xbar)
-    Xbar, P = _fit(bound, Xbar, P.reshape(ns, ns))
-    PW = P * np.array(W, dtype=P.dtype)[np.ix_(cls, cls)]
-    A = _tensor_product(np.matmul(Xbar, PW), Xbar.transpose(0, 2, 1), L)
-
-    total = den * den * wden
-    keys = list(map(tuple, A.reshape(A.shape[0], -1).T.tolist()))
-    decoded = {key: _canonicalize(L, [Fraction(c, total) for c in key])
-               for key in set(keys)}
-    S = np.empty(len(keys), dtype=object)
-    S[:] = [decoded[key] for key in keys]
-    return S.reshape(ns, ns)
+    W = np.array([[int(q * wden) for q in row] for row in scale])
+    PW = P.reshape(ns, ns) * W[np.ix_(cls, cls)]
+    return ((Xbar @ PW) / wden @ Xbar.transpose()).decode()
 
 
 def _certify_modular(G, simples, S, T):
     """Check every structural relation of (S, T) before releasing them.
 
     The checks run in one field Q(zeta_L), L the lcm of the conductors of
-    all S and T entries.  S is lifted once to ``(den, A)``: ``A`` is an
-    integer tensor of shape (phi(L), N, N) with ``S[i, j] = sum_k A[k, i, j]
-    * zeta_L^k / den``; T becomes a (phi(L), N) tensor.  Products are
-    phi(L)^2 integer matmuls reduced through the powers of zeta_L (see
-    ``cyclo._tensor_product``).  Each step bounds its coefficients first and
-    runs on int64 when the bound fits, on Python ints otherwise.
+    all S and T entries: S and T are each lifted once to a ``CycloArray``,
+    and every check compares a product of them with an integer array,
+    entry by entry.
 
     Certified, in this order (the unnormalized convention of the module
     docstring, n = |G|):
@@ -280,41 +252,29 @@ def _certify_modular(G, simples, S, T):
                 f"dividing ord(g) = {order} at {(i, i)}"
             )
     L = lcm(*{v.n for v in S.flat}, *{t.n for t in T})
-    den, A = _lift_tensor(S, L)
-    # twists are roots of unity, so their lifts have denominator 1
-    _, Tt = _lift_tensor(np.array(T, dtype=object), L)
+    S, T = CycloArray.lift(S, L), CycloArray.lift(np.array(T, dtype=object), L)
 
     ident = np.arange(ns)
-    _raise_at("symmetry: S is not symmetric",
-              np.any(A != A.transpose(0, 2, 1), axis=0))
-    qdims = np.array([s.qdim * den for s in simples])
+    _raise_at("symmetry: S is not symmetric", ~(S == S.transpose()))
+    qdims = np.array([s.qdim for s in simples])
     _raise_at("unit row: S[0, j] is not the quantum dimension of j",
-              _mark(ns, 0, ident,
-                    (A[0, 0] != qdims) | np.any(A[1:, 0] != 0, axis=0)))
+              _mark(ns, 0, ident, ~(S[0] == qdims)))
 
-    gram = _tensor_product(A, _tensor_conj(A, L).transpose(0, 2, 1), L)
+    eye = np.eye(ns, dtype=np.int64)
     _raise_at("gram: S conj(S)^T is not |G|^2 I",
-              _off_scaled_perm(gram, (n * den) ** 2, ident))
+              ~(S @ S.conj().transpose() == n * n * eye))
 
-    square = _tensor_product(A, A, L)
-    perm = np.any(square != 0, axis=0).argmax(axis=1)
+    square = S @ S
+    perm = (~(square == 0)).argmax(axis=1)
+    C = eye[perm]
     _raise_at("square: S^2 is not |G|^2 times a permutation",
-              _off_scaled_perm(square, (n * den) ** 2, perm))
+              ~(square == n * n * C))
 
     _raise_at("twist conjugation: T[C(i)] is not T[i]",
-              _mark(ns, ident, perm, np.any(Tt[:, perm] != Tt, axis=0)))
-    st = _tensor_product(A, Tt[:, None, :], L, np.multiply)
-    cube = _tensor_product(_tensor_product(st, st, L), st, L)
+              _mark(ns, ident, perm, ~(T[perm] == T)))
+    st = S * T
     _raise_at("modular relation: (S T)^3 is not |G| S^2",
-              _off_scaled_perm(cube, (n * den) ** 3, perm))
-
-
-def _off_scaled_perm(P, value, perm):
-    """(N, N) map of where the coefficient tensor P differs from ``value``
-    times the permutation matrix with ones at (i, perm[i])."""
-    hit = _mark(len(perm), np.arange(len(perm)), perm, True)
-    return (np.any(P[1:] != 0, axis=0)
-            | (hit & (P[0] != value)) | (~hit & (P[0] != 0)))
+              ~(st @ st @ st == n ** 3 * C))
 
 
 def _mark(ns, rows, cols, flags):
@@ -336,8 +296,8 @@ def verlinde_fusion(md: ModularData, i: int, j: int, k: int) -> int:
     """Fusion multiplicity N_ij^k from the S-matrix.
 
     N_ij^k = (1/|G|^2) * sum over r of S[i,r] S[j,r] conj(S[k,r]) / S[0,r]
-    in the unnormalized convention; the result is asserted to be a
-    non-negative rational integer.
+    in the unnormalized convention.  A result that is not a non-negative
+    rational integer raises NonIntegralFusion.
     """
     S = md.S
     ns = md.size

@@ -3,13 +3,16 @@
 The table is computed by the modular class-algebra method: the class-sum
 structure constants are simultaneously diagonalized over F_p for a prime
 p = 1 (mod exp G), p > 2*sqrt(|G|), and each character is lifted exactly to
-cyclotomic values via root-of-unity multiplicities on cyclic subgroups.  The
-result is certified before being returned, so downstream consumers can rely
-on it unconditionally: the table is lifted once into Q(zeta_L), L the lcm of
-the conductors of its values, as an integer tensor (see
-``cyclo._lift_tensor``), and row and column orthogonality are checked as
-exact tensor equalities.  A failure raises CharacterTableError naming the
-relation and a witness (i, j), also under ``python -O``.
+cyclotomic values via root-of-unity multiplicities on cyclic subgroups: one
+mod-p DFT per class gives the multiplicity of every root of unity for every
+character, and ``cyclo.CycloArray.from_roots`` turns the counts into the
+table, decoded once, so equal values share one object.  The result is
+certified before being returned, so downstream consumers can rely on it
+unconditionally: the released table is lifted once into Q(zeta_L), L the lcm
+of the conductors of its values, as a ``cyclo.CycloArray``, and row
+orthogonality is checked as an exact array equality.  A failure raises
+CharacterTableError naming the relation and a witness (i, j), also under
+``python -O``.
 
 ``centralizer_table`` builds one table per distinct centralizer: elements
 with equal centralizers share it.
@@ -29,21 +32,11 @@ precedes the zeta^2-character).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
-from .cyclo import (
-    Cyclotomic,
-    _fit,
-    _lift_tensor,
-    _max_abs,
-    _tensor_conj,
-    _tensor_product,
-    cyclo_sum,
-    root_of_unity,
-    zero,
-)
+from .cyclo import Cyclotomic, CycloArray, cyclo_sum
 from .errors import (
     CharacterTableError,
     NoSuchCharacter,
@@ -201,43 +194,37 @@ def character_table(G: FiniteGroup) -> list[Character]:
         chi_p = [(w[j] * deg * pow(sizes[j], -1, p)) % p for j in range(r)]
         raw_rows.append((deg, chi_p))
     # --- exact lift via root-of-unity multiplicities -----------------------
-    power_class = []
-    for c in classes:
-        g = c.rep
-        nj = G.order_of(g)
-        pcs = []
-        x = G.identity
-        for _ in range(nj):
-            pcs.append(class_of(G, x))
-            x = G.mul(x, g)
-        power_class.append((nj, pcs))
-    chars = []
-    for deg, chi_p in raw_rows:
-        values = []
-        for j in range(r):
-            nj, pcs = power_class[j]
-            zj = pow(w_root, e // nj, p)
-            inv_nj = pow(nj, -1, p)
-            terms = []
-            total = 0
-            for t in range(nj):
-                mt = 0
-                for k in range(nj):
-                    mt = (mt + chi_p[pcs[k]] * pow(zj, (-t * k) % nj, p)) % p
-                mt = (mt * inv_nj) % p
-                if mt > deg:
-                    raise CharacterTableError(
-                        f"multiplicity lift {mt} exceeds degree {deg}"
-                    )
-                total += mt
-                if mt:
-                    terms.append(root_of_unity(nj, t) * mt)
-            if total != deg:
-                raise CharacterTableError(
-                    f"eigenvalue multiplicities sum to {total}, expected {deg}"
-                )
-            values.append(cyclo_sum(terms) if terms else zero())
-        chars.append(Character(G, tuple(values)))
+    # counts[c, j, t e / nj]: the multiplicity of zeta_nj^t as an eigenvalue
+    # of class j's representative g (of order nj) under character c, the
+    # mod-p DFT of c over the powers of g, one matrix product per class
+    chi = np.array([chi_p for _, chi_p in raw_rows], dtype=np.int64)
+    degs = np.array([deg for deg, _ in raw_rows])
+    cls_of = G._memo["class_of"]
+    counts = np.zeros((r, r, e), dtype=np.int64)
+    for j, cl in enumerate(classes):
+        nj = G.order_of(cl.rep)
+        powers = [G.identity]
+        for _ in range(nj - 1):
+            powers.append(G.mul(powers[-1], cl.rep))
+        zj = pow(w_root, e // nj, p)
+        k = np.arange(nj)
+        dft = np.array([pow(zj, s, p) for s in range(nj)])[-np.outer(k, k) % nj]
+        # entries below p: each sum < nj p^2, exact in int64 as in the sweep
+        mults = chi[:, cls_of[powers]] @ dft % p * pow(nj, -1, p) % p
+        counts[:, j, k * (e // nj)] = mults
+    over = np.argwhere(counts > degs[:, None, None])
+    if len(over):
+        i, j, t = over[0]
+        raise CharacterTableError(
+            f"multiplicity lift {counts[i, j, t]} exceeds degree {degs[i]}")
+    totals = counts.sum(axis=2)
+    off = np.argwhere(totals != degs[:, None])
+    if len(off):
+        i, j = off[0]
+        raise CharacterTableError(f"eigenvalue multiplicities sum to"
+                                  f" {totals[i, j]}, expected {degs[i]}")
+    values = CycloArray.from_roots(counts, e).decode()
+    chars = [Character(G, tuple(row)) for row in values]
     # --- deterministic order and exact certification -----------------------
     chars.sort(key=lambda ch: (ch.degree, ch.key()))
     _certify(G, chars)
@@ -246,12 +233,12 @@ def character_table(G: FiniteGroup) -> list[Character]:
 
 
 def _certify(G: FiniteGroup, chars: list[Character]):
-    """One character per class, then row orthogonality as an exact tensor
+    """One character per class, then row orthogonality as an exact array
     equality.
 
     The table X (characters x classes) is lifted once into Q(zeta_L), L the
     lcm of the conductors of its values, and X diag(sizes) conj(X)^T = |G| I
-    is checked on the coefficient tensors.  That makes the square table X
+    is checked as a ``CycloArray`` equality.  That makes the square table X
     invertible, so column orthogonality, conj(X)^T X = diag(|G| / |class|),
     follows and needs no check of its own.
     """
@@ -261,17 +248,10 @@ def _certify(G: FiniteGroup, chars: list[Character]):
         raise CharacterTableError(f"{len(chars)} characters for {r} classes")
     if sum(ch.degree ** 2 for ch in chars) != G.n:
         raise CharacterTableError("sum of squared degrees != |G|")
-    X = np.empty((r, r), dtype=object)
-    X[:] = [ch.values for ch in chars]
-    L = lcm(*{v.n for v in X.flat})
-    den, A = _lift_tensor(X, L)
-    AbarT = _tensor_conj(A, L).transpose(0, 2, 1)
-    sizes = [c.size for c in classes]
-    weighted = _fit(_max_abs(A) * max(sizes), A)[0] * np.array(sizes)
-    rows = _tensor_product(weighted, AbarT, L)
-    want = np.zeros(rows.shape, dtype=rows.dtype)
-    want[0] = G.n * den * den * np.eye(r, dtype=rows.dtype)
-    hits = np.argwhere(np.any(rows != want, axis=0))
+    X = CycloArray.lift(np.array([ch.values for ch in chars], dtype=object))
+    sizes = np.array([c.size for c in classes])
+    rows = (X * sizes) @ X.conj().transpose()
+    hits = np.argwhere(~(rows == G.n * np.eye(r, dtype=np.int64)))
     if len(hits):
         i, j = (int(x) for x in hits[0])
         raise CharacterTableError(f"row orthogonality fails at ({i},{j})")

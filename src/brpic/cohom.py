@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import cyclo_sum, root_of_unity, zero
+from .cyclo import CycloArray, zero
 from .errors import (
     BrpicError,
     BudgetExceeded,
@@ -608,9 +608,10 @@ def sigma_from_eta(S: Subgroup, eta: Cocycle2, *,
 
     sigma(e_a, e_b) = [a, b in S] / |S|^2 * sum over (t, t') in S^2 of
     zeta^(eta(t,t') + <t,a> + <t',b>), returned as a |G| x |G| object array
-    of exact cyclotomic numbers.  The antisymmetrization pairing of eta is
-    required to be nondegenerate unless explicitly waived (degenerate input
-    raises Degenerate).
+    of exact cyclotomic numbers: the terms are counted per exponent, and
+    ``CycloArray.from_roots`` builds the sums, decoded once.  The
+    antisymmetrization pairing of eta is required to be nondegenerate unless
+    explicitly waived (degenerate input raises Degenerate).
     """
     G = S.parent
     pairing = antisymmetrize(eta, S)
@@ -623,19 +624,15 @@ def sigma_from_eta(S: Subgroup, eta: Cocycle2, *,
     else:
         table = eta.values
     ns = len(elems)
-    sigma = np.empty((G.n, G.n), dtype=object)
-    sigma[:, :] = zero()
-    for a_pos, a in enumerate(elems):
-        for b_pos, b in enumerate(elems):
-            expo = (
-                table
-                + pairing.values[:, a_pos][:, None]
-                + pairing.values[:, b_pos][None, :]
-            ) % m
-            counts = np.bincount(expo.ravel(), minlength=m)
-            total = cyclo_sum(
-                root_of_unity(m, t) * int(c)
-                for t, c in enumerate(counts) if c
-            )
-            sigma[a, b] = total / (ns * ns)
+    # counts[a, b, k] = #{(t, t') : eta(t, t') + <t, a> + <t', b> = k mod m}
+    P = pairing.values
+    counts = np.zeros((ns, ns, m), dtype=np.int64)
+    offset = np.arange(ns)[:, None, None] * m
+    for a in range(ns):
+        expo = (table + P[:, a][:, None] + P.T[:, None, :]) % m   # [b, t, t']
+        counts[a] = np.bincount((offset + expo).ravel(),
+                                minlength=ns * m).reshape(ns, m)
+    sigma = np.full((G.n, G.n), zero(), dtype=object)
+    sigma[np.ix_(elems, elems)] = (
+        CycloArray.from_roots(counts, m) / (ns * ns)).decode()
     return sigma

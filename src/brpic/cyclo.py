@@ -18,6 +18,10 @@ Design notes
   Fraction arithmetic in the inner loop.
 * ``as_root_of_unity`` returns the minimal (m, k) with value = zeta_m^k;
   e.g. -1 -> (2, 1) and 1 + zeta_3 -> (6, 1).
+* ``CycloArray``, the one exact-array type, holds numbers of one field
+  Q(zeta_L) as integer planes.  Character tables, S and the dual cocycle
+  are built as CycloArrays and decoded once into shared ``Cyclotomic``
+  objects; the certificates lift the released objects into it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "one",
     "from_rational",
     "cyclo_sum",
+    "CycloArray",
 ]
 
 
@@ -456,14 +461,8 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# coefficient tensors: arrays of numbers in one field Q(zeta_L)
+# exact arrays: many numbers in one field Q(zeta_L)
 # ---------------------------------------------------------------------------
-#
-# A tensor A of shape (phi(L), *shape) holds an array of elements of
-# Q(zeta_L) on the power basis: entry idx is sum_k A[k][idx] * zeta_L^k.
-# Entries are int64 while an explicit bound on every coefficient (and every
-# partial sum formed on the way) fits; past that they are Python ints in an
-# object array, and the same numpy calls run exactly on them.
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -476,71 +475,129 @@ def _fit(bound: int, *tensors):
 
 
 def _max_abs(t) -> int:
-    return int(np.abs(t).max())
+    """The largest |entry| of ``t``, at least 1 (so a bound that scales a
+    zero array still covers the scale)."""
+    return max(int(np.abs(t).max()), 1)
 
 
-def _lift_tensor(values, L: int):
-    """(den, A) with A / den the coefficient tensor of the object array of
-    Cyclotomic ``values``, every conductor dividing L.
-
-    Each distinct value is lifted once; ``den`` is the common denominator.
-    """
-    flat = values.ravel()
-    index: dict[Cyclotomic, int] = {}
-    ids = np.array([index.setdefault(v, len(index)) for v in flat], dtype=np.intp)
-    lifted = [v._lift_coeffs(L) for v in index]
-    den = 1
-    for coeffs in lifted:
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-    rows = [[int(c * den) for c in coeffs] for coeffs in lifted]
-    bound = max(abs(c) for row in rows for c in row)
-    table = np.array(rows, dtype=np.int64 if bound <= _INT64_MAX else object)
-    return den, table[ids].T.reshape((_phi(L),) + values.shape)
-
-
-def _conj_map(L: int) -> np.ndarray:
-    """Row i: coordinates of conj(zeta_L^i) = zeta_L^-i on the power basis."""
-    return np.array(_galois_matrix(L, L - 1), dtype=np.int64)
-
-
-def _reduction_map(L: int) -> np.ndarray:
-    """Row t < 2 phi(L) - 1: coordinates of zeta_L^t on the power basis."""
-    table = _power_table(L)
-    return np.array([table[t % L] for t in range(2 * _phi(L) - 1)],
-                    dtype=np.int64)
-
-
-def _apply_plane_map(M: np.ndarray, A):
-    """out[k] = sum_i M[i, k] * A[i]: a linear map on the coefficient planes."""
-    bound = int(np.abs(M).sum(axis=0).max()) * _max_abs(A)
-    M, A = _fit(bound, M, A)
+def _plane_map(M, A):
+    """out[k] = sum_i M[i, k] * A[i]: an integer linear map on the planes."""
+    M = np.array(M, dtype=np.int64)
+    M, A = _fit(int(np.abs(M).sum(axis=0).max()) * _max_abs(A), M, A)
     return np.tensordot(M.T, A, axes=1)
 
 
-def _tensor_conj(A, L: int):
-    """Coefficient tensor of the entrywise complex conjugate."""
-    return _apply_plane_map(_conj_map(L), A)
+class CycloArray:
+    """An exact array of numbers in one field Q(zeta_L).
 
-
-def _tensor_product(A, B, L: int, op=np.matmul):
-    """Coefficient tensor of op(a, b) over Q(zeta_L), op np.matmul or
-    np.multiply (entrywise, with broadcasting).
-
-    Plane t of the unreduced result is sum over i + j = t of op(A[i], B[j]):
-    phi(L)^2 integer products into 2 phi(L) - 1 planes, then one reduction
-    through zeta_L^t.  Each unreduced entry is a sum of at most
-    phi(L) * inner products, so the bound below covers every partial sum.
+    Entry idx is sum_k A[k][idx] * zeta_L^k / den: phi(L) integer planes on
+    the power basis over one common denominator.  Each operation bounds every
+    coefficient and partial sum it forms and runs on int64 when the bound
+    fits, on Python ints (object arrays, the same numpy calls) otherwise.
+    Products and comparisons take a CycloArray over the same L or an
+    integer array.
     """
-    h = _phi(L)
-    inner = A.shape[-1] if op is np.matmul else 1
-    A, B = _fit(h * inner * _max_abs(A) * _max_abs(B), A, B)
-    planes = [None] * (2 * h - 1)
-    for i in range(h):
-        for j in range(h):
-            term = op(A[i], B[j])
-            planes[i + j] = term if planes[i + j] is None else planes[i + j] + term
-    return _apply_plane_map(_reduction_map(L), np.stack(planes))
+
+    __slots__ = ("L", "den", "A")
+
+    def __init__(self, L: int, den: int, A):
+        self.L, self.den, self.A = L, den, A
+
+    @classmethod
+    def lift(cls, values, L: int | None = None) -> "CycloArray":
+        """The object array of Cyclotomic ``values`` in Q(zeta_L), by
+        default L = the lcm of their conductors; each distinct value is
+        lifted once."""
+        index: dict[Cyclotomic, int] = {}
+        ids = [index.setdefault(v, len(index)) for v in values.flat]
+        if L is None:
+            L = lcm(*(v.n for v in index))
+        lifted = [v._lift_coeffs(L) for v in index]
+        den = lcm(*(c.denominator for coeffs in lifted for c in coeffs))
+        rows = [[int(c * den) for c in coeffs] for coeffs in lifted]
+        bound = max(abs(c) for row in rows for c in row)
+        table = np.array(rows, dtype=np.int64 if bound <= _INT64_MAX else object)
+        return cls(L, den, table[ids].T.reshape((_phi(L),) + values.shape))
+
+    @classmethod
+    def from_roots(cls, counts, m: int) -> "CycloArray":
+        """Entry idx is sum_t counts[idx][t] * zeta_m^t, for an integer
+        array ``counts`` of shape (*shape, m)."""
+        return cls(m, 1, _plane_map(_power_table(m), np.moveaxis(counts, -1, 0)))
+
+    def __getitem__(self, key) -> "CycloArray":
+        """Entries indexed along the first axis: ``x[0]`` is the first row."""
+        return CycloArray(self.L, self.den, self.A[:, key])
+
+    def conj(self) -> "CycloArray":
+        """The entrywise complex conjugate (zeta_L -> zeta_L^-1)."""
+        return CycloArray(self.L, self.den,
+                          _plane_map(_galois_matrix(self.L, self.L - 1), self.A))
+
+    def transpose(self) -> "CycloArray":
+        """The last two axes swapped (the matrix transpose)."""
+        return CycloArray(self.L, self.den, np.swapaxes(self.A, -1, -2))
+
+    def __matmul__(self, other) -> "CycloArray":
+        return self._product(other, np.matmul)
+
+    def __mul__(self, other) -> "CycloArray":
+        """The entrywise product, broadcast as numpy does."""
+        return self._product(other, np.multiply)
+
+    def _product(self, other, op) -> "CycloArray":
+        """op(self, other), op np.matmul or np.multiply.  By a CycloArray,
+        plane t of the unreduced result is the sum over i + j = t of
+        op(A[i], B[j]), reduced through zeta_L^t; each unreduced entry sums
+        at most phi(L) * inner products, which the bound covers."""
+        inner = self.A.shape[-1] if op is np.matmul else 1
+        if not isinstance(other, CycloArray):
+            A, M = _fit(inner * _max_abs(self.A) * _max_abs(other),
+                        self.A, np.asarray(other))
+            return CycloArray(self.L, self.den, op(A, M))
+        self._same_field(other)
+        h = _phi(self.L)
+        A, B = _fit(h * inner * _max_abs(self.A) * _max_abs(other.A),
+                    self.A, other.A)
+        planes = [0] * (2 * h - 1)
+        for i in range(h):
+            for j in range(h):
+                planes[i + j] = planes[i + j] + op(A[i], B[j])
+        table = _power_table(self.L)
+        fold = [table[t % self.L] for t in range(2 * h - 1)]
+        return CycloArray(self.L, self.den * other.den,
+                          _plane_map(fold, np.stack(planes)))
+
+    def __truediv__(self, d: int) -> "CycloArray":
+        """Every entry divided by the nonzero integer ``d``."""
+        if d == 0:
+            raise DivisionByZero("division by 0")
+        return CycloArray(self.L, self.den * d, self.A)
+
+    def __eq__(self, other) -> np.ndarray:
+        """Entrywise equality with a CycloArray over the same L or with an
+        integer array, as a boolean mask of the broadcast shape."""
+        if not isinstance(other, CycloArray):
+            (M,) = _fit(_max_abs(other) * abs(self.den), np.asarray(other))
+            return (self.A[0] == M * self.den) & ~np.any(self.A[1:] != 0, axis=0)
+        self._same_field(other)
+        A, B = _fit(max(_max_abs(self.A) * abs(other.den),
+                        _max_abs(other.A) * abs(self.den)), self.A, other.A)
+        return np.all(A * other.den == B * self.den, axis=0)
+
+    def _same_field(self, other: "CycloArray"):
+        if other.L != self.L:
+            raise ValueError(f"Q(zeta_{self.L}) and Q(zeta_{other.L}) mixed")
+
+    def decode(self) -> np.ndarray:
+        """The entries as an object array of canonical Cyclotomic numbers;
+        equal entries share one object."""
+        keys = list(map(tuple, self.A.reshape(len(self.A), -1).T.tolist()))
+        decoded = {key: _canonicalize(self.L, [Fraction(c, self.den) for c in key])
+                   for key in set(keys)}
+        out = np.empty(len(keys), dtype=object)
+        out[:] = [decoded[key] for key in keys]
+        return out.reshape(self.A.shape[1:])
 
 
 def _canonicalize(n: int, coeffs: list[Fraction]) -> Cyclotomic:

@@ -19,9 +19,10 @@ actions here, and the conjugation actions of the other modules, all read
 these tables.
 
 Subgroups are enumerated by one breadth-first join search, ``_joins``: one
-element per piece gives ``all_subgroups``, one conjugacy class per piece
-``normal_subgroups``.  One complement test, ``_is_complement``, serves
-``semidirect_decompositions`` and the R' constructions in ``autoeq``.
+generator per distinct cyclic subgroup as a piece gives ``all_subgroups``,
+one conjugacy class per piece ``normal_subgroups``.  One complement test,
+``_is_complement``, serves ``semidirect_decompositions`` and the R'
+constructions in ``autoeq``.
 Product and quotient tables are built as array expressions.
 """
 
@@ -585,11 +586,15 @@ def _joins(G: FiniteGroup, pieces, cap) -> list[Subgroup]:
 
 
 def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
-    """Every subgroup: the joins of cyclic subgroups, one element per
-    piece.  Sorted by (order, element tuple); CapExceeded past ``cap``."""
+    """Every subgroup: the joins of cyclic subgroups, one piece per distinct
+    cyclic subgroup (its smallest generator).  Sorted by (order, element
+    tuple); CapExceeded past ``cap``."""
     key = ("subgroups", cap)
     if key not in G._memo:
-        G._memo[key] = _joins(G, [(g,) for g in range(G.n)], cap)
+        cyclic: dict = {}
+        for g in range(G.n):
+            cyclic.setdefault(G.closure((g,)), (g,))
+        G._memo[key] = _joins(G, list(cyclic.values()), cap)
     return G._memo[key]
 
 

@@ -278,25 +278,26 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Transforms:
-    """U (rows) and V (columns) with their inverses, under elementary ops.
+    """U (rows) with its inverse and V (columns), under elementary ops.
 
-    A column operation on D is the row operation on D.T, V.T and Vinv.T, so
+    A column operation on D is the row operation on D.T and V.T, so
     ``_swap``, ``_combine`` and ``_clear`` are written once, for rows, on
-    (A, M, Minv) = (D, U, Uinv) or (D.T, V.T, Vinv.T): ``A <- E A``,
-    ``M <- E M`` and ``Minv <- Minv E^-1``.
+    (A, M, Minv) = (D, U, Uinv) or (D.T, V.T, None): ``A <- E A``,
+    ``M <- E M`` and, when there is an inverse to update, ``Minv <- Minv
+    E^-1``.
     """
 
     def __init__(self, r: int, c: int):
         self.U = np.eye(r, dtype=np.int64)
         self.Uinv = np.eye(r, dtype=np.int64)
         self.V = np.eye(c, dtype=np.int64)
-        self.Vinv = np.eye(c, dtype=np.int64)
 
 
 def _swap(A, M, Minv, i, j):
     A[[i, j]] = A[[j, i]]
     M[[i, j]] = M[[j, i]]
-    Minv[:, [i, j]] = Minv[:, [j, i]]
+    if Minv is not None:
+        Minv[:, [i, j]] = Minv[:, [j, i]]
 
 
 def _combine(A, M, Minv, m, i, j, s, t, ag, bg):
@@ -305,9 +306,10 @@ def _combine(A, M, Minv, m, i, j, s, t, ag, bg):
         ri, rj = X[i].copy(), X[j].copy()
         X[i] = (s * ri + t * rj) % m
         X[j] = (-bg * ri + ag * rj) % m
-    ci, cj = Minv[:, i].copy(), Minv[:, j].copy()
-    Minv[:, i] = (ag * ci + bg * cj) % m
-    Minv[:, j] = (-t * ci + s * cj) % m
+    if Minv is not None:
+        ci, cj = Minv[:, i].copy(), Minv[:, j].copy()
+        Minv[:, i] = (ag * ci + bg * cj) % m
+        Minv[:, j] = (-t * ci + s * cj) % m
 
 
 def _clear(A, M, Minv, m, k) -> bool:
@@ -332,8 +334,9 @@ def _clear(A, M, Minv, m, k) -> bool:
             run, q = rows[:stop], -(b[:stop] // a)
             A[run] = (A[run] + q[:, None] * A[k]) % m
             M[run] = (M[run] + q[:, None] * M[k]) % m
-            # |sum| < len(run) * m^2, exact in int64 for the moduli in use
-            Minv[:, k] = (Minv[:, k] - Minv[:, run] @ q) % m
+            if Minv is not None:
+                # |sum| < len(run) * m^2, exact in int64 for the moduli in use
+                Minv[:, k] = (Minv[:, k] - Minv[:, run] @ q) % m
         if stop == rows.size:
             break
         i, bi = int(rows[stop]), int(b[stop])
@@ -355,7 +358,7 @@ def diagonalize_mod(A, m: int):
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
     T = _Transforms(r, c)
-    rows, cols = (D, T.U, T.Uinv), (D.T, T.V.T, T.Vinv.T)
+    rows, cols = (D, T.U, T.Uinv), (D.T, T.V.T, None)
     for k in range(min(r, c)):
         while True:
             head = D[k, k:]

@@ -21,9 +21,7 @@ from brpic.center import (
 )
 from brpic.chars import centralizer_table
 from brpic.cyclo import (
-    _lift_tensor,
-    _tensor_conj,
-    _tensor_product,
+    CycloArray,
     from_rational,
     one,
     root_of_unity,
@@ -414,22 +412,24 @@ def test_corrupted_s_raises_under_python_O():
 def test_int64_and_object_routes_agree(name):
     md = modular_data(named_group(name))
     L = lcm(*{v.n for v in md.S.flat}, *{t.n for t in md.T})
-    _, A = _lift_tensor(md.S, L)
-    _, Tt = _lift_tensor(np.array(md.T, dtype=object), L)
-    assert A.dtype == Tt.dtype == np.int64 and L > 1
+    S = CycloArray.lift(md.S, L)
+    T = CycloArray.lift(np.array(md.T, dtype=object), L)
+    assert S.A.dtype == T.A.dtype == np.int64 and L > 1
 
     def products(X, Y):
-        st = _tensor_product(X, Y[:, None, :], L, np.multiply)
-        return [_tensor_product(X, _tensor_conj(X, L).transpose(0, 2, 1), L),
-                _tensor_product(X, X, L), _tensor_product(st, st, L)]
+        st = X * Y
+        return [X @ X.conj().transpose(), X @ X, st @ st]
 
-    fast = products(A, Tt)
-    exact = products(A.astype(object), Tt.astype(object))
-    assert all(p.dtype == np.int64 for p in fast)
-    assert all(p.dtype == object for p in exact)
-    for f, e in zip(fast, exact):
-        assert f.shape == e.shape
-        assert [int(x) for x in f.flat] == [int(x) for x in e.flat]
+    def exact(X):
+        return CycloArray(X.L, X.den, X.A.astype(object))
+
+    fast = products(S, T)
+    slow = products(exact(S), exact(T))
+    assert all(p.A.dtype == np.int64 for p in fast)
+    assert all(p.A.dtype == object for p in slow)
+    for f, e in zip(fast, slow):
+        assert f.A.shape == e.A.shape
+        assert [int(x) for x in f.A.flat] == [int(x) for x in e.A.flat]
 
 
 def test_coefficients_past_int64_take_the_object_route():
@@ -437,18 +437,18 @@ def test_coefficients_past_int64_take_the_object_route():
     z = root_of_unity(3, 1)
     values = np.array([[z * big, one() * big], [one() * big, z * z * big]],
                       dtype=object)
-    den, A = _lift_tensor(values, 3)
-    assert den == 1 and A.dtype == np.int64
-    P = _tensor_product(A, A, 3)
-    assert P.dtype == object
+    X = CycloArray.lift(values, 3)
+    assert X.den == 1 and X.A.dtype == np.int64
+    P = X @ X
+    assert P.A.dtype == object
     for i in range(2):
         for j in range(2):
             want = sum((values[i, r] * values[r, j] for r in range(2)), zero())
-            got = sum(int(P[k, i, j]) * root_of_unity(3, k) for k in range(2))
+            got = sum(int(P.A[k, i, j]) * root_of_unity(3, k) for k in range(2))
             assert got == want
     huge = np.array([one() * 2 ** 70], dtype=object)
-    den, H = _lift_tensor(huge, 1)
-    assert H.dtype == object and H[0, 0] == 2 ** 70
+    H = CycloArray.lift(huge, 1)
+    assert H.A.dtype == object and H.A[0, 0] == 2 ** 70
 
 
 def test_certifies_z3_squared():

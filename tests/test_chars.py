@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-from math import lcm
 
 import numpy as np
 import pytest
@@ -25,9 +24,7 @@ from brpic.chars import (
 )
 from brpic.cyclo import (
     Cyclotomic,
-    _lift_tensor,
-    _tensor_conj,
-    _tensor_product,
+    CycloArray,
     from_rational,
     one,
     root_of_unity,
@@ -443,26 +440,25 @@ def test_corrupted_table_raises_under_python_O():
 def test_table_certificate_int64_and_object_routes_agree(name):
     G = named_group(name)
     X = np.array([ch.values for ch in character_table(G)], dtype=object)
-    L = lcm(*{v.n for v in X.flat})
-    den, A = _lift_tensor(X, L)
-    assert den == 1 and A.dtype == np.int64 and L > 1
+    X = CycloArray.lift(X)
+    assert X.den == 1 and X.A.dtype == np.int64 and X.L > 1
     sizes = np.array([c.size for c in conjugacy_classes(G)])
 
-    def products(A):
-        Abar = _tensor_conj(A, L).transpose(0, 2, 1)
-        return [_tensor_product(A * sizes, Abar, L),
-                _tensor_product(Abar, A, L)]
+    def products(X):
+        Xbar = X.conj().transpose()
+        return [(X * sizes) @ Xbar, Xbar @ X]
 
-    fast = products(A)
-    exact = products(A.astype(object))
-    assert all(p.dtype == np.int64 for p in fast)
-    assert all(p.dtype == object for p in exact)
+    fast = products(X)
+    exact = products(CycloArray(X.L, X.den, X.A.astype(object)))
+    assert all(p.A.dtype == np.int64 for p in fast)
+    assert all(p.A.dtype == object for p in exact)
     for f, e in zip(fast, exact):
-        assert [int(x) for x in f.flat] == [int(x) for x in e.flat]
+        assert [int(x) for x in f.A.flat] == [int(x) for x in e.A.flat]
     # and both are the orthogonality relations
-    assert np.array_equal(fast[0][0], G.n * np.eye(len(sizes), dtype=np.int64))
-    assert np.array_equal(fast[1][0], np.diag(G.n // sizes))
-    assert not fast[0][1:].any() and not fast[1][1:].any()
+    rows, cols = (p.A for p in fast)
+    assert np.array_equal(rows[0], G.n * np.eye(len(sizes), dtype=np.int64))
+    assert np.array_equal(cols[0], np.diag(G.n // sizes))
+    assert not rows[1:].any() and not cols[1:].any()
 
 
 @pytest.mark.parametrize("name,elements", [

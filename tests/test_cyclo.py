@@ -1,4 +1,4 @@
-"""Exactness tests for the cyclotomic number type.
+"""Exactness tests for the cyclotomic number type and its arrays.
 
 Frozen expected values were derived by hand from standard identities
 (2cos(pi/3) = 1, minimal polynomials of Gaussian periods, etc.); property
@@ -7,10 +7,15 @@ tests check the field axioms on randomly sampled values.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brpic.center import _s_matrix, modular_data, simple_objects
+from brpic.chars import centralizer_table, character_table
+from brpic.cohom import antisymmetrize, h2_classes, is_nondegenerate, sigma_from_eta
 from brpic.cyclo import (
+    CycloArray,
     Cyclotomic,
     cyclo_sum,
     from_rational,
@@ -21,6 +26,7 @@ from brpic.cyclo import (
 from brpic.cyclo import _cyclo_poly  # internal, pinned against textbook values
 from brpic.cyclo import _lift_matrix, _poly_divmod_exact
 from brpic.errors import CertificationError, DivisionByZero
+from brpic.groups import abelian_normal_subgroups, conjugacy_classes, named_group
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +240,119 @@ def test_internal_checks_raise_certification_error():
         _poly_divmod_exact([1, 0, 1], [-1, 1])
     with pytest.raises(CertificationError, match="lift matrix"):
         _lift_matrix(3, 8)
+
+
+# ---------------------------------------------------------------------------
+# builds run on integer arrays, not on Cyclotomic arithmetic
+# ---------------------------------------------------------------------------
+
+def _forbid_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Cyclotomic arithmetic during a build")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(Cyclotomic, name, refuse)
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "Q8xZ/3", "Z/3^2"])
+def test_character_table_does_no_cyclotomic_arithmetic(monkeypatch, name):
+    G = named_group(name)
+    _forbid_arithmetic(monkeypatch)
+    values = [v for ch in character_table(G) for v in ch.values]
+    # one object per distinct value
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4"])
+def test_s_matrix_does_no_cyclotomic_arithmetic(monkeypatch, name):
+    G = named_group(name)
+    simples, classes = simple_objects(G), conjugacy_classes(G)
+    tables = [centralizer_table(G, cl.rep) for cl in classes]
+    want = modular_data(G).S
+    _forbid_arithmetic(monkeypatch)
+    S = _s_matrix(G, simples, classes, tables)
+    assert all(x == y for x, y in zip(S.flat, want.flat))
+
+
+@pytest.mark.parametrize("name", ["Z/2^2", "D4"])
+def test_sigma_from_eta_does_no_cyclotomic_arithmetic(monkeypatch, name):
+    G = named_group(name)
+    cases = []
+    for S in abelian_normal_subgroups(G):
+        Sgrp, _ = S.as_group()
+        cases += [(S, eta) for eta in h2_classes(Sgrp).representatives
+                  if is_nondegenerate(antisymmetrize(eta, S))]
+    assert len(cases) > 1
+    _forbid_arithmetic(monkeypatch)
+    for S, eta in cases:
+        sigma = sigma_from_eta(S, eta)
+        assert sigma.shape == (G.n, G.n)
+
+
+# ---------------------------------------------------------------------------
+# CycloArray against entry-by-entry Cyclotomic arithmetic
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng, n, shape):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = sum((root_of_unity(n, k) * Fraction(int(rng.integers(-3, 4)),
+                                                        int(rng.integers(1, 3)))
+                        for k in range(n)), zero())
+    return out
+
+
+def _same(got, want):
+    return got.shape == want.shape and all(
+        x == y for x, y in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 12])
+def test_cyclo_array_matches_entrywise_arithmetic(n):
+    rng = np.random.default_rng(n)
+    X, Y = _random_matrix(rng, n, (3, 3)), _random_matrix(rng, n, (3, 3))
+    M = rng.integers(-5, 6, size=(3, 3))
+    a, b = CycloArray.lift(X, 12 * n), CycloArray.lift(Y, 12 * n)
+    conj = np.vectorize(lambda v: v.conj(), otypes=[object])
+    assert _same(a.decode(), X)
+    assert _same((a @ b).decode(), X @ Y)
+    assert _same((a * b).decode(), X * Y)
+    assert _same((a @ M).decode(), X @ M)
+    assert _same((a * M[0]).decode(), X * M[0])
+    assert _same((a / -4).decode(), X / -4)
+    assert _same(a.conj().transpose().decode(), conj(X).T)
+    assert _same(a[1].decode(), X[1])
+    assert np.array_equal(a == b, X == Y)
+    assert (a == a.conj()).tolist() == (X == conj(X)).tolist()
+    assert np.array_equal((a @ b) / 2 == (a / 2) @ b, np.ones((3, 3), bool))
+    assert np.array_equal(a * 0 == 0, np.ones((3, 3), bool))
+
+
+def test_cyclo_array_decodes_equal_values_to_one_object():
+    z = root_of_unity(6, 1)
+    X = np.array([[z, z * z], [z * z, -one()]], dtype=object)
+    a = CycloArray.lift(X)
+    assert a.L == 3                      # zeta_6 = -zeta_3^2
+    Y = (a * a).decode()
+    assert _same(Y, X * X)
+    assert Y[0, 1] is Y[1, 0] and Y[1, 1] is not Y[0, 0]
+
+
+def test_cyclo_array_from_roots():
+    counts = np.array([[[2, 0, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]],
+                       [[0, 0, 0, 3, 0, 0], [0, 1, 0, 0, 0, 1]]])
+    got = CycloArray.from_roots(counts, 6).decode()
+    want = [[sum((int(c) * root_of_unity(6, t) for t, c in enumerate(row)),
+                 zero()) for row in rows] for rows in counts]
+    assert got.tolist() == want
+    assert got[1, 0] == -3 and got[0, 1] == 0
+
+
+def test_cyclo_array_refuses_mixed_fields_and_division_by_zero():
+    a = CycloArray.lift(np.array([root_of_unity(3, 1)], dtype=object))
+    b = CycloArray.lift(np.array([root_of_unity(4, 1)], dtype=object))
+    for op in (lambda: a @ b, lambda: a * b, lambda: a == b):
+        with pytest.raises(ValueError, match="mixed"):
+            op()
+    with pytest.raises(DivisionByZero):
+        a / 0

@@ -183,3 +183,18 @@ def test_no_dead_locals():
         if (names := _dead_locals(func))
     ]
     assert not dead, f"locals assigned but never read: {dead}"
+
+
+def test_only_cyclo_knows_its_internals():
+    """No module of src/brpic other than ``cyclo`` imports a name beginning
+    with ``_`` from it: the coefficient-tensor format belongs to
+    ``cyclo.CycloArray``."""
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in MODULES if path.name != "cyclo.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("cyclo", "brpic.cyclo")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported from cyclo: {private}"

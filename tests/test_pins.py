@@ -14,7 +14,9 @@ label coordinates that preceded the integer-table readers.  The group
 structure, complement and product records were taken from the two
 breadth-first subgroup searches, the two complement tests and the
 hand-indexed product and quotient tables that preceded ``groups._joins``,
-``groups._is_complement`` and the array-built tables.
+``groups._is_complement`` and the array-built tables.  The character
+table and dual-cocycle records were taken from the per-entry ``Cyclotomic``
+sums that preceded the integer-tensor builds of ``cyclo.CycloArray``.
 """
 
 import hashlib
@@ -39,10 +41,13 @@ from brpic.autoeq import (
 from brpic.chars import character_table, clifford_decomposition
 from brpic.cohom import (
     Cocycle2,
+    antisymmetrize,
     coboundary,
     h2_classes,
     is_lazy,
+    is_nondegenerate,
     lazy_representative,
+    sigma_from_eta,
 )
 from brpic.errors import BrpicError
 from brpic.fpn import (
@@ -596,3 +601,81 @@ def test_structure_case_counts():
     assert sum(c for c, _ in COMPLEMENTS.values()) == 38
     assert sum(isinstance(_outcome(make, _group_record), str)
                for make in _products().values()) == 5
+
+
+# ---------------------------------------------------------------------------
+# character tables and dual cocycles
+# ---------------------------------------------------------------------------
+
+# name -> (number of characters, digest of every value's to_json, row by row)
+TABLES = {
+    "S3": (3, "cac879b312d2d193"),
+    "D4": (5, "dbba3a142b318215"),
+    "Q8": (5, "73ba1641a04c7f61"),
+    "A4": (4, "b58b278c5e0a9812"),
+    "S4": (5, "24373d6fb78b06c5"),
+    "A5": (5, "fa73ab962aa568cf"),
+    "S5": (7, "fd5a98cd391a9801"),
+    "S3xZ/2": (6, "670abcc4d7aad253"),
+    "Z/2^2": (4, "843d5a8f4b2c9994"),
+    "Z/3": (3, "295cff0c163f5c92"),
+    "Z/5": (5, "16794fe1a36ce9fb"),
+    "Z/6": (6, "f2006b70f106f46c"),
+    "Z/2^3": (8, "3589e0690010bf66"),
+    "Z/3^2": (9, "c216c797e52fbd31"),
+    "Z/7": (7, "ad15033572b57daa"),
+    "S3xZ/3": (9, "5527956d4a9dd160"),
+    "D4xZ/2": (10, "238f42f6a1dbd188"),
+    "Q8xZ/3": (15, "c740c01d6a96fb1d"),
+    "A4xZ/2": (8, "703040a590bc9b94"),
+    "Z/5:Z/4@[0,2,4,1,3]": (5, "1d5484471f8dcddf"),
+    "Z/7:Z/3@[0,2,4,6,1,3,5]": (5, "d61d818244ed567a"),
+    "Z/3:Z/4": (6, "9cdabaa05ab664f6"),
+    "S3xS3": (9, "4946e14e3d837dd4"),
+    "Z/4xZ/2": (8, "8f8aec4a351f500c"),
+    "Z/8": (8, "dab5b4477eabe054"),
+    "Z/12": (12, "56a8c6b9d578cbeb"),
+    "Q8xZ/2": (10, "0ddf2a6b0c90dd1c"),
+    "Z/4:Z/4@[0,3,2,1]": (10, "56766cdf0087cd8f"),
+    "Z/3^2:Z/2": (6, "1d1bd56377840b94"),
+    "Z/9": (9, "dfd94121e7bf2cf4"),
+    "Z/10": (10, "6ac1d85d5cf3dd57"),
+    "Z/15": (15, "2b7b8db8d46554b2"),
+}
+
+# name -> (number of nondegenerate classes on its abelian normal subgroups,
+# digest of (S, class index, sigma's to_json) for each)
+SIGMAS = {
+    "Z/2^2": (2, "e570c65c3a2cb4c4"),
+    "Z/4xZ/2": (2, "b05df1759d216654"),
+    "D4": (3, "136d5c174e83fa1c"),
+}
+
+
+def _sigma_record(G):
+    out = []
+    for S in abelian_normal_subgroups(G):
+        Sgrp, _ = S.as_group()
+        for i, eta in enumerate(h2_classes(Sgrp).representatives):
+            if is_nondegenerate(antisymmetrize(eta, S)):
+                sigma = sigma_from_eta(S, eta)
+                out.append((S.elements, i,
+                            [[v.to_json() for v in row] for row in sigma]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_character_tables_pinned(name):
+    record = [[v.to_json() for v in ch.values]
+              for ch in character_table(named_group(name))]
+    _check(TABLES, name, record)
+
+
+@pytest.mark.parametrize("name", sorted(SIGMAS))
+def test_dual_cocycles_pinned(name):
+    _check(SIGMAS, name, _sigma_record(named_group(name)))
+
+
+def test_table_and_sigma_case_counts():
+    assert len(TABLES) == 32
+    assert sum(c for c, _ in SIGMAS.values()) == 7
