@@ -296,11 +296,17 @@ def verlinde_fusion(md: ModularData, i: int, j: int, k: int) -> int:
     """Fusion multiplicity N_ij^k from the S-matrix.
 
     N_ij^k = (1/|G|^2) * sum over r of S[i,r] S[j,r] conj(S[k,r]) / S[0,r]
-    in the unnormalized convention.  A result that is not a non-negative
-    rational integer raises NonIntegralFusion.
+    in the unnormalized convention.  An index outside range(N) raises
+    ValueError; a result that is not a non-negative rational integer raises
+    NonIntegralFusion.
     """
     S = md.S
     ns = md.size
+    for x in (i, j, k):
+        if not 0 <= x < ns:
+            raise ValueError(
+                f"index {x} is not a simple of Z({md.group.name}) (N = {ns})"
+            )
     n2 = md.group.n * md.group.n
     total = cyclo_sum(
         S[i, r] * S[j, r] * S[k, r].conj() / S[0, r] for r in range(ns)

@@ -105,7 +105,7 @@ def _parse_ids(text: str, what: str) -> tuple:
         raise BadArguments(f"{what} must be comma-separated integers, got {text!r}")
 
 
-def _modulus(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         m = int(text)
     except ValueError:
@@ -367,7 +367,11 @@ def _cmd_fpn(ns) -> tuple:
                 rows = json.loads(ns.matrix)
             except json.JSONDecodeError as e:
                 raise BadArguments(f"--matrix must be a JSON matrix: {e}")
-            cell = bruhat_factorize(FpMatrix(p, rows))
+            try:
+                M = FpMatrix(p, rows)
+            except ValueError as e:
+                raise BadArguments(f"--matrix: {e}") from None
+            cell = bruhat_factorize(M)
             b, e, r = cell.factors
             payload = {
                 "p": p,
@@ -518,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--modulus",
-        type=_modulus,
+        type=_positive_int,
         default=None,
         help="cohomology coefficient modulus (default: group exponent)",
     )
@@ -561,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fpn = commands.add_parser("fpn")
     fpn.add_argument("p", type=int)
-    fpn.add_argument("n", type=int)
+    fpn.add_argument("n", type=_positive_int)
     fsub = fpn.add_subparsers(dest="fpn_command", required=True)
     fsub.add_parser("orders")
     sp = fsub.add_parser("generate")

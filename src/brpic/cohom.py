@@ -12,8 +12,9 @@ Everything is exact linear algebra over Z/m; no floating point anywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import prod
 
 import numpy as np
 
@@ -362,39 +363,31 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
         axis=1,
     ) if coords else redundancy.reshape(k, -1)
     D, T = diagonalize_mod(Q, m)
-    gvec = []
-    for i in range(k):
-        d = int(D[i, i]) if i < min(D.shape) else 0
-        gvec.append(gcd(d, m) if d else m)
-    count = 1
-    for g in gvec:
-        count *= g
+    gvec = np.gcd(np.pad(np.diagonal(D), (0, k - min(D.shape))), m)
+    count = prod(gvec.tolist())
     if count > H2_CLASS_BUDGET:
         raise BudgetExceeded(
             f"{count} classes exceed H2_CLASS_BUDGET = {H2_CLASS_BUDGET}"
         )
 
-    # enumerate labels lexicographically; reconstruct a cocycle per label
-    positions = [i for i, g in enumerate(gvec) if g > 1]
-    reps: list[Cocycle2] = []
-    label_index: dict = {}
-    labels: list[tuple[int, ...]] = [()]
-    for i in positions:
-        labels = [lab + (v,) for lab in labels for v in range(gvec[i])]
-    for j, lab in enumerate(labels):
-        w = np.zeros(k, dtype=np.int64)
-        for pos, val in zip(positions, lab):
-            w[pos] = val
-        y = (T.Uinv @ w) % m
-        vec = (zbasis @ y) % m
-        table = np.zeros((n, n), dtype=np.int64)
-        table[np.ix_(nz, nz)] = vec.reshape(len(nz), len(nz))
-        reps.append(Cocycle2(G, m, table))          # checked at construction
-        label_index[lab] = j
-    divisors = elementary_divisor_chain([g for g in gvec if g > 1])
+    # a label w (lexicographic over Z/g at each position with g > 1) has the
+    # representative zbasis U^-1 w; U is invertible mod m, so column i of
+    # U^-1 is the unique solution of U x = e_i
+    positions = np.flatnonzero(gvec > 1)
+    usolver = DiagonalizedSystem(T.U, m)
+    cols = np.array(
+        [usolver.solve(np.arange(k) == i) for i in positions], dtype=np.int64
+    ).reshape(positions.size, k)
+    labels = list(itertools.product(*map(range, gvec[positions].tolist())))
+    y = np.array(labels, dtype=np.int64, ndmin=2) @ cols % m
+    tables = np.zeros((len(labels), n, n), dtype=np.int64)
+    tables[:, 1:, 1:] = (zbasis @ y.T % m).T.reshape(-1, n - 1, n - 1)
+    reps = [Cocycle2(G, m, t) for t in tables]      # checked at construction
+    label_index = {lab: j for j, lab in enumerate(labels)}
+    divisors = elementary_divisor_chain(gvec[positions].tolist())
     res = H2Classes(
         G, m, reps, divisors,
-        _zsolver=zsolver, _uprime=T.U, _gvec=tuple(gvec),
+        _zsolver=zsolver, _uprime=T.U, _gvec=tuple(gvec.tolist()),
         _label_index=label_index,
     )
     G._memo[key] = res
@@ -512,7 +505,10 @@ def dual_element(pairing: Pairing, linear_char) -> int:
     _, elems = S.as_group()
     target = []
     for val in linear_char.values:
-        order, k = val.as_root_of_unity()
+        root = val.as_root_of_unity()
+        if root is None:
+            raise NoSuchElement(f"character value {val!r} is not a root of unity")
+        order, k = root
         if m % order:
             raise NoSuchElement(
                 f"character order {order} does not divide the modulus {m}"

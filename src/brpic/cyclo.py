@@ -297,30 +297,15 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """x^-1 = prod_{s != 1} s(x) / N(x): the norm N(x), x times its
+        conjugates over Gal(Q(zeta_n)/Q), is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of 0 in a cyclotomic field")
-        if self.n == 1:
-            return Cyclotomic.rational(Fraction(1) / self.c[0])
-        # Solve (mult-by-self) y = 1 exactly on the power basis.
-        h = _phi(self.n)
-        cols = []
-        for i in range(h):
-            unit = [Fraction(0)] * h
-            unit[i] = Fraction(1)
-            prod = self * Cyclotomic(self.n, tuple(unit), _canonical=True)
-            cols.append(prod._lift_coeffs(self.n))
-        aug = [[cols[j][i] for j in range(h)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(h)]
-        for col in range(h):
-            piv = next(r for r in range(col, h) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(h):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return _canonicalize(self.n, [aug[i][h] for i in range(h)])
+        rest = Cyclotomic.rational(1)
+        for j in range(2, self.n):
+            if gcd(j, self.n) == 1:
+                rest = rest * self.galois(j)
+        return rest / (self * rest)
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)

@@ -7,13 +7,14 @@ the primitives here.
 * ``echelon_rows_mod`` streams a large equation system into a compact
   row-echelon set spanning the same row module (gcd-combination steps keep
   everything exact for composite m).
-* ``diagonalize_mod`` produces U A V = D with U, V invertible mod m (their
-  inverses are tracked op-by-op), which is enough to solve linear systems
-  and to read off quotient structure mod m.  Entries never leave [0, m), so
-  there is no coefficient blowup.  Clearing a pivot's column (then its row)
-  handles each run of entries the pivot divides in one vectorized update;
-  only an entry it does not divide takes a sequential xgcd step, so the
-  operations, and U, V and their inverses, are those of one row at a time.
+* ``diagonalize_mod`` produces U A V = D with U, V invertible mod m, which
+  is enough to solve linear systems and to read off quotient structure mod
+  m.  No inverse is tracked: a caller that needs columns of U^-1 solves
+  U x = e_i for them.  Entries never leave [0, m), so there is no
+  coefficient blowup.  Clearing a pivot's column (then its row) handles
+  each run of entries the pivot divides in one vectorized update; only an
+  entry it does not divide takes a sequential xgcd step, so the operations,
+  and U and V, are those of one row at a time.
 * ``smith_normal_form`` is a literal integer Smith normal form with
   unimodular transforms, used as an independent oracle for the mod-m route
   on small instances.
@@ -278,41 +279,32 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Transforms:
-    """U (rows) with its inverse and V (columns), under elementary ops.
+    """U (rows) and V (columns), under elementary ops.
 
     A column operation on D is the row operation on D.T and V.T, so
     ``_swap``, ``_combine`` and ``_clear`` are written once, for rows, on
-    (A, M, Minv) = (D, U, Uinv) or (D.T, V.T, None): ``A <- E A``,
-    ``M <- E M`` and, when there is an inverse to update, ``Minv <- Minv
-    E^-1``.
+    (A, M) = (D, U) or (D.T, V.T): ``A <- E A`` and ``M <- E M``.
     """
 
     def __init__(self, r: int, c: int):
         self.U = np.eye(r, dtype=np.int64)
-        self.Uinv = np.eye(r, dtype=np.int64)
         self.V = np.eye(c, dtype=np.int64)
 
 
-def _swap(A, M, Minv, i, j):
+def _swap(A, M, i, j):
     A[[i, j]] = A[[j, i]]
     M[[i, j]] = M[[j, i]]
-    if Minv is not None:
-        Minv[:, [i, j]] = Minv[:, [j, i]]
 
 
-def _combine(A, M, Minv, m, i, j, s, t, ag, bg):
+def _combine(A, M, m, i, j, s, t, ag, bg):
     """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj), det = 1."""
     for X in (A, M):
         ri, rj = X[i].copy(), X[j].copy()
         X[i] = (s * ri + t * rj) % m
         X[j] = (-bg * ri + ag * rj) % m
-    if Minv is not None:
-        ci, cj = Minv[:, i].copy(), Minv[:, j].copy()
-        Minv[:, i] = (ag * ci + bg * cj) % m
-        Minv[:, j] = (-t * ci + s * cj) % m
 
 
-def _clear(A, M, Minv, m, k) -> bool:
+def _clear(A, M, m, k) -> bool:
     """Clear column k of A off the pivot A[k, k] by row operations.
 
     Rows are taken in increasing order.  Each run of rows whose entry the
@@ -334,14 +326,11 @@ def _clear(A, M, Minv, m, k) -> bool:
             run, q = rows[:stop], -(b[:stop] // a)
             A[run] = (A[run] + q[:, None] * A[k]) % m
             M[run] = (M[run] + q[:, None] * M[k]) % m
-            if Minv is not None:
-                # |sum| < len(run) * m^2, exact in int64 for the moduli in use
-                Minv[:, k] = (Minv[:, k] - Minv[:, run] @ q) % m
         if stop == rows.size:
             break
         i, bi = int(rows[stop]), int(b[stop])
         g, s, t = xgcd(a, bi)
-        _combine(A, M, Minv, m, k, i, s, t, a // g, bi // g)
+        _combine(A, M, m, k, i, s, t, a // g, bi // g)
         a = int(A[k, k])
         dirty = True
         rows = rows[stop + 1:]
@@ -351,14 +340,16 @@ def _clear(A, M, Minv, m, k) -> bool:
 def diagonalize_mod(A, m: int):
     """(D, T) with T.U @ A @ T.V == D mod m, U and V invertible mod m.
 
-    D is diagonal (no divisor chain enforced).  Deterministic pivoting:
-    the nonzero entry minimizing (gcd(entry, m), row, col) in the remaining
-    block, read off row k when it holds a unit (see the module docstring).
+    D is diagonal (no divisor chain enforced).  Neither inverse is kept:
+    column i of U^-1 is ``DiagonalizedSystem(T.U, m).solve(e_i)``.
+    Deterministic pivoting: the nonzero entry minimizing (gcd(entry, m),
+    row, col) in the remaining block, read off row k when it holds a unit
+    (see the module docstring).
     """
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
     T = _Transforms(r, c)
-    rows, cols = (D, T.U, T.Uinv), (D.T, T.V.T, None)
+    rows, cols = (D, T.U), (D.T, T.V.T)
     for k in range(min(r, c)):
         while True:
             head = D[k, k:]
@@ -418,19 +409,14 @@ class DiagonalizedSystem:
         return (self.T.V @ z) % m
 
     def nullspace(self) -> np.ndarray:
-        """Columns generating {x : A x = 0 mod m} as a Z/m-module."""
+        """Columns generating {x : A x = 0 mod m} as a Z/m-module: column i
+        of V times m / gcd(d_i, m) for each d_i that is no unit mod m (the
+        diagonal is padded with zeros to one d_i per column)."""
         m = self.m
-        cols = []
-        for i in range(self.cols):
-            d = int(self.D[i, i]) if i < min(self.rows, self.cols) else 0
-            g = gcd(d, m)        # m when d = 0 (free coordinate)
-            mult = m // g
-            if mult == m:
-                continue         # pivot is a unit: only the zero solution here
-            cols.append((mult * self.T.V[:, i]) % m)
-        if not cols:
-            return np.zeros((self.cols, 0), dtype=np.int64)
-        return np.stack(cols, axis=1)
+        d = np.pad(np.diagonal(self.D), (0, self.cols - min(self.D.shape)))
+        mult = m // np.gcd(d, m)
+        keep = mult != m
+        return self.T.V[:, keep] * mult[keep] % m
 
 
 def solve_mod(A, b, m: int):

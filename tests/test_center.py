@@ -227,6 +227,14 @@ def test_sampled_fusion_nonnegative(name):
         assert verlinde_fusion(md, i, j, k) >= 0
 
 
+@pytest.mark.parametrize("ijk", [(-1, 0, 7), (0, 8, 0), (0, 0, 8), (8, 0, 0)])
+def test_fusion_index_outside_the_simples_is_refused(ijk):
+    md = modular_data(named_group("S3"))
+    bad = next(x for x in ijk if not 0 <= x < 8)
+    with pytest.raises(ValueError, match=rf"index {bad} .*\(N = 8\)"):
+        verlinde_fusion(md, *ijk)
+
+
 def test_corrupted_s_matrix_raises_nonintegral():
     md = modular_data(named_group("S3"))
     bad = np.array(md.S, dtype=object, copy=True)

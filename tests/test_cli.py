@@ -87,6 +87,22 @@ class TestExitCodes:
         assert not out
         assert "--modulus" in err and f"got {modulus}" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fpn", "3", "0", "orders"], "argument n: must be at least 1, got 0"),
+        (["fpn", "3", "-1", "bruhat", "--all"], "argument n: must be at least 1"),
+        (["fpn", "3", "1", "bruhat", "--matrix", "[1]"], "square matrix"),
+        (["fpn", "3", "1", "bruhat", "--matrix", "[[1, 0], [0]]"], "--matrix"),
+    ])
+    def test_bad_fpn_input_is_usage_error(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "brpic.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert not proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "usage:" in proc.stderr and message in proc.stderr
+
     def test_not_prime_is_domain_error(self, capsys):
         code, payload, _ = run_json(capsys, "fpn", "4", "1", "orders")
         assert code == 1

@@ -436,6 +436,15 @@ def test_dual_element_wrong_character_order():
         dual_element(p, foreign)
 
 
+def test_dual_element_of_a_nonlinear_character():
+    # S3's degree-2 character takes the value 2, which is no root of unity
+    G = named_group("Z/2^2")
+    p = antisymmetrize(h2_classes(G, 2)[1], G.full_subgroup())
+    chi = next(ch for ch in character_table(named_group("S3")) if ch.degree == 2)
+    with pytest.raises(NoSuchElement, match="value 2 is not a root of unity"):
+        dual_element(p, chi)
+
+
 def test_pairing_orthogonality_identity():
     """sum over s' s'' = s of <x,s'><y,s''> equals |S| delta_xy <x,s>."""
     G = named_group("Z/2^2")

@@ -21,6 +21,7 @@ from brpic.zmodlin import (
     _primitive_root,
     _rref_mod_p,
     _select_spanning_rows,
+    DiagonalizedSystem,
     diagonalize_mod,
     xgcd,
 )
@@ -199,7 +200,8 @@ def _dense_select_spanning_rows(A, p, k):
 
 def _sequential_diagonalize_mod(A, m):
     """Reference: clears the pivot's column, then its row, one elementary
-    operation at a time.  Returns (D, U, Uinv, V)."""
+    operation at a time, and tracks U^-1 alongside U.  Returns
+    (D, U, Uinv, V)."""
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
     U, Uinv = np.eye(r, dtype=np.int64), np.eye(r, dtype=np.int64)
@@ -291,19 +293,38 @@ def test_select_spanning_rows_matches_dense_sweep(seed):
 DIAG_MODULI = [2, 4, 6, 8, 12, 16, 24, 30, 36]
 
 
-@pytest.mark.parametrize("seed", range(45))
-def test_diagonalize_mod_matches_sequential_routine(seed):
+def _diag_case(seed):
+    """A random (A, m) with A at most 8 x 8 and about 60 % nonzero."""
     rng = np.random.default_rng(1000 + seed)
     m = DIAG_MODULI[seed % len(DIAG_MODULI)]
     r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    A = rng.integers(0, m, size=(r, c)) * (rng.random((r, c)) < 0.6)
+    return rng.integers(0, m, size=(r, c)) * (rng.random((r, c)) < 0.6), m
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_diagonalize_mod_matches_sequential_routine(seed):
+    A, m = _diag_case(seed)
+    r, c = A.shape
     D, T = diagonalize_mod(A, m)
     assert not (D * (1 - np.eye(r, c, dtype=np.int64))).any()   # diagonal
     assert np.array_equal(T.U @ A @ T.V % m, D)
-    assert np.array_equal(T.U @ T.Uinv % m, np.eye(r, dtype=np.int64))
-    ref = _sequential_diagonalize_mod(A, m)
-    for got, want in zip((D, T.U, T.Uinv, T.V), ref):
+    D_ref, U_ref, _, V_ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.V), (D_ref, U_ref, V_ref)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_solving_against_u_gives_the_reference_inverse(seed):
+    # diagonalize_mod keeps no inverse; a caller reads column i of U^-1 as
+    # the unique solution of U x = e_i
+    A, m = _diag_case(seed)
+    r = A.shape[0]
+    _, T = diagonalize_mod(A, m)
+    _, _, Uinv_ref, _ = _sequential_diagonalize_mod(A, m)
+    usolver = DiagonalizedSystem(T.U, m)
+    got = np.stack([usolver.solve(e) for e in np.eye(r, dtype=np.int64)], axis=1)
+    assert np.array_equal(got, Uinv_ref)
+    assert np.array_equal(T.U @ got % m, np.eye(r, dtype=np.int64))
 
 
 @pytest.mark.parametrize("A,m", [
@@ -318,8 +339,8 @@ def test_diagonalize_mod_pivot_choice_matches(monkeypatch, A, m):
                         lambda *a: calls.append(a) or clear(*a))
     D, T = diagonalize_mod(A, m)
     assert bool(calls) == (m > 1)        # a zero block is never cleared
-    ref = _sequential_diagonalize_mod(A, m)
-    for got, want in zip((D, T.U, T.Uinv, T.V), ref):
+    D_ref, U_ref, _, V_ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.V), (D_ref, U_ref, V_ref)):
         assert np.array_equal(got, want)
 
 
@@ -338,8 +359,8 @@ def test_diagonalize_mod_xgcd_steps_match(monkeypatch, A, m):
     assert calls                                     # the xgcd branch fired
     A = np.asarray(A, dtype=np.int64)
     assert np.array_equal(T.U @ A @ T.V % m, D)
-    ref = _sequential_diagonalize_mod(A, m)
-    for got, want in zip((D, T.U, T.Uinv, T.V), ref):
+    D_ref, U_ref, _, V_ref = _sequential_diagonalize_mod(A, m)
+    for got, want in zip((D, T.U, T.V), (D_ref, U_ref, V_ref)):
         assert np.array_equal(got, want)
 
 
