@@ -42,6 +42,8 @@ from math import lcm
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .autoeq import (
     PartialBrEq,
     autoeq_from_json,
@@ -94,8 +96,41 @@ _FPN_CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 # -- small helpers ---------------------------------------------------------
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit(report: dict) -> None:
+    """Write the report as JSON with indent 2 and sorted keys, plus a newline.
+
+    Values are plain JSON, except that an int stack ``[N, k, k]`` (a numpy
+    array) is written exactly as its nested lists would be: ``json.dumps``
+    holds its place with a marker string, which is then replaced by one
+    ``%d`` template per matrix, re-indented to the marker's depth.
+    """
+    stacks = []
+
+    def hold(obj):
+        if not (isinstance(obj, np.ndarray) and obj.ndim == 3):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        stacks.append(obj)
+        return f"\0stack {len(stacks) - 1}"
+
+    text = json.dumps(report, indent=2, sort_keys=True, default=hold)
+    for i, E in enumerate(stacks):
+        head, text = text.split(json.dumps(f"\0stack {i}"), 1)
+        line = head[head.rfind("\n") + 1:]
+        sys.stdout.write(head)
+        sys.stdout.write(_stack_json(E, line[:len(line) - len(line.lstrip())]))
+    sys.stdout.write(text + "\n")
+
+
+def _stack_json(E: np.ndarray, indent: str) -> str:
+    """``json.dumps(E.tolist(), indent=2)`` for a stack whose opening line
+    is indented by ``indent``, from one ``%d`` template per matrix."""
+    if not len(E):
+        return "[]"
+    inner = "\n" + indent + "  "
+    one = json.dumps(np.zeros(E.shape[1:], dtype=int).tolist(), indent=2)
+    one = one.replace("0", "%d").replace("\n", inner)
+    body = ("," + inner).join([one] * len(E)) % tuple(E.ravel().tolist())
+    return "[" + inner + body + "\n" + indent + "]"
 
 
 def _parse_ids(text: str, what: str) -> tuple:
@@ -348,10 +383,11 @@ def _cmd_fpn(ns) -> tuple:
     if sub == "generate":
         which = ns.which
         if which == "all":
-            mats = _matrix_closure(standard_generators(p, n), cap)[1].tolist()
+            mats = _matrix_closure(standard_generators(p, n), cap)[1]
             note = "closure of the V, BV, EV, R families"
         else:
-            mats = [M.tolist() for M in subgroup_generators(p, n, which)]
+            mats = np.array([M.entries for M in subgroup_generators(
+                p, n, which)], dtype=np.int64).reshape(-1, 2 * n, 2 * n)
             note = f"generator list for family {which}"
         payload = {
             "p": p,
@@ -371,6 +407,11 @@ def _cmd_fpn(ns) -> tuple:
                 M = FpMatrix(p, rows)
             except ValueError as e:
                 raise BadArguments(f"--matrix: {e}") from None
+            if M.size != 2 * n:
+                raise BadArguments(
+                    f"--matrix is {M.size} x {M.size}, but n = {n} needs"
+                    f" 2n x 2n = {2 * n} x {2 * n}"
+                )
             cell = bruhat_factorize(M)
             b, e, r = cell.factors
             payload = {

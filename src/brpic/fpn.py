@@ -453,10 +453,15 @@ def group_order_oracle(p: int, n: int) -> int:
     """Count all matrices with M^T J M = J by constrained column extension.
 
     Independent of the generator machinery: columns are chosen left to
-    right, keeping exactly the candidate vectors compatible with the Gram
-    constraints against the columns already fixed.  Invertibility is
-    automatic (a dependent column set would make M^T J M singular).
-    Restricted to 2n <= 4 and p <= 5; larger inputs raise BudgetExceeded.
+    right among the nonzero isotropic vectors ``iso``, keeping exactly the
+    candidates compatible with the Gram constraints against the columns
+    already fixed.  All partial frames of k columns form one int array
+    ``[F, k]`` of indices into ``iso``; with the table ``gram = iso J
+    iso^T`` (mod p), level k keeps the pairs (frame, candidate j) with
+    ``gram[frame[i], j] == J[k, i]`` for every i < k, and the count is the
+    number of frames at level 2n.  Invertibility is automatic (a dependent
+    column set would make M^T J M singular).  Restricted to 2n <= 4 and
+    p <= 5; larger inputs raise BudgetExceeded.
     """
     _check_prime(p)
     if n < 1:
@@ -475,19 +480,15 @@ def group_order_oracle(p: int, n: int) -> int:
     # J has zero diagonal, so the self-constraint v^T J v = 0 is the same
     # for every column slot.
     iso = vecs[(np.einsum("ij,jk,ik->i", vecs, J, vecs) % p) == 0]
-
-    def count(cols: List[np.ndarray]) -> int:
-        k = len(cols)
-        if k == m:
-            return 1
-        cand = iso
-        for i, c in enumerate(cols):
-            cand = cand[(cand @ ((J @ c) % p) % p) == J[k, i]]
-            if not len(cand):
-                return 0
-        return sum(count(cols + [c]) for c in cand)
-
-    return count([])
+    gram = (iso @ J @ iso.T % p).astype(np.uint8)
+    frames = np.zeros((1, 0), dtype=np.intp)
+    for k in range(m):
+        ok = np.ones((len(frames), len(iso)), dtype=bool)
+        for i in range(k):
+            ok &= gram[frames[:, i]] == J[k, i]
+        at, j = ok.nonzero()
+        frames = np.column_stack([frames[at], j])
+    return len(frames)
 
 
 # -- Bruhat factorization --------------------------------------------------

@@ -388,12 +388,51 @@ class TestFpnCommands:
         )
         assert code == 2
 
+    def test_bruhat_matrix_size_must_match_n(self, capsys):
+        eye = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+        code, out, err = run(capsys, "fpn", "3", "1", "bruhat", "--matrix", eye)
+        assert code == 2
+        assert not out
+        assert "4 x 4" in err and "n = 1" in err
+
     def test_bruhat_non_form_preserving(self, capsys):
         code, payload, _ = run_json(
             capsys, "fpn", "3", "1", "bruhat", "--matrix", "[[1,1],[0,1]]"
         )
         assert code == 1
         assert payload["error"] == "NotFormPreserving"
+
+
+class TestEmitMatchesJsonDumps:
+    """stdout is ``json.dumps(report, indent=2, sort_keys=True)`` plus a
+    newline, byte for byte, whether or not the report holds a matrix stack."""
+
+    @staticmethod
+    def check(capsys, report):
+        code, out, _ = run(capsys, *report["command"])
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return code
+
+    @pytest.mark.parametrize("which, matrices", [
+        ("V", []),
+        ("R", [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    ])
+    def test_generator_stack(self, capsys, which, matrices):
+        report = {
+            "command": ["fpn", "2", "1", "generate", "--which", which],
+            "notes": [f"generator list for family {which}"],
+            "result": {"count": len(matrices), "matrices": matrices,
+                       "n": 1, "p": 2, "which": which},
+        }
+        assert self.check(capsys, report) == 0
+
+    def test_error_report(self, capsys):
+        report = {
+            "command": ["fpn", "4", "1", "generate"],
+            "error": "NotPrime",
+            "message": "4 is not prime",
+        }
+        assert self.check(capsys, report) == 1
 
 
 class TestPinnedClosureOutput:
@@ -418,6 +457,8 @@ class TestPinnedClosureOutput:
          "6ee4f8c60867f7901135d4712ea0735ad423a0399cf753ed70a8e87ae5b44790"),
         ("3", "2",
          "e4a5bade766c79986e5d5b8949ff910f1301ed7b10341891fbc55c07db78e39a"),
+        ("5", "2",
+         "b7fe0361ab22c3a2db8814d823d4be5846b37beaf723f5328075ec922f3b95aa"),
     ])
     def test_fpn_generate(self, capsys, p, n, sha):
         assert self.digest(capsys, "fpn", p, n, "generate") == sha

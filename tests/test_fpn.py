@@ -57,9 +57,13 @@ from brpic.groups import GroupMorphism, identity_morphism, named_group
 from brpic.zmodlin import _inv_mod_p, _rref_mod_p
 
 CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+# Every (p, n) inside the oracle's budget; tests that enumerate whole groups
+# element by element stay on CONFIGS.
+ORACLE_CONFIGS = CONFIGS + [(5, 2)]
 
 # Frozen via group_order_oracle: Sp_2n(F_2) at p = 2, O_2n^+(F_p) at odd p.
-FROZEN_ORDERS = {(2, 1): 6, (3, 1): 4, (5, 1): 8, (2, 2): 720, (3, 2): 1152}
+FROZEN_ORDERS = {(2, 1): 6, (3, 1): 4, (5, 1): 8, (2, 2): 720, (3, 2): 1152,
+                 (5, 2): 28800}
 
 
 def closed_form_order(p: int, n: int) -> int:
@@ -236,17 +240,31 @@ class TestGenerators:
 
 
 class TestGroupOrders:
-    @pytest.mark.parametrize("p,n", CONFIGS)
+    @pytest.mark.parametrize("p,n", ORACLE_CONFIGS)
     def test_oracle_frozen(self, p, n):
         assert group_order_oracle(p, n) == FROZEN_ORDERS[(p, n)]
 
-    @pytest.mark.parametrize("p,n", CONFIGS)
+    @pytest.mark.parametrize("p,n", ORACLE_CONFIGS)
     def test_oracle_matches_closed_form(self, p, n):
         assert group_order_oracle(p, n) == closed_form_order(p, n)
 
-    @pytest.mark.parametrize("p,n", CONFIGS)
+    @pytest.mark.parametrize("p,n", ORACLE_CONFIGS)
     def test_generated_order_matches_oracle(self, p, n):
         assert len(full_group(p, n)) == group_order_oracle(p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2)])
+    def test_oracle_matches_brute_force(self, p, n):
+        # Every 2n x 2n matrix over F_p (2**16 of them at (2, 2)), tested
+        # against M^T J M = J directly: shares nothing with the column
+        # extension or the closed forms.
+        m = 2 * n
+        E = np.array(list(itertools.product(range(p), repeat=m * m)))
+        E = E.reshape(-1, m, m)
+        J = np.zeros((m, m), dtype=np.int64)
+        J[:n, n:] = J[n:, :n] = np.eye(n, dtype=np.int64)
+        lhs = np.einsum("aji,jk,akl->ail", E, J, E) % p
+        count = int((lhs == J).all(axis=(1, 2)).sum())
+        assert group_order_oracle(p, n) == count
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
