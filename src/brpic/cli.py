@@ -28,6 +28,10 @@ to standard error.  Exit codes: 0 success (and fixture PASS), 1 domain error
 with a structured error JSON on standard output (and fixture FAIL), 2 usage
 error with argparse text on standard error.
 
+The argument parser is built once per process, on the first ``dispatch``.
+``dispatch`` may be called any number of times in one process, and the
+output of each call depends only on its own argv.
+
 Serialized mappings use the same JSON shape everywhere:
 ``{"group": name, "mapping": [...], "provenance": {...}}``.
 """
@@ -35,6 +39,7 @@ Serialized mappings use the same JSON shape everywhere:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -550,6 +555,7 @@ def _cmd_examples(ns) -> tuple:
 # -- argument parsing and dispatch -----------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brpic",
@@ -613,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--which", choices=["V", "BV", "EV", "R", "all"], default="all"
     )
-    sp = fsub.add_parser("bruhat")
+    sp = fsub.add_parser("bruhat").add_mutually_exclusive_group()
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--matrix", default=None)
 
@@ -634,7 +640,11 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Run one command; returns the process exit code."""
+    """Run one command; returns the process exit code.
+
+    The parser is built on the first call and reused after it; every call
+    parses into a fresh namespace, so its output depends only on ``argv``.
+    """
     argv = list(argv)
     parser = _build_parser()
     try:

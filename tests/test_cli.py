@@ -1,9 +1,12 @@
 """Tests for the command-line dispatcher: payloads, exit codes, fixtures."""
 
 import hashlib
+import itertools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,8 @@ class TestExitCodes:
         (["fpn", "3", "-1", "bruhat", "--all"], "argument n: must be at least 1"),
         (["fpn", "3", "1", "bruhat", "--matrix", "[1]"], "square matrix"),
         (["fpn", "3", "1", "bruhat", "--matrix", "[[1, 0], [0]]"], "--matrix"),
+        (["fpn", "3", "1", "bruhat", "--all", "--matrix", "[[1,0],[0,1]]"],
+         "argument --matrix: not allowed with argument --all"),
     ])
     def test_bad_fpn_input_is_usage_error(self, argv, message):
         proc = subprocess.run(
@@ -517,6 +522,97 @@ class TestExamples:
         assert payload["completions"] == [[0, 1, 5, 3, 4, 2, 6, 7]]
         assert payload["completion_orders"] == [2]
         assert payload["generated_order"] == 2
+
+
+class TestReadmeCommandTable:
+    """Every row of README's command table names a subcommand the parser
+    has, with flags and positionals the parser takes."""
+
+    ROW = re.compile(r"^\| `brpic ([^`]*)` \|", re.M)
+    # Placeholders that come before the subcommand name.
+    SAMPLE = {"P": "3", "N": "1"}
+    # A positional with choices appears in the usage as its choice list.
+    SHOWN_AS = {"KIND": "{v,bv,ev,rprime}"}
+
+    @classmethod
+    def rows(cls):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = cls.ROW.findall(text)
+        assert len(rows) >= 10
+        return rows
+
+    @classmethod
+    def split(cls, row):
+        """The subcommand paths a row names, and the rest of the row."""
+        words = row.split()
+        path = []
+        while words and (words[0] in cls.SAMPLE
+                         or re.fullmatch(r"[a-z0-9/]+", words[0])):
+            word = words.pop(0)
+            path.append([cls.SAMPLE[word]] if word in cls.SAMPLE
+                        else word.split("/"))
+        return [list(p) for p in itertools.product(*path)], " ".join(words)
+
+    def test_every_row_is_a_subcommand_with_its_arguments(self, capsys):
+        for row in self.rows():
+            paths, rest = self.split(row)
+            for path in paths:
+                code, out, _ = run(capsys, *path, "-h")
+                assert code == 0, row
+                usage = out.split("[-h]", 1)[1].split("\n\n", 1)[0]
+                for flag in re.findall(r"--[a-z][a-z-]*", rest):
+                    assert flag in usage, (row, flag)
+                for name in re.findall(r"\b[A-Z]{2,}\b", rest):
+                    shown = self.SHOWN_AS.get(name, name.lower())
+                    assert re.search(rf"(?<!\w){re.escape(shown)}", usage), (
+                        row, name)
+
+
+class TestDispatchHistory:
+    """In one process, each ``dispatch`` call writes what a fresh process
+    writes for the same argv, whatever ran before it."""
+
+    ARGVS = [
+        ["frobnicate"],
+        ["-h"],
+        ["--cap", "1", "center", "S3"],
+        ["center", "Z/2"],
+        ["--modulus", "2", "h2", "D4"],
+        ["h2", "D4"],
+        ["fpn", "3", "1", "bruhat"],
+        ["fpn", "3", "1", "bruhat", "--all"],
+        ["fpn", "3", "1", "bruhat", "--matrix", "[[1,0],[0,1]]"],
+        ["fpn", "3", "1", "bruhat", "--all", "--matrix", "[[1,0],[0,1]]"],
+    ]
+
+    @staticmethod
+    def untimed(code, out, err):
+        err = "".join(
+            line for line in err.splitlines(True) if not line.startswith("time:")
+        )
+        return code, out, err
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_matches_fresh_processes_forwards_and_backwards(
+        self, capsys, monkeypatch
+    ):
+        # Usage text wraps at the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = {}
+        for argv in self.ARGVS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "brpic.cli", *argv],
+                capture_output=True, text=True,
+            )
+            fresh[tuple(argv)] = self.untimed(
+                proc.returncode, proc.stdout, proc.stderr
+            )
+        codes = {code for code, _, _ in fresh.values()}
+        assert codes == {0, 1, 2}
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            assert self.untimed(*run(capsys, *argv)) == fresh[tuple(argv)], argv
 
 
 class TestModuleEntry:
