@@ -28,9 +28,10 @@ to standard error.  Exit codes: 0 success (and fixture PASS), 1 domain error
 with a structured error JSON on standard output (and fixture FAIL), 2 usage
 error with argparse text on standard error.
 
-The argument parser is built once per process, on the first ``dispatch``.
-``dispatch`` may be called any number of times in one process, and the
-output of each call depends only on its own argv.
+Each ``dispatch`` builds a fresh argument parser, and of the subcommand
+parsers only those on its own command's path.  ``dispatch`` may be called any
+number of times in one process, and the output of each call depends only on
+its own argv.
 
 Serialized mappings use the same JSON shape everywhere:
 ``{"group": name, "mapping": [...], "provenance": {...}}``.
@@ -39,7 +40,6 @@ Serialized mappings use the same JSON shape everywhere:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -555,8 +555,28 @@ def _cmd_examples(ns) -> tuple:
 # -- argument parsing and dispatch -----------------------------------------
 
 
-@functools.cache
+class _LazySubparsers(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse selects them, so a
+    command line builds the parsers on its own path and no others."""
+
+    def add_lazy(self, name: str, build) -> None:
+        """Reserve ``name``; on selection its parser is made as ``add_parser``
+        would make it and handed to ``build``."""
+        self._name_parser_map[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        build = self._name_parser_map.get(name)
+        if build is not None and not isinstance(build, argparse.ArgumentParser):
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            build(sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``brpic`` parser; a subcommand's arguments are added when argparse
+    selects it, so one command line builds two or three parsers, not 18."""
     parser = argparse.ArgumentParser(
         prog="brpic",
         description="Exact center symmetries: tables, cohomology, matrix model.",
@@ -573,60 +593,92 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cohomology coefficient modulus (default: group exponent)",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+    commands = parser.add_subparsers(
+        dest="command", required=True, action=_LazySubparsers
+    )
     for name in ("chartable", "h2", "center"):
-        sp = commands.add_parser(name)
+        commands.add_lazy(name, _group_args)
+    commands.add_lazy("autoeq", _autoeq_args)
+    commands.add_lazy("fpn", _fpn_args)
+    commands.add_lazy("examples", _examples_args)
+    return parser
+
+
+def _group_args(sp) -> None:
+    sp.add_argument("group")
+
+
+def _autoeq_args(autoeq) -> None:
+    asub = autoeq.add_subparsers(
+        dest="autoeq_command", required=True, action=_LazySubparsers
+    )
+
+    def v(sp):
         sp.add_argument("group")
+        sp.add_argument("--images", required=True)
 
-    autoeq = commands.add_parser("autoeq")
-    asub = autoeq.add_subparsers(dest="autoeq_command", required=True)
-    sp = asub.add_parser("v")
-    sp.add_argument("group")
-    sp.add_argument("--images", required=True)
-    sp = asub.add_parser("bv")
-    sp.add_argument("group")
-    sp.add_argument("--class-index", type=int, required=True)
-    sp.add_argument("--images", default=None)
-    sp = asub.add_parser("ev")
-    sp.add_argument("group")
-    sp.add_argument("--subgroup", required=True)
-    sp.add_argument("--class-index", type=int, required=True)
-    sp.add_argument("--images", default=None)
-    sp = asub.add_parser("rprime")
-    sp.add_argument("group")
-    sp.add_argument("--normal", required=True)
-    sp.add_argument("--complement", default=None)
-    sp = asub.add_parser("generate")
-    sp.add_argument("files", nargs="+")
-    sp = asub.add_parser("verify")
-    sp.add_argument("file")
-    sp = asub.add_parser("bimodule")
-    sp.add_argument("kind", choices=["v", "bv", "ev", "rprime"])
-    sp.add_argument("group")
-    sp.add_argument("--images", default=None)
-    sp.add_argument("--class-index", type=int, default=None)
-    sp.add_argument("--subgroup", default=None)
-    sp.add_argument("--normal", default=None)
-    sp.add_argument("--complement", default=None)
+    def bv(sp):
+        sp.add_argument("group")
+        sp.add_argument("--class-index", type=int, required=True)
+        sp.add_argument("--images", default=None)
 
-    fpn = commands.add_parser("fpn")
+    def ev(sp):
+        sp.add_argument("group")
+        sp.add_argument("--subgroup", required=True)
+        sp.add_argument("--class-index", type=int, required=True)
+        sp.add_argument("--images", default=None)
+
+    def rprime(sp):
+        sp.add_argument("group")
+        sp.add_argument("--normal", required=True)
+        sp.add_argument("--complement", default=None)
+
+    def generate(sp):
+        sp.add_argument("files", nargs="+")
+
+    def verify(sp):
+        sp.add_argument("file")
+
+    def bimodule(sp):
+        sp.add_argument("kind", choices=["v", "bv", "ev", "rprime"])
+        sp.add_argument("group")
+        sp.add_argument("--images", default=None)
+        sp.add_argument("--class-index", type=int, default=None)
+        sp.add_argument("--subgroup", default=None)
+        sp.add_argument("--normal", default=None)
+        sp.add_argument("--complement", default=None)
+
+    for build in (v, bv, ev, rprime, generate, verify, bimodule):
+        asub.add_lazy(build.__name__, build)
+
+
+def _fpn_args(fpn) -> None:
     fpn.add_argument("p", type=int)
     fpn.add_argument("n", type=_positive_int)
-    fsub = fpn.add_subparsers(dest="fpn_command", required=True)
-    fsub.add_parser("orders")
-    sp = fsub.add_parser("generate")
-    sp.add_argument(
-        "--which", choices=["V", "BV", "EV", "R", "all"], default="all"
+    fsub = fpn.add_subparsers(
+        dest="fpn_command", required=True, action=_LazySubparsers
     )
-    sp = fsub.add_parser("bruhat").add_mutually_exclusive_group()
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--matrix", default=None)
 
-    sp = commands.add_parser("examples")
+    def orders(sp):
+        pass
+
+    def generate(sp):
+        sp.add_argument(
+            "--which", choices=["V", "BV", "EV", "R", "all"], default="all"
+        )
+
+    def bruhat(sp):
+        one = sp.add_mutually_exclusive_group()
+        one.add_argument("--all", action="store_true")
+        one.add_argument("--matrix", default=None)
+
+    for build in (orders, generate, bruhat):
+        fsub.add_lazy(build.__name__, build)
+
+
+def _examples_args(sp) -> None:
     sp.add_argument("name")
     sp.add_argument("--regen", action="store_true")
-    return parser
 
 
 _HANDLERS = {
@@ -642,8 +694,8 @@ _HANDLERS = {
 def dispatch(argv) -> int:
     """Run one command; returns the process exit code.
 
-    The parser is built on the first call and reused after it; every call
-    parses into a fresh namespace, so its output depends only on ``argv``.
+    Every call builds its own parser and namespace, so its output depends
+    only on ``argv``.
     """
     argv = list(argv)
     parser = _build_parser()

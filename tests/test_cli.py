@@ -1,5 +1,6 @@
 """Tests for the command-line dispatcher: payloads, exit codes, fixtures."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -592,8 +593,27 @@ class TestDispatchHistory:
         )
         return code, out, err
 
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+    @pytest.mark.parametrize("argv, progs", [
+        (["-h"], ["brpic"]),
+        (["center", "Z/2"], ["brpic", "brpic center"]),
+        (["fpn", "3", "1", "bruhat", "--all"],
+         ["brpic", "brpic fpn", "brpic fpn p n bruhat"]),
+        (["autoeq", "verify", "-h"],
+         ["brpic", "brpic autoeq", "brpic autoeq verify"]),
+    ])
+    def test_builds_only_the_parsers_on_its_path(
+        self, capsys, monkeypatch, argv, progs
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        run(capsys, *argv)
+        assert built == progs
 
     def test_matches_fresh_processes_forwards_and_backwards(
         self, capsys, monkeypatch
