@@ -4,9 +4,11 @@ This is the engine behind the cohomology module: solving cocycle identities,
 membership in coboundary spans, and quotient-group structure all reduce to
 the primitives here.
 
-* ``echelon_rows_mod`` streams a large equation system into a compact
-  row-echelon set spanning the same row module (gcd-combination steps keep
-  everything exact for composite m).
+* ``echelon_rows_mod`` takes a large equation system as a 2-D array and
+  reduces it to a compact row-echelon set spanning the same row module
+  (gcd-combination steps keep everything exact for composite m).  It sweeps
+  the system column by column, stored column-major, and returns the rows
+  that reducing one row at a time, in input order, would return.
 * ``diagonalize_mod`` produces U A V = D with U, V invertible mod m, which
   is enough to solve linear systems and to read off quotient structure mod
   m.  No inverse is tracked: a caller that needs columns of U^-1 solves
@@ -240,38 +242,73 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# streaming echelon over Z/m
+# echelon over Z/m
 # ---------------------------------------------------------------------------
 
 def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
-    """Reduce an iterable of integer rows to echelon form over Z/m.
+    """Reduce a 2-D integer array with ``ncols`` columns to echelon form
+    over Z/m.
 
     Returns a matrix whose rows have strictly increasing leading columns and
     span the same Z/m-row module as the input.  Every update is by a
     determinant-one combination, so no solutions are gained or lost.
+
+    The system is swept column by column.  At column j the pivot is the
+    first unplaced row, in input order, with a nonzero entry there; the
+    other unplaced rows with a nonzero at j are cleared in input order, as
+    in ``_clear``: each run the pivot divides in one update, an entry it
+    does not divide by an xgcd step that replaces the pivot row.  The rows
+    returned are those that reducing one row at a time, in input order,
+    against the pivot rows found so far would return: there too the first
+    row to reach lead j becomes its pivot, and each later row meets it as
+    the rows before it left it.  ValueError when the input is not a 2-D
+    array of ``ncols`` columns; an empty input gives shape (0, ncols).
     """
-    rows: dict[int, np.ndarray] = {}
-    for eq in equations:
-        v = np.asarray(eq, dtype=np.int64) % m
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
+    try:
+        W = np.array(equations, dtype=np.int64, order="F")
+    except ValueError:
+        widths = sorted({np.size(row) for row in equations})
+        if len(widths) < 2:
+            raise
+        raise ValueError(
+            f"rows of widths {widths}, expected {ncols} columns") from None
+    if W.shape == (0,):
+        W = W.reshape(0, ncols)
+    if W.ndim != 2 or W.shape[1] != ncols:
+        raise ValueError(
+            f"expected a 2-D array of {ncols} columns, got shape {W.shape}")
+    W %= m
+    active = np.ones(W.shape[0], dtype=bool)
+    pivots: list[int] = []
+    for j in range(ncols):
+        col = W[:, j]
+        cand = np.flatnonzero(active & (col != 0))
+        if cand.size == 0:
+            continue
+        r, rows = int(cand[0]), cand[1:]
+        a = int(col[r])
+        while rows.size:
+            b = col[rows]
+            bad = np.flatnonzero(b % a)
+            stop = int(bad[0]) if bad.size else rows.size
+            if stop:
+                # entries lie in [0, m), so the pivot row's zero columns
+                # leave the other rows unchanged and are skipped
+                nzc = j + np.flatnonzero(W[r, j:])
+                sub = np.ix_(rows[:stop], nzc)
+                W[sub] = (W[sub] - (b[:stop] // a)[:, None] * W[r, nzc]) % m
+            if stop == rows.size:
                 break
-            lead = int(nz[0])
-            if lead not in rows:
-                rows[lead] = v
-                break
-            r = rows[lead]
-            a, b = int(r[lead]), int(v[lead])
-            if b % a == 0:
-                v = (v - (b // a) * r) % m
-            else:
-                g, s, t = xgcd(a, b)
-                rows[lead] = (s * r + t * v) % m
-                v = ((a // g) * v - (b // g) * r) % m
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.vstack([rows[k] for k in sorted(rows)])
+            i, bi = int(rows[stop]), int(b[stop])
+            g, s, t = xgcd(a, bi)
+            rr, ri = W[r, j:], W[i, j:]
+            W[r, j:], W[i, j:] = ((s * rr + t * ri) % m,
+                                  ((a // g) * ri - (bi // g) * rr) % m)
+            a = int(W[r, j])
+            rows = rows[stop + 1:]
+        active[r] = False
+        pivots.append(r)
+    return np.ascontiguousarray(W[pivots])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +480,7 @@ def smith_normal_form(A):
     """(D, U, V) with U A V = D over Z, U, V unimodular, divisor chain held.
 
     Pure-Python exact arithmetic; intended for small matrices (tests and
-    quotient-structure oracles), not the streaming cocycle systems.
+    quotient-structure oracles), not the large cocycle systems.
     """
     A = [[int(x) for x in row] for row in np.asarray(A)]
     r = len(A)

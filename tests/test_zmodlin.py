@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brpic.errors import NotPrime
-from brpic import zmodlin
+from brpic import cohom, zmodlin
 from brpic.fpn import FpMatrix
+from brpic.groups import named_group
 from brpic.zmodlin import (
     _factorize,
     _inv_mod_p,
@@ -23,6 +24,7 @@ from brpic.zmodlin import (
     _select_spanning_rows,
     DiagonalizedSystem,
     diagonalize_mod,
+    echelon_rows_mod,
     xgcd,
 )
 
@@ -362,6 +364,112 @@ def test_diagonalize_mod_xgcd_steps_match(monkeypatch, A, m):
     D_ref, U_ref, _, V_ref = _sequential_diagonalize_mod(A, m)
     for got, want in zip((D, T.U, T.V), (D_ref, U_ref, V_ref)):
         assert np.array_equal(got, want)
+
+
+def _streaming_echelon_rows_mod(equations, ncols, m):
+    """Reference: reduces one row at a time, in input order, against the
+    pivot rows found so far (one pivot row per leading column)."""
+    rows = {}
+    for eq in equations:
+        v = np.asarray(eq, dtype=np.int64) % m
+        while True:
+            nz = np.nonzero(v)[0]
+            if nz.size == 0:
+                break
+            lead = int(nz[0])
+            if lead not in rows:
+                rows[lead] = v
+                break
+            r = rows[lead]
+            a, b = int(r[lead]), int(v[lead])
+            if b % a == 0:
+                v = (v - (b // a) * r) % m
+            else:
+                g, s, t = xgcd(a, b)
+                rows[lead] = (s * r + t * v) % m
+                v = ((a // g) * v - (b // g) * r) % m
+    if not rows:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.vstack([rows[k] for k in sorted(rows)])
+
+
+def _assert_same_echelon(A, m):
+    got = echelon_rows_mod(A, A.shape[1], m)
+    want = _streaming_echelon_rows_mod(A, A.shape[1], m)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
+ECHELON_MODULI = [4, 6, 8, 9, 12, 16, 24, 27, 36, 60, 64]
+
+
+def test_echelon_rows_mod_matches_streaming_routine(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zmodlin, "xgcd",
+                        lambda *a: calls.append(a) or xgcd(*a))
+    fired = 0
+    for seed in range(220):
+        rng = np.random.default_rng(2000 + seed)
+        m = ECHELON_MODULI[seed % len(ECHELON_MODULI)]
+        E, N = int(rng.integers(1, 30)), int(rng.integers(1, 16))
+        A = rng.integers(0, m, size=(E, N)) * (rng.random((E, N)) < 0.5)
+        # scale some columns by non-units, so that a pivot may not divide
+        # the entries below it
+        nonunits = [x for x in range(2, m) if gcd(x, m) > 1]
+        scale = rng.choice(nonunits, size=N) * (rng.random(N) < 0.5)
+        A = A * np.where(scale, scale, 1)
+        before, ncalls = A.copy(), len(calls)
+        _assert_same_echelon(A, m)
+        assert np.array_equal(A, before)             # the input is not modified
+        fired += len(calls) > ncalls
+    assert 0 < fired < 220                           # the xgcd branch fired
+
+
+# the (group, modulus) pairs of the ``cohomology`` benchmark workload; None
+# is the default modulus |G|
+COHOMOLOGY_PAIRS = [("S4", 2), ("A4xZ/2", 2), ("Z/5:Z/4", 4), ("S3xZ/3", 6),
+                    ("D4xZ/2", None), ("Q8xZ/2", None), ("A4", None),
+                    ("D4", None)]
+
+
+@pytest.mark.parametrize("name,m", COHOMOLOGY_PAIRS)
+def test_echelon_rows_mod_matches_streaming_on_cocycle_systems(name, m):
+    # the two systems h2_classes echelonizes: the chosen cocycle rows, and
+    # the coboundary rows mod exp(G) behind _hom_generators
+    G = named_group(name)
+    m = m or G.n
+    A = cohom._cocycle_equations(G, m)
+    chosen = set()
+    for p, k in _factorize(m):
+        chosen.update(_select_spanning_rows(A, p, k))
+    _assert_same_echelon(A[sorted(chosen)], m)
+    e = G.exponent()
+    _assert_same_echelon(cohom._coboundary_rows(G) % e, e)
+
+
+@pytest.mark.parametrize("equations", [[], np.zeros((0, 3), dtype=np.int64)])
+def test_echelon_rows_mod_of_no_rows_is_empty(equations):
+    out = echelon_rows_mod(equations, 3, 5)
+    assert out.shape == (0, 3) and out.dtype == np.int64
+
+
+def test_echelon_rows_mod_at_modulus_one_is_empty():
+    out = echelon_rows_mod([[1, 2, 3], [4, 5, 6]], 3, 1)
+    assert out.shape == (0, 3) and out.dtype == np.int64
+
+
+@pytest.mark.parametrize("equations,ncols,named", [
+    ([[1, 2, 3]], 2, ("2 columns", "(1, 3)")),          # wider than ncols
+    ([[1, 2]], 3, ("3 columns", "(1, 2)")),             # narrower
+    ([[1, 2, 3], [1, 2]], 3, ("widths [2, 3]", "3 columns")),   # mixed
+    ([1, 2, 3], 3, ("3 columns", "(3,)")),              # not 2-D
+])
+def test_echelon_rows_mod_refuses_rows_of_the_wrong_width(equations, ncols,
+                                                          named):
+    with pytest.raises(ValueError) as info:
+        echelon_rows_mod(equations, ncols, 5)
+    assert all(w in str(info.value) for w in named)
 
 
 # ---------------------------------------------------------------------------
