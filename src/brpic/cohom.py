@@ -33,6 +33,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 from .zmodlin import (
     DiagonalizedSystem,
+    _check_modulus,
     _factorize,
     _select_spanning_rows,
     diagonalize_mod,
@@ -320,8 +321,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     """
     if m is None:
         m = G.n
-    if m < 1:
-        raise ValueError(f"modulus m = {m} must be at least 1")
+    _check_modulus(m)
     key = ("h2", m)
     if key in G._memo:
         return G._memo[key]

@@ -94,8 +94,18 @@ FPN_INT64_LIMIT = 2**63
 _BRUHAT_SLICE = 4096   # matrices factored at once (bounds scratch memory)
 
 
+def _check_int64(size: int, p: int) -> None:
+    if size * (p - 1) ** 2 >= FPN_INT64_LIMIT:
+        raise BudgetExceeded(
+            f"products of {size} x {size} matrices mod {p}"
+            f" overflow int64: 2n (p-1)^2 >= FPN_INT64_LIMIT = 2**63"
+        )
+
+
 def _check_prime(p: int) -> int:
     p = int(p)
+    if p > 1:
+        _check_int64(2, p)      # before any trial division: 2n >= 2
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
@@ -138,11 +148,7 @@ class FpMatrix:
             raise ValueError("entries must form a square matrix")
         if arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError("matrix size must be even and positive")
-        if arr.shape[0] * (int(p) - 1) ** 2 >= FPN_INT64_LIMIT:
-            raise BudgetExceeded(
-                f"products of {arr.shape[0]} x {arr.shape[0]} matrices mod {p}"
-                f" overflow int64: 2n (p-1)^2 >= FPN_INT64_LIMIT = 2**63"
-            )
+        _check_int64(arr.shape[0], int(p))
         arr %= p
         arr.setflags(write=False)
         object.__setattr__(self, "p", int(p))

@@ -13,20 +13,26 @@ the primitives here.
   is enough to solve linear systems and to read off quotient structure mod
   m.  No inverse is tracked: a caller that needs columns of U^-1 solves
   U x = e_i for them.  Entries never leave [0, m), so there is no
-  coefficient blowup.  Clearing a pivot's column (then its row) handles
-  each run of entries the pivot divides in one vectorized update; only an
-  entry it does not divide takes a sequential xgcd step, so the operations,
-  and U and V, are those of one row at a time.
+  coefficient blowup.
 * ``smith_normal_form`` is a literal integer Smith normal form with
   unimodular transforms, used as an independent oracle for the mod-m route
   on small instances.
 
-All pivoting is deterministic (smallest gcd with m, then smallest index), so
-outputs are byte-stable.  In ``diagonalize_mod`` the pivot is the nonzero
-entry of the remaining block minimizing (gcd(entry, m), row, col).  Row k is
-the block's first row, so a nonzero entry of row k coprime to m attains that
-minimum: the first such entry is taken after a scan of row k alone, and the
-whole block is searched only when row k holds no unit.
+One clearing step serves every elimination over Z/m and Z/p^k: ``_clear``
+clears one column of a list of rows off a pivot row, in order (gcd-based
+elimination over Z/N, as in Storjohann and Mulders, ESA 1998).  Each run of
+entries the pivot divides goes in one vectorized update over the pivot row's
+nonzero columns (entries lie in [0, m), where a zero column leaves the other
+rows unchanged); only an entry it does not divide takes a sequential xgcd
+step, so the operations, and U and V, are those of one row at a time.
+
+One pivot rule, the nonzero entry minimizing (gcd(entry, m), index), makes
+the outputs byte-stable.  ``diagonalize_mod`` applies it to the remaining
+block, indexed by (row, col), and scans row k alone first: a unit there
+attains the minimum.  ``_select_spanning_rows`` applies it to one column mod
+p^k, where gcd(x, p^k) = p^v(x).  ``echelon_rows_mod`` takes the first
+candidate in input order, which its one-row-at-a-time output fixes.  A
+modulus below 1 raises ValueError.
 
 The module is also the one place that eliminates mod a prime power and the
 one place that factors integers.  Its private helpers serve the other
@@ -41,10 +47,8 @@ modules:
   (Dixon eigenspaces in ``chars``, generator inverses in ``fpn``), and so
   are ``fpn``'s stacked ranks and inverses of the Bruhat blocks.
   ``_select_spanning_rows`` picks rows spanning a row module over Z/p^k (the
-  cocycle systems in ``cohom``).  Its system is sparse, so each pivot step
-  updates the other rows only in the pivot row's nonzero columns (entries lie
-  in [0, p^k), where a zero column leaves them unchanged), and it stores the
-  system column-major because each step reads one column.
+  cocycle systems in ``cohom``), stored column-major because each step reads
+  one column.
 * Number-theory section: ``_factorize`` is the one trial division, cached;
   ``_is_prime``, ``_phi`` and ``_primitive_root`` are read off it.
 """
@@ -81,6 +85,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _check_modulus(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"modulus m = {m} must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -201,41 +210,28 @@ def _kernel_mod_p(A, p: int):
 def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
     """Indices of rows spanning A's row module over Z/p^k.
 
-    Vectorized echelon sweep with minimal-valuation pivoting; the returned
-    rows (in their original, unreduced form) generate every row of A as a
-    Z/p^k-combination.
+    A column sweep over a column-major copy of A.  At column j the pivot is
+    the candidate minimizing (gcd(entry, p^k), index), that is, of minimal
+    p-adic valuation; it is scaled so that its entry becomes that gcd, which
+    then divides every other candidate's entry, and ``_clear`` clears them.
+    The returned rows (in their original, unreduced form) generate every row
+    of A as a Z/p^k-combination.
     """
     q = p ** k
     W = np.remainder(A, q, out=np.empty_like(A, order="F"))
-    E, N = W.shape
-    active = np.ones(E, dtype=bool)
+    active = np.ones(W.shape[0], dtype=bool)
     pivots: list[int] = []
-    for j in range(N):
+    for j in range(W.shape[1]):
         col = W[:, j]
-        cand = np.nonzero(active & (col != 0))[0]
+        cand = np.flatnonzero(active & (col != 0))
         if cand.size == 0:
             continue
-        # p-adic valuations of the candidate entries
-        x = col[cand].copy()
-        v = np.zeros(cand.size, dtype=np.int64)
-        for _ in range(k):
-            divisible = (x % p == 0) & (x != 0)
-            v[divisible] += 1
-            x[divisible] //= p
-        order = np.lexsort((cand, v))
-        r = int(cand[order[0]])
-        vmin = int(v[order[0]])
-        pv = p ** vmin
-        unit = int(col[r]) // pv
-        W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes pv
-        others = cand[cand != r]
-        if others.size:
-            # entries lie in [0, q), so the pivot row's zero columns leave
-            # the other rows unchanged and are skipped
-            t = col[others] // pv
-            nzc = j + np.flatnonzero(W[r, j:])
-            sub = np.ix_(others, nzc)
-            W[sub] = (W[sub] - t[:, None] * W[r, nzc]) % q
+        gs = np.gcd(col[cand], q)
+        at = int(np.argmin(gs))
+        r = int(cand[at])
+        unit = int(col[r]) // int(gs[at])
+        W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes gcd
+        _clear(W, None, q, r, j, np.delete(cand, at))
         active[r] = False
         pivots.append(r)
     return pivots
@@ -254,16 +250,17 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
     determinant-one combination, so no solutions are gained or lost.
 
     The system is swept column by column.  At column j the pivot is the
-    first unplaced row, in input order, with a nonzero entry there; the
-    other unplaced rows with a nonzero at j are cleared in input order, as
-    in ``_clear``: each run the pivot divides in one update, an entry it
-    does not divide by an xgcd step that replaces the pivot row.  The rows
-    returned are those that reducing one row at a time, in input order,
-    against the pivot rows found so far would return: there too the first
-    row to reach lead j becomes its pivot, and each later row meets it as
-    the rows before it left it.  ValueError when the input is not a 2-D
-    array of ``ncols`` columns; an empty input gives shape (0, ncols).
+    first unplaced row, in input order, with a nonzero entry there, and
+    ``_clear`` clears the other unplaced rows with a nonzero at j, in input
+    order; an entry the pivot does not divide takes an xgcd step that
+    replaces the pivot row.  The rows returned are those that reducing one
+    row at a time, in input order, against the pivot rows found so far
+    would return: there too the first row to reach lead j becomes its pivot,
+    and each later row meets it as the rows before it left it.  ValueError
+    when m < 1 or the input is not a 2-D array of ``ncols`` columns; an
+    empty input gives shape (0, ncols).
     """
+    _check_modulus(m)
     try:
         W = np.array(equations, dtype=np.int64, order="F")
     except ValueError:
@@ -281,31 +278,11 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
     active = np.ones(W.shape[0], dtype=bool)
     pivots: list[int] = []
     for j in range(ncols):
-        col = W[:, j]
-        cand = np.flatnonzero(active & (col != 0))
+        cand = np.flatnonzero(active & (W[:, j] != 0))
         if cand.size == 0:
             continue
-        r, rows = int(cand[0]), cand[1:]
-        a = int(col[r])
-        while rows.size:
-            b = col[rows]
-            bad = np.flatnonzero(b % a)
-            stop = int(bad[0]) if bad.size else rows.size
-            if stop:
-                # entries lie in [0, m), so the pivot row's zero columns
-                # leave the other rows unchanged and are skipped
-                nzc = j + np.flatnonzero(W[r, j:])
-                sub = np.ix_(rows[:stop], nzc)
-                W[sub] = (W[sub] - (b[:stop] // a)[:, None] * W[r, nzc]) % m
-            if stop == rows.size:
-                break
-            i, bi = int(rows[stop]), int(b[stop])
-            g, s, t = xgcd(a, bi)
-            rr, ri = W[r, j:], W[i, j:]
-            W[r, j:], W[i, j:] = ((s * rr + t * ri) % m,
-                                  ((a // g) * ri - (bi // g) * rr) % m)
-            a = int(W[r, j])
-            rows = rows[stop + 1:]
+        r = int(cand[0])
+        _clear(W, None, m, r, j, cand[1:])
         active[r] = False
         pivots.append(r)
     return np.ascontiguousarray(W[pivots])
@@ -320,7 +297,8 @@ class _Transforms:
 
     A column operation on D is the row operation on D.T and V.T, so
     ``_swap``, ``_combine`` and ``_clear`` are written once, for rows, on
-    (A, M) = (D, U) or (D.T, V.T): ``A <- E A`` and ``M <- E M``.
+    (A, M) = (D, U) or (D.T, V.T): ``A <- E A`` and ``M <- E M``.  The
+    echelon routines call ``_clear`` with M = None: they keep no transform.
     """
 
     def __init__(self, r: int, c: int):
@@ -333,42 +311,52 @@ def _swap(A, M, i, j):
     M[[i, j]] = M[[j, i]]
 
 
-def _combine(A, M, m, i, j, s, t, ag, bg):
-    """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj), det = 1."""
-    for X in (A, M):
+def _combine(mats, m, i, j, s, t, ag, bg):
+    """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj) in each X, det = 1."""
+    for X in mats:
         ri, rj = X[i].copy(), X[j].copy()
         X[i] = (s * ri + t * rj) % m
         X[j] = (-bg * ri + ag * rj) % m
 
 
-def _clear(A, M, m, k) -> bool:
-    """Clear column k of A off the pivot A[k, k] by row operations.
+def _clear(A, M, m, r, j, rows) -> bool:
+    """Clear column j of ``rows`` (in order) off the pivot row r of A, by
+    row operations applied to M as well unless M is None.
 
-    Rows are taken in increasing order.  Each run of rows whose entry the
-    pivot a divides is cleared by one update (row_i -= (b_i / a) row_k for
-    all of them at once); the first row that a does not divide gets an xgcd
-    step with row k, which changes a, and the next run uses the new a.  Only
-    row k and the row being cleared change at each step, so the result is
-    that of one row at a time.  Returns whether an xgcd step fired.
+    Each run of rows whose entry the pivot a = A[r, j] divides is cleared by
+    one update (row_i -= (b_i / a) row_r for all of them at once); the first
+    row that a does not divide gets an xgcd step with row r, which changes
+    a, and the next run uses the new a.  Only row r and the row being
+    cleared change at each step, so the result is that of one row at a
+    time.  Row r and ``rows`` of A must be zero left of column j, as they
+    are in every caller, so A is worked on from column j; and entries lie
+    in [0, m), so a run update touches only the pivot row's nonzero
+    columns: a zero there leaves the other rows unchanged.  Returns whether
+    an xgcd step fired.
     """
-    rows = np.flatnonzero(A[:, k])
-    rows = rows[rows != k]
-    a = int(A[k, k])
+    A = A[:, j:]
+    mats = (A,) if M is None else (A, M)
+    a = int(A[r, 0])
     dirty = False
     while rows.size:
-        b = A[rows, k]
+        b = A[rows, 0]
         bad = np.flatnonzero(b % a)
         stop = int(bad[0]) if bad.size else rows.size
         if stop:
-            run, q = rows[:stop], -(b[:stop] // a)
-            A[run] = (A[run] + q[:, None] * A[k]) % m
-            M[run] = (M[run] + q[:, None] * M[k]) % m
+            q = b[:stop] // a
+            for X in mats:
+                nzc = np.flatnonzero(X[r])
+                sub = np.ix_(rows[:stop], nzc)
+                Y = X[sub]
+                Y -= np.multiply.outer(q, X[r, nzc])
+                Y %= m
+                X[sub] = Y
         if stop == rows.size:
             break
         i, bi = int(rows[stop]), int(b[stop])
         g, s, t = xgcd(a, bi)
-        _combine(A, M, m, k, i, s, t, a // g, bi // g)
-        a = int(A[k, k])
+        _combine(mats, m, r, i, s, t, a // g, bi // g)
+        a = int(A[r, 0])
         dirty = True
         rows = rows[stop + 1:]
     return dirty
@@ -381,8 +369,9 @@ def diagonalize_mod(A, m: int):
     column i of U^-1 is ``DiagonalizedSystem(T.U, m).solve(e_i)``.
     Deterministic pivoting: the nonzero entry minimizing (gcd(entry, m),
     row, col) in the remaining block, read off row k when it holds a unit
-    (see the module docstring).
+    (see the module docstring).  ValueError when m < 1.
     """
+    _check_modulus(m)
     D = np.asarray(A, dtype=np.int64).copy() % m
     r, c = D.shape
     T = _Transforms(r, c)
@@ -399,16 +388,17 @@ def diagonalize_mod(A, m: int):
                 nz = np.nonzero(block)
                 if nz[0].size == 0:
                     break
-                gs = np.gcd(block[nz], m)
-                # deterministic: min gcd, then min row, then min col
-                order = np.lexsort((nz[1], nz[0], gs))
-                bi, bj = int(nz[0][order[0]]) + k, int(nz[1][order[0]]) + k
+                # min gcd, then min row, then min col: nz is row-major
+                at = int(np.argmin(np.gcd(block[nz], m)))
+                bi, bj = int(nz[0][at]) + k, int(nz[1][at]) + k
             if bi != k:
                 _swap(*rows, k, bi)
             if bj != k:
                 _swap(*cols, k, bj)
-            dirty = _clear(*rows, m, k)           # column k
-            dirty = _clear(*cols, m, k) or dirty  # row k
+            dirty = False
+            for X, M in (rows, cols):             # column k, then row k
+                others = np.flatnonzero(X[:, k])
+                dirty |= _clear(X, M, m, k, k, others[others != k])
             if not dirty and not D[k, k + 1:].any() and not D[k + 1:, k].any():
                 break
     return D, T

@@ -114,6 +114,20 @@ class TestExitCodes:
         assert code == 1
         assert payload["error"] == "NotPrime"
 
+    def test_overflowing_prime_is_refused_before_trial_division(
+            self, capsys, monkeypatch):
+        import brpic.fpn as fpn
+
+        def refuse(n):
+            pytest.fail(f"trial division of {n}")
+
+        monkeypatch.setattr(fpn, "_is_prime", refuse)
+        code, payload, _ = run_json(capsys, "fpn", str(2**61 - 1), "1",
+                                    "orders")
+        assert code == 1
+        assert payload["error"] == "BudgetExceeded"
+        assert "FPN_INT64_LIMIT" in payload["message"]
+
     def test_unknown_example_is_domain_error(self, capsys):
         code, payload, _ = run_json(capsys, "examples", "bogus")
         assert code == 1

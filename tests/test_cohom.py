@@ -204,6 +204,16 @@ H2_PINS = [
         "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
         "affa0679bd0f5c9c572e565baab7c84bd5945eb6722ffccefe74f7ee9cbc82e9",
     ], [1, 1]),
+    ("A4xZ/2", 2, [
+        "606f558e014930f9c1669f03c71c28945c4631568e39cd308c6c7f4077c7bfb9",
+        "79b2f31d5f75a0dccbb294d20ae9c71a0c096ca3ea15c395cd9eadbca54dbb62",
+    ], [1, 1]),
+    ("Q8xZ/2", 16, [
+        "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+        "1f238437bb506a261f57cfb9d9b80e570ad30939283bd53e0b22050b032cfaa8",
+        "28c5b5f6a133044484d09217865c34f1f03b31d9354827789e2cf8b33b56ab4e",
+        "f3551229dc9e9dee734cec144f3b2926750f7116666daddb604834e15ded7c08",
+    ], [1, 3, 1, 3]),
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brpic import fpn
+from brpic import fpn, zmodlin
 from brpic.autoeq import (
     BraidedAutoeq,
     Provenance,
@@ -42,6 +42,7 @@ from brpic.fpn import (
     BruhatCell,
     FpMatrix,
     _bruhat_stack,
+    _check_prime,
     _matrix_closure,
     _pair_swap,
     autoeq_to_matrix,
@@ -580,6 +581,22 @@ class TestInt64Limit:
         p = self.P
         with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
             FpMatrix(p, [[p - 1] * 2] * 2)
+
+    @pytest.mark.parametrize("call", [
+        _check_prime,
+        lambda p: group_order_oracle(p, 1),
+        lambda p: hyperbolic_form(p, 1),
+    ], ids=["_check_prime", "group_order_oracle", "hyperbolic_form"])
+    def test_overflowing_prime_is_refused_before_trial_division(
+            self, monkeypatch, call):
+        def refuse(n):
+            pytest.fail(f"trial division of {n}")
+
+        monkeypatch.setattr(zmodlin, "_factorize", refuse)
+        monkeypatch.setattr(zmodlin, "_is_prime", refuse)
+        monkeypatch.setattr(fpn, "_is_prime", refuse)
+        with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
+            call(2**61 - 1)
 
     def test_limit_counts_the_matrix_size(self):
         p = 2**31 - 1         # 2 (p - 1)^2 < 2**63 <= 4 (p - 1)^2

@@ -25,6 +25,8 @@ from brpic.zmodlin import (
     DiagonalizedSystem,
     diagonalize_mod,
     echelon_rows_mod,
+    nullspace_mod,
+    solve_mod,
     xgcd,
 )
 
@@ -292,6 +294,32 @@ def test_select_spanning_rows_matches_dense_sweep(seed):
     assert np.array_equal(A, before)                 # the input is not modified
 
 
+@pytest.mark.parametrize("A,want", [
+    ([[4], [2]], [1]),                  # the first candidate has valuation 2
+    ([[6, 1], [4, 0], [2, 3]], [0, 1]),
+    ([[4, 1], [6, 0], [2, 5]], [1, 0]),
+    ([[0, 4], [4, 2], [1, 6]], [2, 1]),
+])
+def test_select_spanning_rows_takes_the_minimal_valuation(A, want):
+    A = np.array(A, dtype=np.int64)
+    assert _select_spanning_rows(A, 2, 3) == want
+    assert _dense_select_spanning_rows(A, 2, 3) == want
+
+
+@pytest.mark.parametrize("routine,args", [
+    (echelon_rows_mod, ([[2, 1], [4, 3], [3, 0]], 2, 8)),
+    (_select_spanning_rows, (np.array([[4, 1], [2, 3], [6, 0]]), 2, 3)),
+    (diagonalize_mod, ([[2, 1], [4, 3], [3, 0]], 8)),
+])
+def test_eliminations_share_one_clearing_step(monkeypatch, routine, args):
+    calls = []
+    clear = zmodlin._clear
+    monkeypatch.setattr(zmodlin, "_clear",
+                        lambda *a: calls.append(a) or clear(*a))
+    routine(*args)
+    assert calls
+
+
 DIAG_MODULI = [2, 4, 6, 8, 12, 16, 24, 30, 36]
 
 
@@ -470,6 +498,18 @@ def test_echelon_rows_mod_refuses_rows_of_the_wrong_width(equations, ncols,
     with pytest.raises(ValueError) as info:
         echelon_rows_mod(equations, ncols, 5)
     assert all(w in str(info.value) for w in named)
+
+
+@pytest.mark.parametrize("m", [0, -3, -6])
+@pytest.mark.parametrize("call", [
+    lambda m: echelon_rows_mod([[1, 2], [3, 4], [5, 6]], 2, m),
+    lambda m: diagonalize_mod([[1, 2], [3, 4]], m),
+    lambda m: solve_mod([[1, 2], [3, 4]], [1, 1], m),
+    lambda m: nullspace_mod([[2, 4], [4, 2]], m),
+], ids=["echelon_rows_mod", "diagonalize_mod", "solve_mod", "nullspace_mod"])
+def test_modulus_below_one_is_refused(call, m):
+    with pytest.raises(ValueError, match=f"modulus m = {m} must be at least 1"):
+        call(m)
 
 
 # ---------------------------------------------------------------------------
