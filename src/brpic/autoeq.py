@@ -610,15 +610,19 @@ def complete_extensions(partial: PartialBrEq,
                         ) -> list[BraidedAutoeq]:
     """All total braided autoequivalences extending a partial map.
 
-    Backtracking over the undetermined sources with fingerprint and
-    incremental S-consistency pruning; raises NoExtension when the partial
-    map admits no completion and BudgetExceeded past ``cap`` search nodes
-    (a node is one unused candidate target offered to a source).  Pruning
-    compares the entry ids ``md.S_ids``; each completion is then built as a
-    BraidedAutoeq, whose exact S/T check certifies it."""
+    A loop over the undetermined sources, fewest fingerprint-admissible
+    targets first.  Level k offers every partial map alive (a row of
+    ``frames [F, k]``) each unused target of the next source, a node being
+    one unused candidate target offered to a source, and keeps the pairs
+    consistent on the entry ids ``md.S_ids``.  Raises NoExtension when no
+    completion exists and BudgetExceeded past ``cap`` nodes.  A frame is a
+    node of the level before, so ``cap`` also bounds memory: at most ``cap``
+    frames of N small ints (N simples) and an [F, N] used-target mask.
+    Each completion is built as a BraidedAutoeq, whose exact S/T check
+    certifies it."""
     G = partial.group
     md = modular_data(G)
-    ids = md.S_ids
+    ids = md.S_ids.astype(np.min_scalar_type(md.S_ids.max()))
     ns = md.size
     fps = _fingerprints(md)
 
@@ -648,44 +652,31 @@ def complete_extensions(partial: PartialBrEq,
         pools[src] = pool
 
     # sources in visiting order: the determined ones, then by pool size;
-    # image[k] is the target of order[k], and the target t of order[k] must
-    # satisfy ids[t, image[:k]] == want[k]
+    # level k keeps t when ids[t, frames[f, i]] == ids[order[k], order[i]]
     order = srcs + sorted(pools, key=lambda s: (len(pools[s]), s))
-    want = [ids[s, order[:k]] for k, s in enumerate(order)]
-    image = np.zeros(ns, dtype=np.int64)
-    image[:len(tgts)] = tgts
-    used = np.zeros(ns, dtype=bool)
-    used[tgts] = True
-    results: list[tuple[int, ...]] = []
+    frames = np.array([tgts], dtype=np.min_scalar_type(ns - 1))
     nodes = 0
-
-    def dfs(k: int):
-        nonlocal nodes
-        if k == ns:
-            full = np.empty(ns, dtype=np.int64)
-            full[order] = image
-            results.append(tuple(full.tolist()))
-            return
-        pool = pools[order[k]]
-        pool = pool[~used[pool]]
-        nodes += len(pool)
+    for k in range(len(tgts), ns):
+        pool = pools[order[k]].astype(frames.dtype)
+        used = np.zeros((len(frames), ns), dtype=bool)
+        np.put_along_axis(used, frames, True, axis=1)
+        ok = ~used[:, pool]
+        nodes += int(np.count_nonzero(ok))
         if nodes > cap:
             raise BudgetExceeded(
                 f"completion search exceeded cap = {cap} nodes"
                 f" (EXTENSION_NODE_BUDGET = {EXTENSION_NODE_BUDGET})"
             )
-        ok = (ids[pool[:, None], image[:k]] == want[k]).all(axis=1)
-        for t in pool[ok].tolist():
-            image[k] = t
-            used[t] = True
-            dfs(k + 1)
-            used[t] = False
-
-    dfs(len(tgts))
-    if not results:
+        cols = ids.T[:, pool]           # cols[x, j] = ids[pool[j], x]
+        for i in range(k):
+            ok &= cols[frames[:, i]] == ids[order[k], order[i]]
+        f, j = ok.nonzero()
+        frames = np.column_stack([frames[f], pool[j]])
+    if not len(frames):
         raise NoExtension("partial map admits no braided completion")
+    full = frames[:, np.argsort(order)].tolist()
     prov = Provenance("searched", (partial.provenance,))
-    return [BraidedAutoeq(G, m, prov) for m in sorted(results)]
+    return [BraidedAutoeq(G, m, prov) for m in sorted(map(tuple, full))]
 
 
 # ---------------------------------------------------------------------------

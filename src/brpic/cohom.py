@@ -321,7 +321,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     """
     if m is None:
         m = G.n
-    _check_modulus(m)
+    _check_modulus(m, G.n ** 2)     # every sum below has at most n^2 terms
     key = ("h2", m)
     if key in G._memo:
         return G._memo[key]

@@ -146,8 +146,8 @@ class BudgetExceeded(BrpicError):
     H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle system
     on generator rows, |gens| (n-1)^2 x (n-1)^2) and
     ``H2_CLASS_BUDGET`` (class representatives), the matrix-model
-    oracle's size limits (2n and p), and the matrix model's
-    ``FPN_INT64_LIMIT`` (F_p products must fit in int64)."""
+    oracle's size limits (2n and p), and ``FPN_INT64_LIMIT``, the int64
+    limit on the modulus of F_p matrix products and of Z/m elimination."""
 
 
 class ConditionFailed(BrpicError):

@@ -71,7 +71,7 @@ from .groups import (
     conjugacy_classes,
     named_group,
 )
-from .zmodlin import _inv_mod_p, _is_prime, _primitive_root, _rref_mod_p
+from .zmodlin import _check_int64, _inv_mod_p, _is_prime, _primitive_root, _rref_mod_p
 
 __all__ = [
     "FpMatrix",
@@ -89,17 +89,7 @@ __all__ = [
 # Exhaustive-oracle feasibility bounds (matrix size 2n and prime p).
 _ORACLE_MAX_SIZE = 4
 _ORACLE_MAX_P = 5
-# Products run on int64: a row-by-column sum, up to 2n (p - 1)^2, stays below.
-FPN_INT64_LIMIT = 2**63
 _BRUHAT_SLICE = 4096   # matrices factored at once (bounds scratch memory)
-
-
-def _check_int64(size: int, p: int) -> None:
-    if size * (p - 1) ** 2 >= FPN_INT64_LIMIT:
-        raise BudgetExceeded(
-            f"products of {size} x {size} matrices mod {p}"
-            f" overflow int64: 2n (p-1)^2 >= FPN_INT64_LIMIT = 2**63"
-        )
 
 
 def _check_prime(p: int) -> int:

@@ -31,8 +31,11 @@ the outputs byte-stable.  ``diagonalize_mod`` applies it to the remaining
 block, indexed by (row, col), and scans row k alone first: a unit there
 attains the minimum.  ``_select_spanning_rows`` applies it to one column mod
 p^k, where gcd(x, p^k) = p^v(x).  ``echelon_rows_mod`` takes the first
-candidate in input order, which its one-row-at-a-time output fixes.  A
-modulus below 1 raises ValueError.
+candidate in input order, which its one-row-at-a-time output fixes.
+The one int64 check, ``_check_modulus(m, size)``, runs once before each
+elimination: ValueError when m < 1, BudgetExceeded when a sum of ``size``
+products mod m (the longest the elimination or its solves form) can reach
+``FPN_INT64_LIMIT`` = 2^63, the bound ``fpn``'s ``_check_int64`` also keeps.
 
 The module is also the one place that eliminates mod a prime power and the
 one place that factors integers.  Its private helpers serve the other
@@ -59,6 +62,8 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
+
+from .errors import BudgetExceeded
 
 __all__ = [
     "xgcd",
@@ -87,9 +92,22 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _check_modulus(m: int) -> None:
+# A sum of ``size`` int64 products of entries in [0, m) reaches size (m-1)^2.
+FPN_INT64_LIMIT = 2**63
+
+
+def _check_int64(size: int, m: int) -> None:
+    if size * (m - 1) ** 2 >= FPN_INT64_LIMIT:
+        raise BudgetExceeded(
+            f"sums of {size} products mod {m} overflow int64:"
+            f" {size} (m-1)^2 >= FPN_INT64_LIMIT = 2**63"
+        )
+
+
+def _check_modulus(m: int, size: int) -> None:
     if m < 1:
         raise ValueError(f"modulus m = {m} must be at least 1")
+    _check_int64(size, m)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +278,7 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
     when m < 1 or the input is not a 2-D array of ``ncols`` columns; an
     empty input gives shape (0, ncols).
     """
-    _check_modulus(m)
+    _check_modulus(m, 2)          # an xgcd step sums two products
     try:
         W = np.array(equations, dtype=np.int64, order="F")
     except ValueError:
@@ -371,8 +389,8 @@ def diagonalize_mod(A, m: int):
     row, col) in the remaining block, read off row k when it holds a unit
     (see the module docstring).  ValueError when m < 1.
     """
-    _check_modulus(m)
-    D = np.asarray(A, dtype=np.int64).copy() % m
+    _check_modulus(m, max(2, *np.shape(A)))     # U @ b, V @ z in solve
+    D = np.asarray(A, dtype=np.int64) % m
     r, c = D.shape
     T = _Transforms(r, c)
     rows, cols = (D, T.U), (D.T, T.V.T)
@@ -455,6 +473,7 @@ def nullspace_mod(A, m: int) -> np.ndarray:
     """Columns generating {x : A x = 0 mod m} as a Z/m-module."""
     A = np.asarray(A, dtype=np.int64)
     r, c = A.shape
+    _check_modulus(m, max(2, c))    # before the echelon
     if r > c:
         A = echelon_rows_mod(A, c, m)
         if A.shape[0] == 0:

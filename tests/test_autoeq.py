@@ -2,12 +2,15 @@
 bimodule invariants."""
 
 import itertools
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brpic.autoeq import (
+    EXTENSION_NODE_BUDGET,
     BraidedAutoeq,
     PartialBrEq,
     Provenance,
@@ -742,6 +745,199 @@ class TestCompleteExtensions:
             PartialBrEq(S3, {}, {1: ()}, Provenance("searched"))
         with pytest.raises(NoExtension):
             PartialBrEq(S3, {1: 1}, {1: (1, 2)}, Provenance("searched"))
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level search against a recursive reference
+# ---------------------------------------------------------------------------
+
+def recursive_search(partial, cap=math.inf):
+    """Depth-first backtracking over the undetermined sources, frozen as the
+    reference for ``complete_extensions``: the same pre-checks, visiting
+    order, pruning and node count, one recursive call per node.  Returns
+    (sorted completions, nodes); no completion is an empty list."""
+    G = partial.group
+    md = modular_data(G)
+    ids = md.S_ids
+    ns = md.size
+    fps = _fingerprints(md)
+
+    srcs = list(partial.mapping)
+    tgts = list(partial.mapping.values())
+    for a, t in zip(srcs, tgts):
+        if fps[a] != fps[t]:
+            raise NoExtension(
+                f"determined image {a} -> {t} changes preserved invariants"
+            )
+    bad = np.argwhere(np.triu(
+        ids[np.ix_(tgts, tgts)] != ids[np.ix_(srcs, srcs)], 1))
+    if len(bad):
+        x, y = bad[0]
+        raise NoExtension(
+            f"determined images at ({srcs[x]}, {srcs[y]}) break the S-matrix"
+        )
+
+    pools = {}
+    for src in range(ns):
+        if src in partial.mapping:
+            continue
+        base = np.array(partial.candidates.get(src, range(ns)))
+        pool = np.sort(base[fps[base] == fps[src]])
+        if not len(pool):
+            raise NoExtension(f"source {src} has no admissible target")
+        pools[src] = pool
+
+    order = srcs + sorted(pools, key=lambda s: (len(pools[s]), s))
+    want = [ids[s, order[:k]] for k, s in enumerate(order)]
+    image = np.zeros(ns, dtype=np.int64)
+    image[:len(tgts)] = tgts
+    used = np.zeros(ns, dtype=bool)
+    used[tgts] = True
+    results = []
+    nodes = 0
+
+    def dfs(k):
+        nonlocal nodes
+        if k == ns:
+            full = np.empty(ns, dtype=np.int64)
+            full[order] = image
+            results.append(tuple(full.tolist()))
+            return
+        pool = pools[order[k]]
+        pool = pool[~used[pool]]
+        nodes += len(pool)
+        if nodes > cap:
+            raise BudgetExceeded(
+                f"completion search exceeded cap = {cap} nodes"
+                f" (EXTENSION_NODE_BUDGET = {EXTENSION_NODE_BUDGET})"
+            )
+        ok = (ids[pool[:, None], image[:k]] == want[k]).all(axis=1)
+        for t in pool[ok].tolist():
+            image[k] = t
+            used[t] = True
+            dfs(k + 1)
+            used[t] = False
+
+    dfs(len(tgts))
+    return sorted(results), nodes
+
+
+def assert_matches_recursion(part):
+    """The same sorted completions, the same node count n (cap = n
+    completes, cap = n - 1 stops with the reference's message) and the same
+    NoExtension when nothing completes."""
+    expected, nodes = recursive_search(part)
+    assert expected == sorted(set(expected))
+    if expected:
+        got = complete_extensions(part, cap=nodes)
+        assert [F.mapping for F in got] == expected
+    else:
+        with pytest.raises(NoExtension,
+                           match="partial map admits no braided completion"):
+            complete_extensions(part, cap=nodes)
+    if not nodes:           # no node is counted, so no cap can stop it
+        assert [F.mapping for F in complete_extensions(part, cap=-1)] \
+            == recursive_search(part, cap=-1)[0] == expected
+        return expected, nodes
+    with pytest.raises(BudgetExceeded) as caught:
+        complete_extensions(part, cap=nodes - 1)
+    with pytest.raises(BudgetExceeded) as frozen:
+        recursive_search(part, cap=nodes - 1)
+    assert str(caught.value) == str(frozen.value)
+    return expected, nodes
+
+
+# the groups of the ``symmetries`` benchmark workload, and those it searches
+# from the unit object alone
+SYMMETRY_GROUPS = ("S3", "Z/3", "Z/2^2", "A4", "D4", "Q8", "S4", "S3xZ/2",
+                   "Z/2^3")
+UNIT_SEEDED = ("S3", "Z/3", "Z/2^2", "D4", "Q8", "A4", "S3xZ/2", "S4")
+
+
+def rprime_partials(G):
+    """The R' partial along each nontrivial abelian normal subgroup that has
+    one; in Z/2^3 one subgroup per order (Aut(Z/2^3) = GL_3(2) is transitive
+    on the subgroups of each order)."""
+    out, orders = [], set()
+    for N in abelian_normal_subgroups(G):
+        if N.order == 1 or (G.name == "Z/2^3" and N.order in orders):
+            continue
+        orders.add(N.order)
+        try:
+            out.append(partial_dualization_rprime(N))
+        except (NoComplement, NotSelfDual):
+            pass
+    return out
+
+
+class TestLevelSearchMatchesRecursion:
+    @pytest.mark.parametrize("name, nodes", [
+        ("S3", 9), ("Z/3", 54), ("Z/2^2", 3672), ("D4", 16958), ("Q8", 2412),
+        ("A4", 90), ("S3xZ/2", 811), ("S4", 185),
+    ])
+    def test_unit_seeded_search(self, name, nodes):
+        G = named_group(name)
+        u = _unit_index(G)
+        part = PartialBrEq(G, {u: u}, {}, Provenance("searched"))
+        assert assert_matches_recursion(part)[1] == nodes
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("S3", [5]), ("Z/3", [9]), ("Z/2^2", [160, 160, 160, 166]),
+        ("A4", [44]), ("D4", [260, 260, 248]), ("Q8", []), ("S4", [133]),
+        ("S3xZ/2", [204, 102, 204]),
+        # subgroups of order 2, 4 and 8; order 4 is the largest pinned search
+        ("Z/2^3", [124864, 197800, 115860]),
+    ])
+    def test_rprime_searches(self, name, nodes):
+        partials = rprime_partials(named_group(name))
+        assert [assert_matches_recursion(p)[1] for p in partials] == nodes
+
+    @pytest.mark.parametrize("name, seed, nodes", [("Z/2^2", 15, 357),
+                                                   ("D4", 21, 2314)])
+    def test_seeded_away_from_the_unit(self, name, seed, nodes):
+        # the first source visited is not the unit, so the S-consistency
+        # against it prunes (against the unit the fingerprints already do)
+        part = PartialBrEq(named_group(name), {seed: seed}, {},
+                           Provenance("searched"))
+        assert assert_matches_recursion(part)[1] == nodes
+
+    def test_fully_determined_partial(self):
+        S3 = named_group("S3")
+        part = PartialBrEq(S3, {i: i for i in range(8)}, {},
+                           Provenance("searched"))
+        assert assert_matches_recursion(part) == ([tuple(range(8))], 0)
+
+    def test_partial_dying_at_its_last_level(self):
+        # one frame reaches the last level (after 10 nodes) and is offered
+        # nothing there: the one target it has not used lies outside the
+        # last source's pool
+        Z3 = named_group("Z/3")
+        part = PartialBrEq(
+            Z3, {0: 0},
+            {1: (2,), 2: (1, 2, 3), 3: (2, 6), 6: (1, 2, 6), 7: (5, 7)},
+            Provenance("searched"))
+        assert assert_matches_recursion(part) == ([], 10)
+
+    @pytest.mark.parametrize("mapping, nodes", [({}, 1), ({0: 0}, 0)])
+    def test_trivial_group(self, mapping, nodes):
+        part = PartialBrEq(named_group("Z/1"), mapping, {},
+                           Provenance("searched"))
+        assert assert_matches_recursion(part) == ([(0,)], nodes)
+
+    def test_frame_stack_stays_small(self):
+        # the largest level of the order-4 Z/2^3 R' search holds 2048 frames
+        # of 64 simples; as uint8 rows, with the [F, N] used mask and one
+        # level's temporaries, the traced peak stays below 6 bytes per entry
+        # (int64 frames take over 8)
+        part = rprime_partials(named_group("Z/2^3"))[1]
+        complete_extensions(part)           # builds the cached data
+        tracemalloc.start()
+        try:
+            complete_extensions(part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2048 * 64
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,13 @@ class TestExitCodes:
         assert payload["error"] == "BudgetExceeded"
         assert "FPN_INT64_LIMIT" in payload["message"]
 
+    def test_overflowing_modulus_is_domain_error(self, capsys):
+        code, payload, _ = run_json(capsys, "--modulus", str(2**40 + 15),
+                                    "h2", "S3")
+        assert code == 1
+        assert payload["error"] == "BudgetExceeded"
+        assert "FPN_INT64_LIMIT" in payload["message"]
+
     def test_unknown_example_is_domain_error(self, capsys):
         code, payload, _ = run_json(capsys, "examples", "bogus")
         assert code == 1

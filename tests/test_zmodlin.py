@@ -2,14 +2,14 @@
 each against a brute-force oracle or the dense reference routine."""
 
 import itertools
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brpic.errors import NotPrime
+from brpic.errors import BudgetExceeded, NotPrime
 from brpic import cohom, zmodlin
 from brpic.fpn import FpMatrix
 from brpic.groups import named_group
@@ -510,6 +510,99 @@ def test_echelon_rows_mod_refuses_rows_of_the_wrong_width(equations, ncols,
 def test_modulus_below_one_is_refused(call, m):
     with pytest.raises(ValueError, match=f"modulus m = {m} must be at least 1"):
         call(m)
+
+
+# ---------------------------------------------------------------------------
+# the int64 limit on the modulus
+# ---------------------------------------------------------------------------
+
+BIG_M = 2**40 + 15      # one product (m - 1)^2 already passes 2**63
+
+
+def test_solve_mod_refuses_an_overflowing_modulus():
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        A = rng.integers(0, BIG_M, size=(3, 3))
+        b = rng.integers(0, BIG_M, size=3)
+        with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
+            solve_mod(A, b, BIG_M)
+
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    """Fail the test if an elimination or a cocycle system gets built."""
+    def refuse(*args):
+        pytest.fail("elimination started")
+
+    monkeypatch.setattr(zmodlin, "_clear", refuse)
+    monkeypatch.setattr(cohom, "_cocycle_equations", refuse)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: echelon_rows_mod([[1, 2], [3, 4], [5, 6]], 2, m),
+    lambda m: diagonalize_mod([[1, 2], [3, 4]], m),
+    lambda m: DiagonalizedSystem([[1, 2], [3, 4]], m),
+    lambda m: solve_mod([[1, 2], [3, 4]], [1, 1], m),
+    lambda m: nullspace_mod([[2, 4], [4, 2], [1, 1]], m),
+    lambda m: cohom.h2_classes(named_group("S3"), m),
+], ids=["echelon_rows_mod", "diagonalize_mod", "DiagonalizedSystem",
+        "solve_mod", "nullspace_mod", "h2_classes"])
+def test_overflowing_modulus_is_refused_before_any_work(no_elimination,
+                                                        call):
+    with pytest.raises(BudgetExceeded, match="FPN_INT64_LIMIT"):
+        call(BIG_M)
+
+
+# sums of two products (an xgcd step) fit below 2**63, sums of three do not
+TWO_TERM_M = 2**31 - 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: diagonalize_mod([[1, 2], [3, 4], [5, 6]], m),
+    lambda m: diagonalize_mod([[1, 2, 3], [4, 5, 6]], m),
+    lambda m: nullspace_mod([[1, 2, 3]] * 4, m),
+    lambda m: cohom.h2_classes(named_group("S3"), m),
+], ids=["three rows", "three columns", "nullspace_mod", "h2_classes"])
+def test_limit_counts_the_longest_sum(no_elimination, call):
+    # a solve sums one product per row (U @ b) or column (V @ z); the
+    # echelon in front of nullspace_mod and h2_classes' cocycle system
+    # are not started either
+    with pytest.raises(BudgetExceeded, match="sums of (3|36) products"):
+        call(TWO_TERM_M)
+
+
+def test_two_term_sums_pass_below_their_limit():
+    m = TWO_TERM_M
+    assert echelon_rows_mod([[1, 2, 3]] * 4, 3, m).tolist() == [[1, 2, 3]]
+    x = solve_mod([[1, 2], [3, 4]], [1, 1], m).tolist()
+    assert [(x[0] + 2 * x[1]) % m, (3 * x[0] + 4 * x[1]) % m] == [1, 1]
+
+
+def test_largest_admitted_modulus_solves_exactly():
+    # the largest m with 3 (m - 1)^2 < 2**63: every 3 x 3 solve is exact
+    m = isqrt((2**63 - 1) // 3) + 1
+    zmodlin._check_modulus(m, 3)
+    with pytest.raises(BudgetExceeded):
+        zmodlin._check_modulus(m + 1, 3)
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        A = rng.integers(0, m, size=(3, 3)).tolist()
+        x0 = rng.integers(0, m, size=3).tolist()
+        b = [sum(a * x for a, x in zip(row, x0)) % m for row in A]
+        x = solve_mod(A, b, m).tolist()
+        assert [sum(a * v for a, v in zip(row, x)) % m for row in A] == b
+
+
+def test_int64_check_runs_once_per_elimination(monkeypatch):
+    sizes = []
+    check = zmodlin._check_int64
+    monkeypatch.setattr(zmodlin, "_check_int64",
+                        lambda size, m: sizes.append(size) or check(size, m))
+    system = DiagonalizedSystem([[2, 4, 1], [4, 2, 3]], 12)
+    for b in itertools.product(range(12), repeat=2):
+        system.solve(b)
+    system.nullspace()
+    assert sizes == [3]
 
 
 # ---------------------------------------------------------------------------
