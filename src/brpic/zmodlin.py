@@ -476,8 +476,6 @@ def nullspace_mod(A, m: int) -> np.ndarray:
     _check_modulus(m, max(2, c))    # before the echelon
     if r > c:
         A = echelon_rows_mod(A, c, m)
-        if A.shape[0] == 0:
-            return np.eye(c, dtype=np.int64)
     return DiagonalizedSystem(A, m).nullspace()
 
 

@@ -121,14 +121,40 @@ def test_autoequivalence_closure_matches_sequential():
     assert [F.mapping for F in gg.elements] == old
 
 
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("which", ["V", "BV", "EV", "R"])
+def test_one_family_matches_sequential(p, n, which):
+    # under V alone the basis vectors lie in more than one orbit
+    assert check_matrices(subgroup_generators(p, n, which)) > 1
+
+
 @pytest.mark.parametrize("cap", [1, 2, 100, 719])
 def test_cap_raises_where_sequential_does(cap):
     gens = standard_generators(2, 2)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as old:
         sequential_closure(gens, operator.matmul, FpMatrix.identity(2, 2),
                            cap)
     with pytest.raises(CapExceeded):
         batched_matrix_closure(gens, cap)
+    with pytest.raises(CapExceeded) as new:
+        generate_matrix_group(gens, cap)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("cap, orbit_fires", [(1, True), (2, True),
+                                              (100, False), (719, False)])
+def test_cap_fires_in_the_orbit_or_the_closure(monkeypatch, cap, orbit_fires):
+    # Sp_4(F_2) moves e_1 to all 15 nonzero vectors: past 4 * cap points
+    # the orbit step raises before the closure starts
+    import brpic.fpn as fpn
+
+    closures = []
+    closure = fpn._closure
+    monkeypatch.setattr(fpn, "_closure",
+                        lambda *a: closures.append(a) or closure(*a))
+    with pytest.raises(CapExceeded):
+        generate_matrix_group(standard_generators(2, 2), cap)
+    assert bool(closures) != orbit_fires
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])

@@ -45,6 +45,7 @@ from brpic.fpn import (
     _check_prime,
     _matrix_closure,
     _pair_swap,
+    _preserves_form,
     autoeq_to_matrix,
     bruhat_factorize,
     generate_matrix_group,
@@ -301,6 +302,13 @@ class TestGenerateMatrixGroup:
         assert len(generate_matrix_group(gens, cap=720)) == 720
         with pytest.raises(CapExceeded):
             generate_matrix_group(gens, cap=719)
+
+    def test_order_beyond_the_oracle(self):
+        # |O_4^+(7)| = 2 * 7^2 * (7^2 - 1)^2, out of the oracle's p <= 5
+        p, E = _matrix_closure(standard_generators(7, 2))
+        assert len(E) == closed_form_order(7, 2) == 2 * 7**2 * (7**2 - 1)**2
+        assert E.dtype == np.uint8
+        assert _preserves_form(p, E).all()
 
     def test_empty(self):
         with pytest.raises(ValueError):

@@ -394,6 +394,23 @@ def test_diagonalize_mod_xgcd_steps_match(monkeypatch, A, m):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("A", [
+    [[1, 0], [0, 1], [1, 1]],           # more rows than columns: echelon first
+    [[1, 0], [0, 1]],
+    [[0, 0], [0, 0], [0, 0]],           # echelon leaves no rows
+])
+def test_nullspace_mod_at_one_does_not_depend_on_the_shape(A):
+    # over Z/1 every module is zero: no generators, whatever the row count
+    assert nullspace_mod(A, 1).shape == (2, 0)
+
+
+def test_nullspace_mod_of_a_zero_system_is_the_identity():
+    for m in (2, 6):
+        for rows in (1, 3):
+            got = nullspace_mod(np.zeros((rows, 2), dtype=np.int64), m)
+            assert np.array_equal(got, np.eye(2, dtype=np.int64))
+
+
 def _streaming_echelon_rows_mod(equations, ncols, m):
     """Reference: reduces one row at a time, in input order, against the
     pivot rows found so far (one pivot row per leading column)."""
