@@ -156,7 +156,7 @@ def _positive_int(text: str) -> int:
 
 
 def _resolve_group(name: str, cap: Optional[int]) -> FiniteGroup:
-    return named_group(name, cap=cap if cap else ORDER_CAP)
+    return named_group(name, cap=ORDER_CAP if cap is None else cap)
 
 
 def _subgroup_of(G: FiniteGroup, text: str, what: str) -> Subgroup:
@@ -327,7 +327,7 @@ def _cmd_autoeq(ns) -> tuple:
             G = _resolve_group(data["group"], ns.cap)
             elements.append(autoeq_from_json(data, G))
         gg = generate_group(
-            elements, cap=ns.cap if ns.cap else CLOSURE_CAP
+            elements, cap=CLOSURE_CAP if ns.cap is None else ns.cap
         )
         payload = {
             "order": gg.order,
@@ -372,7 +372,7 @@ def _cmd_autoeq(ns) -> tuple:
 
 def _cmd_fpn(ns) -> tuple:
     p, n = ns.p, ns.n
-    cap = ns.cap if ns.cap else CLOSURE_CAP
+    cap = CLOSURE_CAP if ns.cap is None else ns.cap
     sub = ns.fpn_command
     if sub == "orders":
         generated = len(_matrix_closure(standard_generators(p, n), cap)[1])
@@ -583,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="order cap for named groups and generated closures",
     )

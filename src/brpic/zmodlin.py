@@ -21,10 +21,11 @@ the primitives here.
 One clearing step serves every elimination over Z/m and Z/p^k: ``_clear``
 clears one column of a list of rows off a pivot row, in order (gcd-based
 elimination over Z/N, as in Storjohann and Mulders, ESA 1998).  Each run of
-entries the pivot divides goes in one vectorized update over the pivot row's
-nonzero columns (entries lie in [0, m), where a zero column leaves the other
-rows unchanged); only an entry it does not divide takes a sequential xgcd
-step, so the operations, and U and V, are those of one row at a time.
+entries the pivot divides costs one gather-update-scatter per matrix, on the
+pivot row's nonzero columns (entries lie in [0, m), where a zero column
+leaves the other rows unchanged); only an entry it does not divide takes a
+sequential xgcd step, so the operations, and U and V, are those of one row
+at a time.  ``DiagonalizedSystem`` solves with no per-row loop.
 
 One pivot rule, the nonzero entry minimizing (gcd(entry, m), index), makes
 the outputs byte-stable.  ``diagonalize_mod`` applies it to the remaining
@@ -241,15 +242,15 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
     pivots: list[int] = []
     for j in range(W.shape[1]):
         col = W[:, j]
-        cand = np.flatnonzero(active & (col != 0))
+        cand = (active & (col != 0)).nonzero()[0]
         if cand.size == 0:
             continue
         gs = np.gcd(col[cand], q)
-        at = int(np.argmin(gs))
+        at = int(gs.argmin())
         r = int(cand[at])
         unit = int(col[r]) // int(gs[at])
         W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes gcd
-        _clear(W, None, q, r, j, np.delete(cand, at))
+        _clear(W, None, q, r, j, np.concatenate((cand[:at], cand[at + 1:])))
         active[r] = False
         pivots.append(r)
     return pivots
@@ -296,7 +297,7 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
     active = np.ones(W.shape[0], dtype=bool)
     pivots: list[int] = []
     for j in range(ncols):
-        cand = np.flatnonzero(active & (W[:, j] != 0))
+        cand = (active & (W[:, j] != 0)).nonzero()[0]
         if cand.size == 0:
             continue
         r = int(cand[0])
@@ -342,15 +343,14 @@ def _clear(A, M, m, r, j, rows) -> bool:
     row operations applied to M as well unless M is None.
 
     Each run of rows whose entry the pivot a = A[r, j] divides is cleared by
-    one update (row_i -= (b_i / a) row_r for all of them at once); the first
-    row that a does not divide gets an xgcd step with row r, which changes
-    a, and the next run uses the new a.  Only row r and the row being
-    cleared change at each step, so the result is that of one row at a
-    time.  Row r and ``rows`` of A must be zero left of column j, as they
-    are in every caller, so A is worked on from column j; and entries lie
-    in [0, m), so a run update touches only the pivot row's nonzero
-    columns: a zero there leaves the other rows unchanged.  Returns whether
-    an xgcd step fired.
+    one gather-update-scatter per matrix, row_i -= (b_i / a) row_r on the
+    pivot row's nonzero columns (entries lie in [0, m), so a zero there
+    leaves row_i unchanged; each product is at most (m-1)^2).  The first
+    row a does not divide gets an xgcd step with row r, which changes a for
+    the next run.  Only row r and the row being cleared change at each
+    step, so the result is that of one row at a time.  Row r and ``rows``
+    of A are zero left of column j in every caller, so A is worked on from
+    column j.  Returns whether an xgcd step fired.
     """
     A = A[:, j:]
     mats = (A,) if M is None else (A, M)
@@ -358,17 +358,15 @@ def _clear(A, M, m, r, j, rows) -> bool:
     dirty = False
     while rows.size:
         b = A[rows, 0]
-        bad = np.flatnonzero(b % a)
+        bad = (b % a).nonzero()[0]
         stop = int(bad[0]) if bad.size else rows.size
         if stop:
-            q = b[:stop] // a
+            q = b[:stop, None] // a
+            run = rows[:stop, None]
             for X in mats:
-                nzc = np.flatnonzero(X[r])
-                sub = np.ix_(rows[:stop], nzc)
-                Y = X[sub]
-                Y -= np.multiply.outer(q, X[r, nzc])
-                Y %= m
-                X[sub] = Y
+                pivot = X[r]
+                nzc = pivot.nonzero()[0]
+                X[run, nzc] = (X[run, nzc] - q * pivot[nzc]) % m
         if stop == rows.size:
             break
         i, bi = int(rows[stop]), int(b[stop])
@@ -398,25 +396,25 @@ def diagonalize_mod(A, m: int):
         while True:
             head = D[k, k:]
             # nonzero as well: at m = 1, gcd(0, m) = 1 too
-            units = np.flatnonzero((head != 0) & (np.gcd(head, m) == 1))
+            units = ((head != 0) & (np.gcd(head, m) == 1)).nonzero()[0]
             if units.size:
                 bi, bj = k, int(units[0]) + k
             else:
                 block = D[k:, k:]
-                nz = np.nonzero(block)
+                nz = block.nonzero()
                 if nz[0].size == 0:
                     break
                 # min gcd, then min row, then min col: nz is row-major
-                at = int(np.argmin(np.gcd(block[nz], m)))
+                at = int(np.gcd(block[nz], m).argmin())
                 bi, bj = int(nz[0][at]) + k, int(nz[1][at]) + k
             if bi != k:
                 _swap(*rows, k, bi)
             if bj != k:
                 _swap(*cols, k, bj)
             dirty = False
-            for X, M in (rows, cols):             # column k, then row k
-                others = np.flatnonzero(X[:, k])
-                dirty |= _clear(X, M, m, k, k, others[others != k])
+            # column k, then row k, past the pivot: entries before k are 0
+            for X, M in (rows, cols):
+                dirty |= _clear(X, M, m, k, k, X[:, k].nonzero()[0][1:])
             if not dirty and not D[k, k + 1:].any() and not D[k + 1:, k].any():
                 break
     return D, T
@@ -426,7 +424,9 @@ class DiagonalizedSystem:
     """A diagonalization of one matrix mod m, reusable for many solves.
 
     Useful when a single coefficient matrix (for example a basis of a
-    solution module) is queried with many right-hand sides.
+    solution module) is queried with many right-hand sides.  The gcds
+    g_i = gcd(d_i, m) and the inverses of d_i / g_i mod m / g_i are computed
+    once, here, so ``solve`` has no per-row loop.
     """
 
     def __init__(self, A, m: int):
@@ -434,32 +434,32 @@ class DiagonalizedSystem:
         self.m = m
         self.rows, self.cols = A.shape
         self.D, self.T = diagonalize_mod(A, m)
+        d = np.diagonal(self.D)
+        self._g = g = np.gcd(d, m)             # m where d_i = 0
+        self._mg = m // g                      # an inverse mod 1 is 0
+        self._inv = np.array([pow(x, -1, n) for x, n in zip(
+            (d // g).tolist(), self._mg.tolist())], dtype=np.int64)
 
     def solve(self, b):
-        """One solution x of A x = b over Z/m, or None."""
-        m = self.m
-        rhs = (self.T.U @ (np.asarray(b, dtype=np.int64) % m)) % m
+        """One solution x = V z of A x = b over Z/m, or None when rhs = U b
+        is nonzero past the diagonal or some g_i does not divide rhs_i; z_i
+        = (rhs_i / g_i) inv_i mod m / g_i, 0 where g_i = m.  Each product is
+        at most (m-1)^2, within ``_check_modulus``'s bound."""
+        m, g = self.m, self._g
+        rhs = self.T.U @ (np.asarray(b, dtype=np.int64) % m) % m
+        if rhs[g.size:].any() or (rhs[:g.size] % g).any():
+            return None
         z = np.zeros(self.cols, dtype=np.int64)
-        for i in range(self.rows):
-            d = int(self.D[i, i]) if i < self.cols else 0
-            val = int(rhs[i]) % m
-            g = gcd(d, m)        # m when d = 0
-            if val % g:
-                return None
-            if g == m:
-                continue         # z_i unconstrained; take 0
-            mg = m // g
-            inv = pow((d // g) % mg, -1, mg)
-            z[i] = (val // g) * inv % mg
-        return (self.T.V @ z) % m
+        z[:g.size] = rhs[:g.size] // g * self._inv % self._mg
+        return self.T.V @ z % m
 
     def nullspace(self) -> np.ndarray:
         """Columns generating {x : A x = 0 mod m} as a Z/m-module: column i
         of V times m / gcd(d_i, m) for each d_i that is no unit mod m (the
         diagonal is padded with zeros to one d_i per column)."""
         m = self.m
-        d = np.pad(np.diagonal(self.D), (0, self.cols - min(self.D.shape)))
-        mult = m // np.gcd(d, m)
+        mult = np.pad(self._mg, (0, self.cols - self._mg.size),
+                      constant_values=1)
         keep = mult != m
         return self.T.V[:, keep] * mult[keep] % m
 

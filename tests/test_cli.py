@@ -91,6 +91,26 @@ class TestExitCodes:
         assert not out
         assert "--modulus" in err and f"got {modulus}" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [["fpn", "2", "1", "generate"],
+                                      ["chartable", "S3"]])
+    def test_cap_below_one_is_usage_error(self, capsys, cap, argv):
+        # refused by argparse, not read as the default cap
+        code, out, err = run(capsys, "--cap", cap, *argv)
+        assert code == 2
+        assert not out
+        assert f"argument --cap: must be at least 1, got {cap}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fpn", "2", "1", "generate"], "generated group exceeds the cap of 1"),
+        (["chartable", "S3"], "group 'S3' has order 6 > cap 1"),
+    ])
+    def test_cap_of_one_is_exceeded(self, capsys, argv, message):
+        code, payload, _ = run_json(capsys, "--cap", "1", *argv)
+        assert code == 1
+        assert payload["error"] == "CapExceeded"
+        assert payload["message"] == message
+
     @pytest.mark.parametrize("argv,message", [
         (["fpn", "3", "0", "orders"], "argument n: must be at least 1, got 0"),
         (["fpn", "3", "-1", "bruhat", "--all"], "argument n: must be at least 1"),

@@ -530,6 +530,183 @@ def test_modulus_below_one_is_refused(call, m):
 
 
 # ---------------------------------------------------------------------------
+# the clearing step and the solve against frozen copies of their loop forms
+# ---------------------------------------------------------------------------
+
+def _frozen_clear(A, M, m, r, j, rows):
+    """Reference: ``_clear`` as one ``np.ix_`` gather, outer-product update
+    and scatter per run and matrix."""
+    A = A[:, j:]
+    mats = (A,) if M is None else (A, M)
+    a = int(A[r, 0])
+    dirty = False
+    while rows.size:
+        b = A[rows, 0]
+        bad = np.flatnonzero(b % a)
+        stop = int(bad[0]) if bad.size else rows.size
+        if stop:
+            q = b[:stop] // a
+            for X in mats:
+                nzc = np.flatnonzero(X[r])
+                sub = np.ix_(rows[:stop], nzc)
+                Y = X[sub]
+                Y -= np.multiply.outer(q, X[r, nzc])
+                Y %= m
+                X[sub] = Y
+        if stop == rows.size:
+            break
+        i, bi = int(rows[stop]), int(b[stop])
+        g, s, t = xgcd(a, bi)
+        zmodlin._combine(mats, m, r, i, s, t, a // g, bi // g)
+        a = int(A[r, 0])
+        dirty = True
+        rows = rows[stop + 1:]
+    return dirty
+
+
+def _frozen_solve(system, b):
+    """Reference: ``DiagonalizedSystem.solve`` as one loop over every row."""
+    m = system.m
+    rhs = (system.T.U @ (np.asarray(b, dtype=np.int64) % m)) % m
+    z = np.zeros(system.cols, dtype=np.int64)
+    for i in range(system.rows):
+        d = int(system.D[i, i]) if i < system.cols else 0
+        val = int(rhs[i]) % m
+        g = gcd(d, m)        # m when d = 0
+        if val % g:
+            return None
+        if g == m:
+            continue         # z_i unconstrained; take 0
+        mg = m // g
+        inv = pow((d // g) % mg, -1, mg)
+        z[i] = (val // g) * inv % mg
+    return (system.T.V @ z) % m
+
+
+def _frozen(monkeypatch, routine, *args):
+    """``routine(*args)`` with ``_clear`` swapped for the frozen copy."""
+    with monkeypatch.context() as patch:
+        patch.setattr(zmodlin, "_clear", _frozen_clear)
+        return routine(*args)
+
+
+def _assert_same_solves(monkeypatch, A, m, rhss):
+    """Diagonalization, D, U, V and every solve (values and None) of the
+    current routines equal those of the frozen copies.  Returns how many
+    right-hand sides had no solution."""
+    system = DiagonalizedSystem(A, m)
+    ref = _frozen(monkeypatch, DiagonalizedSystem, A, m)
+    for got, want in zip((system.D, system.T.U, system.T.V),
+                         (ref.D, ref.T.U, ref.T.V)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(system.nullspace(), ref.nullspace())
+    unsolvable = 0
+    for b in rhss:
+        got, want = system.solve(b), _frozen_solve(system, b)
+        assert (got is None) == (want is None)
+        if want is None:
+            unsolvable += 1
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(np.asarray(A) @ got % m, np.asarray(b) % m)
+    return unsolvable
+
+
+FROZEN_MODULI = [1, 2, 4, 6, 8, 9, 12, 16, 24, 27, 36, 60, 64]
+
+
+def test_eliminations_match_the_frozen_copies(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zmodlin, "xgcd",
+                        lambda *a: calls.append(a) or xgcd(*a))
+    fired = unsolvable = 0
+    cases = 0
+    for seed in range(130):
+        rng = np.random.default_rng(3000 + seed)
+        m = FROZEN_MODULI[seed % len(FROZEN_MODULI)]
+        # rows > cols and rows < cols in turn
+        short, long = int(rng.integers(1, 8)), int(rng.integers(8, 16))
+        E, N = (long, short) if seed % 2 else (short, long)
+        A = rng.integers(0, m, size=(E, N)) * (rng.random((E, N)) < 0.5)
+        # scale half the columns by non-units, so that a pivot may not
+        # divide the entries below it
+        nonunits = [x for x in range(2, m) if gcd(x, m) > 1] or [1]
+        scale = rng.choice(nonunits, size=N) * (rng.random(N) < 0.5)
+        A = A * np.where(scale, scale, 1)
+        ncalls = len(calls)
+        got = echelon_rows_mod(A, N, m)
+        assert np.array_equal(got, _frozen(monkeypatch, echelon_rows_mod,
+                                           A, N, m))
+        for p, k in _factorize(m):
+            assert _select_spanning_rows(A, p, k) == _frozen(
+                monkeypatch, _select_spanning_rows, A, p, k)
+        x = rng.integers(0, m, size=(4, N))
+        rhss = list(x @ A.T % m) + list(rng.integers(0, m, size=(4, E)))
+        unsolvable += _assert_same_solves(monkeypatch, A, m, rhss)
+        fired += len(calls) > ncalls
+        cases += 1
+    assert 0 < fired < cases                         # the xgcd step fired
+    assert 0 < unsolvable                            # and solves said None
+
+
+@pytest.mark.parametrize("name,m", COHOMOLOGY_PAIRS)
+def test_cocycle_systems_match_the_frozen_copies(monkeypatch, name, m):
+    # the systems h2_classes eliminates: spanning rows mod p^k, their
+    # echelon, the nullspace basis and the solves against it
+    G = named_group(name)
+    m = m or G.n
+    A = cohom._cocycle_equations(G, m)
+    chosen = set()
+    for p, k in _factorize(m):
+        rows = _select_spanning_rows(A, p, k)
+        assert rows == _frozen(monkeypatch, _select_spanning_rows, A, p, k)
+        chosen.update(rows)
+    small = echelon_rows_mod(A[sorted(chosen)], A.shape[1], m)
+    assert np.array_equal(small, _frozen(
+        monkeypatch, echelon_rows_mod, A[sorted(chosen)], A.shape[1], m))
+    zbasis = nullspace_mod(small, m)
+    assert np.array_equal(zbasis, _frozen(monkeypatch, nullspace_mod,
+                                          small, m))
+    rng = np.random.default_rng(len(name) * m)
+    rhss = list((cohom._coboundary_rows(G) % m).T)
+    rhss += list(rng.integers(0, m, size=(3, zbasis.shape[1])) @ zbasis.T % m)
+    rhss += list(rng.integers(0, m, size=(3, zbasis.shape[0])))
+    assert _assert_same_solves(monkeypatch, zbasis, m, rhss) >= 1
+
+
+@pytest.mark.parametrize("A,b", [
+    ([[1], [0]], [0, 1]),               # rows > cols: the tail row is 0 = 1
+    ([[2, 0], [0, 0], [0, 0]], [2, 0, 3]),
+    ([[0, 0], [0, 0]], [0, 5]),         # a zero diagonal entry
+])
+def test_solve_refuses_a_nonzero_right_side_past_the_diagonal(A, b):
+    assert solve_mod(A, b, 6) is None
+    system = DiagonalizedSystem(A, 6)
+    assert _frozen_solve(system, b) is None
+
+
+@pytest.mark.parametrize("A", [[[1, 2], [3, 4]], [[1], [2], [3]],
+                               [[1, 2, 3]], [[0, 0]]])
+def test_solve_at_modulus_one_is_zero(A):
+    cols = len(A[0])
+    b = [5] * len(A)
+    x = solve_mod(A, b, 1)
+    assert x.dtype == np.int64 and x.tolist() == [0] * cols
+
+
+def test_solve_needs_the_gcd_of_a_diagonal_entry_to_divide():
+    # 4 x = b over Z/6: gcd(4, 6) = 2 divides 0, 2 and 4 only
+    system = DiagonalizedSystem([[4]], 6)
+    assert system.D.tolist() == [[4]]
+    for b in range(6):
+        x = system.solve([b])
+        assert (x is None) == (b % 2 == 1)
+        assert (x is None) == (_frozen_solve(system, [b]) is None)
+        if x is not None:
+            assert 4 * int(x[0]) % 6 == b
+
+
+# ---------------------------------------------------------------------------
 # the int64 limit on the modulus
 # ---------------------------------------------------------------------------
 
