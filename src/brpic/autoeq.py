@@ -18,6 +18,7 @@ generator word (i1, ..., ik) denotes g_{i1} after ... after g_{ik}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -41,7 +42,6 @@ from .cohom import (
 )
 from .cyclo import root_of_unity
 from .errors import (
-    BudgetExceeded,
     CertificationError,
     ConditionFailed,
     Degenerate,
@@ -59,6 +59,7 @@ from .errors import (
 )
 from .groups import (
     CLOSURE_CAP,
+    EXTENSION_NODE_BUDGET,
     FiniteGroup,
     GroupMorphism,
     Subgroup,
@@ -73,6 +74,7 @@ from .groups import (
     opposite_group,
     _closure,
     _compose_rows,
+    _extend_frames,
     _index_rows,
     _is_complement,
     _iso_backtrack,
@@ -101,9 +103,6 @@ __all__ = [
     "autoeq_to_json",
     "autoeq_from_json",
 ]
-
-EXTENSION_NODE_BUDGET = 1_000_000
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -234,7 +233,7 @@ class PartialBrEq:
             raise NoExtension("determined images are not injective")
         clean = {}
         for k, pool in self.candidates.items():
-            pool = tuple(sorted(int(t) for t in pool))
+            pool = tuple(sorted({int(t) for t in pool}))
             if not pool:
                 raise NoExtension(f"source {k} has no admissible target")
             if int(k) in self.mapping:
@@ -315,29 +314,27 @@ def identity_autoeq(G: FiniteGroup) -> BraidedAutoeq:
 def from_hopf_auto(v: GroupMorphism) -> BraidedAutoeq:
     """The autoequivalence induced by a group automorphism:
     (class of g, chi) -> (class of v(g), chi after v^-1)."""
-    G = v.target
-    if not v.is_automorphism():
-        raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
-    return _twisted_transport(G, v, None, Provenance("v", (v,)))
+    return _twisted_transport(v, None, Provenance("v", (v,)))
 
 
 def from_bv(v: GroupMorphism, mu: Cocycle2) -> BraidedAutoeq:
     """Automorphism plus monoidal 2-cocycle twist:
     (g, chi) -> (v(g), chi(v^-1(.)) times the mu-commutator character)."""
-    G = v.target
-    if not v.is_automorphism():
-        raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
-    if mu.group != G:
-        raise DomainMismatch("cocycle lives on a different group")
-    return _twisted_transport(G, v, mu, Provenance("bv", (v, mu)))
+    return _twisted_transport(v, mu, Provenance("bv", (v, mu)))
 
 
-def _twisted_transport(G, v, mu, provenance) -> BraidedAutoeq:
+def _twisted_transport(v, mu, provenance) -> BraidedAutoeq:
     """Per source class of g: c conjugates h = v(g) to its class
     representative r, and each class of Cent(r), with representative y, is
     read in Cent(g) at v^-1(c^-1 y c).  With a cocycle, the characters are
     multiplied by the additive twist t(u) = mu(v^-1 u, g) - mu(g, v^-1 u)
-    on Cent(h), checked to be a character first."""
+    on Cent(h), checked to be a character first.  Raises NotAnAutomorphism,
+    then DomainMismatch when mu lives on a group other than v's."""
+    G = v.target
+    if not v.is_automorphism():
+        raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
+    if mu is not None and mu.group != G:
+        raise DomainMismatch("cocycle lives on a different group")
     index_of = _simple_index(G)
     classes = conjugacy_classes(G)
     act = G.conjugation()
@@ -610,22 +607,25 @@ def complete_extensions(partial: PartialBrEq,
                         ) -> list[BraidedAutoeq]:
     """All total braided autoequivalences extending a partial map.
 
-    A loop over the undetermined sources, fewest fingerprint-admissible
-    targets first.  Level k offers every partial map alive (a row of
-    ``frames [F, k]``) each unused target of the next source, a node being
-    one unused candidate target offered to a source, and keeps the pairs
-    consistent on the entry ids ``md.S_ids``.  Raises NoExtension when no
-    completion exists and BudgetExceeded past ``cap`` nodes.  A frame is a
-    node of the level before, so ``cap`` also bounds memory: at most ``cap``
-    frames of N small ints (N simples) and an [F, N] used-target mask.
-    Each completion is built as a BraidedAutoeq, whose exact S/T check
-    certifies it."""
+    The undetermined sources are visited fewest fingerprint-admissible
+    targets first, and ``groups._extend_frames`` extends the determined
+    images by one target per source, keeping the maps consistent on the
+    entry ids ``md.S_ids``.  Raises ValueError naming the first source or
+    target that is no simple object, NoExtension when no completion exists
+    and BudgetExceeded past ``cap`` nodes.  Each completion is built as a
+    BraidedAutoeq, whose exact S/T check certifies it."""
     G = partial.group
     md = modular_data(G)
     ids = md.S_ids.astype(np.min_scalar_type(md.S_ids.max()))
     ns = md.size
     fps = _fingerprints(md)
 
+    named = chain(*partial.mapping.items(),
+                  *((a, *pool) for a, pool in partial.candidates.items()))
+    bad = next((x for x in named if not 0 <= x < ns), None)
+    if bad is not None:
+        raise ValueError(
+            f"simple {bad} is not in the center of {G.name} ({ns} simples)")
     srcs = list(partial.mapping)
     tgts = list(partial.mapping.values())
     for a, t in zip(srcs, tgts):
@@ -651,27 +651,12 @@ def complete_extensions(partial: PartialBrEq,
             raise NoExtension(f"source {src} has no admissible target")
         pools[src] = pool
 
-    # sources in visiting order: the determined ones, then by pool size;
-    # level k keeps t when ids[t, frames[f, i]] == ids[order[k], order[i]]
+    # sources in visiting order: the determined ones, then by pool size
     order = srcs + sorted(pools, key=lambda s: (len(pools[s]), s))
-    frames = np.array([tgts], dtype=np.min_scalar_type(ns - 1))
-    nodes = 0
-    for k in range(len(tgts), ns):
-        pool = pools[order[k]].astype(frames.dtype)
-        used = np.zeros((len(frames), ns), dtype=bool)
-        np.put_along_axis(used, frames, True, axis=1)
-        ok = ~used[:, pool]
-        nodes += int(np.count_nonzero(ok))
-        if nodes > cap:
-            raise BudgetExceeded(
-                f"completion search exceeded cap = {cap} nodes"
-                f" (EXTENSION_NODE_BUDGET = {EXTENSION_NODE_BUDGET})"
-            )
-        cols = ids.T[:, pool]           # cols[x, j] = ids[pool[j], x]
-        for i in range(k):
-            ok &= cols[frames[:, i]] == ids[order[k], order[i]]
-        f, j = ok.nonzero()
-        frames = np.column_stack([frames[f], pool[j]])
+    frames = _extend_frames(
+        np.array([tgts], dtype=np.min_scalar_type(ns - 1)),
+        [pools[s] for s in order[len(tgts):]], ids.T,
+        ids[np.ix_(order, order)], cap)
     if not len(frames):
         raise NoExtension("partial map admits no braided completion")
     full = frames[:, np.argsort(order)].tolist()

@@ -177,9 +177,7 @@ def _morphism(G: FiniteGroup, images: Optional[str]) -> GroupMorphism:
         )
     try:
         return GroupMorphism(G, G, imgs)
-    except (ValueError, BrpicError) as e:
-        if isinstance(e, BrpicError):
-            raise
+    except ValueError as e:
         raise BadArguments(str(e)) from None
 
 
@@ -375,20 +373,12 @@ def _cmd_fpn(ns) -> tuple:
     cap = CLOSURE_CAP if ns.cap is None else ns.cap
     sub = ns.fpn_command
     if sub == "orders":
-        generated = len(_matrix_closure(standard_generators(p, n), cap)[1])
-        oracle = group_order_oracle(p, n)
-        payload = {
-            "p": p,
-            "n": n,
-            "generated": generated,
-            "oracle": oracle,
-            "match": generated == oracle,
-        }
+        payload = {"p": p, "n": n, **_orders_report(p, n, cap)}
         return payload, ["oracle counts form-preserving matrices by column extension"], 0
     if sub == "generate":
         which = ns.which
         if which == "all":
-            mats = _matrix_closure(standard_generators(p, n), cap)[1]
+            mats = _standard_closure(p, n, cap)
             note = "closure of the V, BV, EV, R families"
         else:
             mats = np.array([M.entries for M in subgroup_generators(
@@ -429,7 +419,7 @@ def _cmd_fpn(ns) -> tuple:
             }
             return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
         if ns.all:
-            E = _matrix_closure(standard_generators(p, n), cap)[1]
+            E = _standard_closure(p, n, cap)
             d = _bruhat_stack(p, E)[0].tolist()
             payload = {
                 "p": p,
@@ -440,6 +430,18 @@ def _cmd_fpn(ns) -> tuple:
             return payload, ["every element factored; cells keyed by reflection rank"], 0
         raise BadArguments("fpn bruhat needs --all or --matrix")
     raise BadArguments(f"unknown fpn subcommand {sub!r}")
+
+
+def _standard_closure(p: int, n: int, cap: int):
+    """The stack [N, 2n, 2n] of the group the four families generate."""
+    return _matrix_closure(standard_generators(p, n), cap)[1]
+
+
+def _orders_report(p: int, n: int, cap: int = CLOSURE_CAP) -> dict:
+    generated = len(_standard_closure(p, n, cap))
+    oracle = group_order_oracle(p, n)
+    return {"generated": generated, "oracle": oracle,
+            "match": generated == oracle}
 
 
 # -- example scenarios -----------------------------------------------------
@@ -482,16 +484,8 @@ def _example_s4_bv_swap() -> dict:
 
 
 def _example_fpn_orders() -> dict:
-    orders = {}
-    for p, n in _FPN_CONFIGS:
-        generated = len(_matrix_closure(standard_generators(p, n))[1])
-        oracle = group_order_oracle(p, n)
-        orders[f"{p},{n}"] = {
-            "generated": generated,
-            "oracle": oracle,
-            "match": generated == oracle,
-        }
-    return {"orders": orders}
+    return {"orders": {f"{p},{n}": _orders_report(p, n)
+                       for p, n in _FPN_CONFIGS}}
 
 
 def _example_a5_rigidity() -> dict:

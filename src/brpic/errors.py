@@ -141,13 +141,14 @@ class NoExtension(BrpicError):
 
 class BudgetExceeded(BrpicError):
     """A computation exceeded one of its work budgets; the message names the
-    budget and its value.  The budgets are the completion search's
-    ``EXTENSION_NODE_BUDGET`` (search nodes, or the ``cap`` passed in), the
-    H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle system
-    on generator rows, |gens| (n-1)^2 x (n-1)^2) and
-    ``H2_CLASS_BUDGET`` (class representatives), the matrix-model
-    oracle's size limits (2n and p), and ``FPN_INT64_LIMIT``, the int64
-    limit on the modulus of F_p matrix products and of Z/m elimination."""
+    budget and its value.  The budgets are ``EXTENSION_NODE_BUDGET``
+    (frame-extension nodes of the completion search, or the ``cap`` passed
+    in), the H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle
+    system on generator rows, |gens| (n-1)^2 x (n-1)^2) and
+    ``H2_CLASS_BUDGET`` (class representatives), the matrix-model oracle's
+    (p, n) limits (2n and p; its frame extension has no node budget), and
+    ``FPN_INT64_LIMIT``, the int64 limit on the modulus of F_p matrix
+    products and of Z/m elimination."""
 
 
 class ConditionFailed(BrpicError):

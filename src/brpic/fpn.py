@@ -50,6 +50,7 @@ the same cell as the standard ``r_d``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Tuple
@@ -72,6 +73,7 @@ from .groups import (
     FiniteGroup,
     _closure,
     _compose_rows,
+    _extend_frames,
     conjugacy_classes,
     named_group,
 )
@@ -209,16 +211,11 @@ def _preserves_form(p: int, E: np.ndarray) -> np.ndarray:
 
 # -- the label dictionary --------------------------------------------------
 
-_LABEL_GROUPS: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _label_group(p: int, n: int) -> FiniteGroup:
     """The elementary abelian group of order p**n (shared per (p, n))."""
-    key = (p, n)
-    if key not in _LABEL_GROUPS:
-        name = f"Z/{p}" if n == 1 else f"Z/{p}^{n}"
-        _LABEL_GROUPS[key] = named_group(name)
-    return _LABEL_GROUPS[key]
+    return named_group(f"Z/{p}" if n == 1 else f"Z/{p}^{n}")
 
 
 def _labels(G: FiniteGroup):
@@ -324,9 +321,7 @@ def _gl_generators(p: int, n: int) -> List[np.ndarray]:
         return [np.array([[_primitive_root(p)]], dtype=np.int64)]
     trans = np.eye(n, dtype=np.int64)
     trans[0, 1] = 1
-    cyc = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        cyc[i + 1, i] = 1
+    cyc = np.eye(n, k=-1, dtype=np.int64)
     # Scale the wrap-around entry so det(cyc) is a primitive root: the two
     # generators then cover both SL_n and the determinant quotient.
     cyc[0, n - 1] = ((-1) ** (n - 1) * _primitive_root(p)) % p
@@ -340,17 +335,13 @@ def _unipotent_basis(p: int, n: int) -> List[np.ndarray]:
     symplectic convention -- see the module docstring).
     """
     out = []
-    if p == 2:
-        for i in range(n):
-            A = np.zeros((n, n), dtype=np.int64)
-            A[i, i] = 1
-            out.append(A)
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = np.zeros((n, n), dtype=np.int64)
-            A[i, j] = 1
-            A[j, i] = (-1) % p
-            out.append(A)
+    # the diagonal units (p = 2 only, where -1 = 1) come first
+    diagonal = [(i, i) for i in range(n)] if p == 2 else []
+    for i, j in diagonal + list(itertools.combinations(range(n), 2)):
+        A = np.zeros((n, n), dtype=np.int64)
+        A[i, j] = 1
+        A[j, i] = (-1) % p
+        out.append(A)
     return out
 
 
@@ -402,14 +393,8 @@ def subgroup_generators(p: int, n: int, which: str) -> List[FpMatrix]:
 
 def standard_generators(p: int, n: int) -> List[FpMatrix]:
     """The union of the V, BV, EV, and R families, duplicates removed."""
-    out: List[FpMatrix] = []
-    seen = set()
-    for which in ("V", "BV", "EV", "R"):
-        for M in subgroup_generators(p, n, which):
-            if M not in seen:
-                seen.add(M)
-                out.append(M)
-    return out
+    return list(dict.fromkeys(M for which in ("V", "BV", "EV", "R")
+                              for M in subgroup_generators(p, n, which)))
 
 
 def generate_matrix_group(
@@ -482,16 +467,13 @@ def _basis_orbit(p: int, G: np.ndarray, cap: int):
 def group_order_oracle(p: int, n: int) -> int:
     """Count all matrices with M^T J M = J by constrained column extension.
 
-    Independent of the generator machinery: columns are chosen left to
-    right among the nonzero isotropic vectors ``iso``, keeping exactly the
-    candidates compatible with the Gram constraints against the columns
-    already fixed.  All partial frames of k columns form one int array
-    ``[F, k]`` of indices into ``iso``; with the table ``gram = iso J
-    iso^T`` (mod p), level k keeps the pairs (frame, candidate j) with
-    ``gram[frame[i], j] == J[k, i]`` for every i < k, and the count is the
-    number of frames at level 2n.  Invertibility is automatic (a dependent
-    column set would make M^T J M singular).  Restricted to 2n <= 4 and
-    p <= 5; larger inputs raise BudgetExceeded.
+    Independent of the generator machinery: ``groups._extend_frames`` picks
+    the 2n columns among the nonzero isotropic vectors ``iso``, column k
+    keeping the vectors whose Gram entries ``gram = iso J iso^T`` (mod p)
+    against the columns before it equal row k of J.  M^T J M = J makes M
+    invertible, so no full frame repeats a column.  Restricted to 2n <= 4
+    and p <= 5, its one limit (it runs with no node budget); larger inputs
+    raise BudgetExceeded.
     """
     _check_prime(p)
     if n < 1:
@@ -503,22 +485,15 @@ def group_order_oracle(p: int, n: int) -> int:
         )
     J = hyperbolic_form(p, n)
     m = 2 * n
-    vecs = np.array(
-        list(itertools.product(range(p), repeat=m)), dtype=np.int64
-    )
-    vecs = vecs[np.any(vecs, axis=1)]
+    # the product starts at the zero vector
+    vecs = np.array(list(itertools.product(range(p), repeat=m))[1:])
     # J has zero diagonal, so the self-constraint v^T J v = 0 is the same
     # for every column slot.
     iso = vecs[(np.einsum("ij,jk,ik->i", vecs, J, vecs) % p) == 0]
     gram = (iso @ J @ iso.T % p).astype(np.uint8)
-    frames = np.zeros((1, 0), dtype=np.intp)
-    for k in range(m):
-        ok = np.ones((len(frames), len(iso)), dtype=bool)
-        for i in range(k):
-            ok &= gram[frames[:, i]] == J[k, i]
-        at, j = ok.nonzero()
-        frames = np.column_stack([frames[at], j])
-    return len(frames)
+    start = np.zeros((1, 0), dtype=np.min_scalar_type(len(iso) - 1))
+    return len(_extend_frames(start, [np.arange(len(iso))] * m, gram, J,
+                              math.inf))
 
 
 # -- Bruhat factorization --------------------------------------------------

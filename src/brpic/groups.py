@@ -24,6 +24,12 @@ one conjugacy class per piece ``normal_subgroups``.  One complement test,
 ``_is_complement``, serves ``semidirect_decompositions`` and the R'
 constructions in ``autoeq``.
 Product and quotient tables are built as array expressions.
+
+Searches for tuples of distinct points under pairwise constraints share one
+level-by-level frame extension, ``_extend_frames``: the completion search of
+``autoeq`` (simple objects, S-matrix ids) and the order oracle of ``fpn``
+(isotropic vectors, Gram entries).  It counts nodes against a budget,
+``EXTENSION_NODE_BUDGET`` by default for the search.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 
 from .errors import (
     BadSemidirectAction,
+    BudgetExceeded,
     CapExceeded,
     NoIdentity,
     NoInverse,
@@ -80,6 +87,7 @@ __all__ = [
 DEFAULT_CAP = 10000
 ORDER_CAP = 200
 CLOSURE_CAP = 1_000_000
+EXTENSION_NODE_BUDGET = 1_000_000
 # frontier rows multiplied at once by _closure (bounds its scratch memory)
 _CLOSURE_SLICE = 4096
 
@@ -785,6 +793,41 @@ def _closure(generators, multiply, identity, cap: int):
         frontier = np.concatenate(found)
         blocks.append(frontier)
     return np.concatenate(blocks), words
+
+
+def _extend_frames(frames, pools, table, want, cap):
+    """The rows of ``frames`` [F, k0], each extended by one point per pool,
+    in (frame, pool position) order and in the frames' dtype.
+
+    Level k keeps (frame f, point t) when t is in the level's pool and not
+    in frame f, and ``table[frames[f, i], t] == want[k, i]`` for all i < k.
+    A node is a pool point offered to a frame that lacks it.  BudgetExceeded
+    once the node total passes ``cap``; the count precedes each level's
+    work, so ``cap`` also bounds memory.  Pools must not repeat a point.
+    """
+    nodes = 0
+    for pool in pools:
+        pool = np.asarray(pool, dtype=frames.dtype)
+        k = frames.shape[1]
+        in_pool = np.zeros(table.shape[1], dtype=bool)
+        in_pool[pool] = True
+        nodes += len(frames) * len(pool) - np.count_nonzero(in_pool[frames])
+        if nodes > cap:
+            raise BudgetExceeded(
+                f"completion search exceeded cap = {cap} nodes"
+                f" (EXTENSION_NODE_BUDGET = {EXTENSION_NODE_BUDGET})"
+            )
+        # take gives C-contiguous columns, so the row gathers below are fast
+        cols = table.take(pool, axis=1)     # cols[x, j] = table[x, pool[j]]
+        ok = np.ones((len(frames), len(pool)), dtype=bool)
+        for i in range(k):
+            # compare the [N, |pool|] columns once, then gather [F, |pool|]
+            ok &= (cols == want[k, i])[frames[:, i]]
+        f, j = np.divmod(np.flatnonzero(ok), len(pool))
+        # distinctness is checked on the consistent pairs only
+        fresh = (frames[f] != pool[j, None]).all(axis=1)
+        frames = np.column_stack([frames[f[fresh]], pool[j[fresh]]])
+    return frames
 
 
 def _index_rows(maps, n: int) -> np.ndarray:

@@ -745,6 +745,27 @@ class TestCompleteExtensions:
             PartialBrEq(S3, {}, {1: ()}, Provenance("searched"))
         with pytest.raises(NoExtension):
             PartialBrEq(S3, {1: 1}, {1: (1, 2)}, Provenance("searched"))
+        # a repeated candidate is one candidate: each completion comes once
+        part = PartialBrEq(S3, {0: 0}, {6: (6, 6, 7)}, Provenance("searched"))
+        assert part.candidates == {6: (6, 7)}
+        got = [F.mapping for F in complete_extensions(part)]
+        assert got == [(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 5, 3, 4, 2, 6, 7)]
+        assert assert_matches_recursion(part)[0] == got
+
+    @pytest.mark.parametrize("mapping, candidates, bad", [
+        ({0: 0}, {6: (-1, 6)}, -1),         # not read as simple 7
+        ({0: 0}, {9: (6, 7)}, 9),           # not ignored
+        ({0: 42}, {}, 42),
+        ({42: 0}, {}, 42),
+        ({0: 0, 3: -1}, {}, -1),            # not a changed invariant
+        ({0: 0}, {6: (6, 42)}, 42),
+    ])
+    def test_simples_out_of_range(self, mapping, candidates, bad):
+        part = PartialBrEq(named_group("S3"), mapping, candidates,
+                           Provenance("searched"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"simple {bad} is not in the center of S3 (8 simples)")):
+            complete_extensions(part)
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +947,8 @@ class TestLevelSearchMatchesRecursion:
 
     def test_frame_stack_stays_small(self):
         # the largest level of the order-4 Z/2^3 R' search holds 2048 frames
-        # of 64 simples; as uint8 rows, with the [F, N] used mask and one
-        # level's temporaries, the traced peak stays below 6 bytes per entry
-        # (int64 frames take over 8)
+        # of 64 simples; as uint8 rows, with one level's temporaries, the
+        # traced peak stays below 6 bytes per entry (int64 frames take over 8)
         part = rprime_partials(named_group("Z/2^3"))[1]
         complete_extensions(part)           # builds the cached data
         tracemalloc.start()

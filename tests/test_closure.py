@@ -1,14 +1,21 @@
 """The batched breadth-first closure against the one-product-at-a-time
-closure it replaced.
+closure it replaced, and the level-by-level frame extension against a
+brute-force filter.
 
 ``sequential_closure`` keeps the earlier routine as it was: each frontier
 element is multiplied on the left by each generator in turn, and every
 product is a hashable object.  The batched ``groups._closure`` must find the
 same elements, in the same order, with the same shortest words, for F_p
 matrices, permutations and autoequivalence mappings.
+
+``brute_extensions`` tests every ordered choice of distinct points at once;
+``groups._extend_frames`` must keep the same frames, in the same order.
 """
 
+import itertools
+import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +29,7 @@ from brpic.autoeq import (
     partial_dualization_rprime,
 )
 from brpic.cohom import h2_classes
-from brpic.errors import CapExceeded
+from brpic.errors import BudgetExceeded, CapExceeded
 from brpic.fpn import (
     FpMatrix,
     generate_matrix_group,
@@ -34,6 +41,7 @@ from brpic.groups import (
     GroupMorphism,
     _closure,
     _compose_rows,
+    _extend_frames,
     _index_rows,
     identity_morphism,
     named_group,
@@ -163,3 +171,86 @@ def test_frontier_slices_keep_the_order(monkeypatch, rows):
 
     monkeypatch.setattr(groups, "_CLOSURE_SLICE", rows)
     assert check_matrices(standard_generators(3, 2)) == 1152
+
+
+# ---------------------------------------------------------------------------
+# frame extension
+# ---------------------------------------------------------------------------
+
+def brute_extensions(start, pools, table, want):
+    """Each start frame followed by each ordered choice of distinct points
+    that are not in it, one from each pool, whose every pair (i < k) has
+    ``table[x_i, x_k] == want[k, i]``."""
+    out = []
+    for frame in start.tolist():
+        free = [x for x in range(len(table)) if x not in frame]
+        for tail in itertools.permutations(free, len(pools)):
+            full = frame + list(tail)
+            if all(t in pool for t, pool in zip(tail, pools)) and all(
+                    table[full[i], full[k]] == want[k, i]
+                    for k in range(len(frame), len(full)) for i in range(k)):
+                out.append(full)
+    return out
+
+
+def test_extend_frames_matches_brute_force():
+    # seeded tables over 3 values, symmetric in odd rounds (as both
+    # callers' are); want is read off a hidden frame, so at least one frame
+    # survives whenever its start does
+    rng = np.random.default_rng(11)
+    found = 0
+    for trial in range(40):
+        n = int(rng.integers(4, 8))
+        table = rng.integers(0, 3, size=(n, n)).astype(np.uint8)
+        if trial % 2:
+            table = np.minimum(table, table.T)
+        hidden = rng.permutation(n)
+        want = table[np.ix_(hidden, hidden)].T   # want[k, i] = table[h_i, h_k]
+        k0 = int(rng.integers(0, 3))
+        levels = int(rng.integers(1, n - k0 + 1))
+        pools = [np.sort(np.union1d(
+            hidden[k0 + level],
+            rng.choice(n, size=int(rng.integers(0, n)), replace=False)))
+            for level in range(levels)]
+        start = np.array([hidden[:k0]] + [rng.permutation(n)[:k0]
+                                          for _ in range(2)], dtype=np.uint8)
+        expected = brute_extensions(start, pools, table, want)
+        got = _extend_frames(start, pools, table, want, math.inf)
+        assert got.dtype == np.uint8
+        assert got.shape[1] == k0 + levels
+        assert got.tolist() == expected
+        found += len(expected)
+    assert found > 40
+
+
+def test_extend_frames_empty_pool_gives_no_frames():
+    table = np.zeros((4, 4), dtype=np.uint8)
+    start = np.zeros((1, 0), dtype=np.uint8)
+    for pools in ([np.arange(4), []], [[], np.arange(4)]):
+        got = _extend_frames(start, pools, table, table, math.inf)
+        assert got.shape == (0, 2)
+
+
+def test_extend_frames_node_budget():
+    # all pairs agree: 1*4 + 4*3 + 12*2 = 40 nodes make the 24 frames
+    table = np.zeros((4, 4), dtype=np.uint8)
+    start = np.zeros((1, 0), dtype=np.uint8)
+    pools = [np.arange(4)] * 3
+    assert len(_extend_frames(start, pools, table, table, 40)) == 24
+    message = ("completion search exceeded cap = 39 nodes"
+               " (EXTENSION_NODE_BUDGET = 1000000)")
+    with pytest.raises(BudgetExceeded, match=re.escape(message)):
+        _extend_frames(start, pools, table, table, 39)
+
+
+def test_extend_frames_never_repeats_a_point():
+    # each pool offers the start frames' points and the other pool's: only
+    # the unused ones are nodes (2 * 2 + 4 * 1) and no frame holds a point
+    # twice
+    table = np.zeros((4, 4), dtype=np.uint8)
+    start = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    got = _extend_frames(start, [np.arange(4)] * 2, table, table, 8)
+    assert got.tolist() == [[0, 1, 2, 3], [0, 1, 3, 2],
+                            [1, 0, 2, 3], [1, 0, 3, 2]]
+    with pytest.raises(BudgetExceeded, match="cap = 7 nodes"):
+        _extend_frames(start, [np.arange(4)] * 2, table, table, 7)
