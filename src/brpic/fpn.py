@@ -18,9 +18,9 @@ with character coordinates.  This module makes that dictionary executable:
   families: block-diagonal GL_n embeddings ("V"), lower and upper unipotent
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
 * :func:`generate_matrix_group` -- the closure of a generator list, run by
-  the shared closure of ``groups`` on index rows: a matrix is the row of its
-  columns' indices in the orbit of the basis vectors.  The rows are decoded
-  once into a stack ``E [N, 2n, 2n]``, uint8 for p < 257.
+  the one search of ``groups``: the orbit of the basis vectors, then the
+  closure on index rows (a matrix is the row of its columns' indices in
+  that orbit), decoded once into a stack ``E [N, 2n, 2n]``, uint8 for p < 257.
 * :func:`group_order_oracle` -- an independent count of all form-preserving
   matrices by constrained column extension, used to cross-check the order of
   the group generated by the four families.
@@ -61,7 +61,6 @@ from .autoeq import BraidedAutoeq, Provenance
 from .chars import _exponent_rows
 from .errors import (
     BudgetExceeded,
-    CapExceeded,
     DomainMismatch,
     NoFactorization,
     NotAdditive,
@@ -74,6 +73,7 @@ from .groups import (
     _closure,
     _compose_rows,
     _extend_frames,
+    _orbit,
     conjugacy_classes,
     named_group,
 )
@@ -414,51 +414,34 @@ def generate_matrix_group(
 def _matrix_closure(generators, cap: int = CLOSURE_CAP):
     """(p, E): the closure as one stack E [N, 2n, 2n], in the smallest
     unsigned dtype that holds F_p.  A matrix is fixed by its columns, so
-    ``_closure`` runs on the rows of their indices in ``_basis_orbit`` (the
-    identity is ``arange(2n)``); rows are equal exactly when the matrices
-    are, so elements and words come in the order of a matrix closure."""
+    ``_closure`` runs on the rows of their indices in ``points``, the
+    ``_orbit`` of the basis (the identity is ``arange(2n)``), under ``act[i,
+    j]`` = index of ``G[i] @ points[j]``; CapExceeded past ``2n * cap``
+    points.  Rows are equal exactly when the matrices are, so elements and
+    words come in the order of a matrix closure."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
     p, size = gens[0].p, gens[0].size
-    for g in gens:
-        if g.p != p or g.size != size:
-            raise DomainMismatch("generators live over different forms")
+    if any(g.p != p or g.size != size for g in gens):
+        raise DomainMismatch("generators live over different forms")
     dt = np.min_scalar_type(p - 1)
-    points, act = _basis_orbit(
-        p, np.array([g.entries for g in gens], dtype=dt), cap)
+    G = np.array([g.entries for g in gens], dtype=dt)
+
+    def step(X):
+        prods = np.matmul(G[None], X[:, None, :, None], dtype=np.int64)
+        return (prods[..., 0] % p).astype(dt)
+
+    points, _ = _orbit(np.eye(size, dtype=dt), step, cap)
+    P = len(points)
+    # one more step over the points, each product located among them
+    at = np.unique(np.concatenate([points, step(points).reshape(-1, size)]),
+                   axis=0, return_inverse=True)[1].ravel()
+    index = np.empty(P, dtype=np.min_scalar_type(P - 1))
+    index[at[:P]] = np.arange(P)
+    act = np.ascontiguousarray(index[at[P:]].reshape(P, len(G)).T)
     rows, _ = _closure(act, _compose_rows, np.arange(size), cap)
     return p, points[rows].swapaxes(1, 2)
-
-
-def _basis_orbit(p: int, G: np.ndarray, cap: int):
-    """(points [P, m], act [k, P]): the orbit of e_1, ..., e_m under the
-    matrices G [k, m, m] over F_p, breadth-first from the basis, and
-    ``act[i, j]`` the index of ``G[i] @ points[j]``.  Each point is g e_j,
-    so P <= m |group|: CapExceeded past ``m * cap`` points.  The points are
-    the keys of one dict and the images one list, not an array per level."""
-    m = G.shape[-1]
-    key = np.dtype((np.void, m * G.itemsize))
-    frontier = np.eye(m, dtype=G.dtype)
-    index = {row: j for j, row in enumerate(frontier.view(key).ravel().tolist())}
-    images = []
-    while len(frontier):
-        prods = np.matmul(G[None], frontier[:, None, :, None], dtype=np.int64)
-        prods = (prods % p).astype(G.dtype).reshape(-1, m)
-        new = []
-        for j, row in enumerate(prods.view(key).ravel().tolist()):
-            i = index.get(row)
-            if i is None:
-                if len(index) >= m * cap:
-                    raise CapExceeded(
-                        f"generated group exceeds the cap of {cap}")
-                i = index[row] = len(index)
-                new.append(j)
-            images.append(i)
-        frontier = prods[new]
-    points = np.frombuffer(b"".join(index), dtype=G.dtype).reshape(-1, m)
-    act = np.array(images, dtype=np.min_scalar_type(len(points) - 1))
-    return points, np.ascontiguousarray(act.reshape(-1, len(G)).T)
 
 
 # -- independent order oracle ----------------------------------------------

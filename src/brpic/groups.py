@@ -25,6 +25,10 @@ one conjugacy class per piece ``normal_subgroups``.  One complement test,
 constructions in ``autoeq``.
 Product and quotient tables are built as array expressions.
 
+Every closure and orbit is one breadth-first search, ``_orbit``: ``_closure``
+(with words, for ``autoeq`` and ``fpn``), ``FiniteGroup.closure`` on ids,
+``_perm_closure``, the isomorphism search and the basis orbit of ``fpn``.
+
 Searches for tuples of distinct points under pairwise constraints share one
 level-by-level frame extension, ``_extend_frames``: the completion search of
 ``autoeq`` (simple objects, S-matrix ids) and the order oracle of ``fpn``
@@ -88,7 +92,7 @@ DEFAULT_CAP = 10000
 ORDER_CAP = 200
 CLOSURE_CAP = 1_000_000
 EXTENSION_NODE_BUDGET = 1_000_000
-# frontier rows multiplied at once by _closure (bounds its scratch memory)
+# frontier rows stepped at once by _orbit (bounds its scratch memory)
 _CLOSURE_SLICE = 4096
 
 
@@ -211,15 +215,14 @@ class FiniteGroup:
         return tuple(np.flatnonzero(fixed).tolist())
 
     def closure(self, gens) -> tuple[int, ...]:
-        """Subgroup generated by ``gens`` (always contains the identity)."""
-        cur = {self.identity}
-        cur.update(int(g) for g in gens)
-        arr = np.fromiter(sorted(cur), dtype=np.int64)
-        while True:
-            prods = np.unique(self.table[np.ix_(arr, arr)])
-            if prods.size == arr.size:
-                return tuple(int(x) for x in arr)
-            arr = np.unique(np.concatenate([arr, prods]))
+        """Subgroup generated by ``gens`` (always contains the identity),
+        sorted; ValueError for the first id that is no element."""
+        gens = np.array(list(gens), dtype=np.int64)
+        _check_ids(gens, self)
+        rows = self.table[gens]
+        elements, _ = _orbit(np.array([self.identity]),
+                             lambda X: rows[:, X].T, self.n)
+        return tuple(sorted(elements.tolist()))
 
     def minimal_generators(self) -> tuple[int, ...]:
         gens: list[int] = []
@@ -320,8 +323,7 @@ class Subgroup:
         self.parent = parent
         self.elements = tuple(sorted(int(x) for x in set(elements)))
         if check:
-            _check_ids(self.elements, parent)
-            got = parent.closure(self.elements)
+            got = parent.closure(self.elements)    # checks the ids first
             if got != self.elements:
                 raise ValueError(
                     f"elements {self.elements} are not closed in {parent.name}"
@@ -478,7 +480,7 @@ def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
     The images of ``G.minimal_generators()`` are chosen in turn, each among
     the elements of H with its generator's element order and class size.  A
     choice is kept when the chosen pairs (g, h) generate, inside G x H, the
-    graph of an injective map: ``_closure`` on int pairs, stopped as soon as
+    graph of an injective map: ``_orbit`` of int pairs, stopped as soon as
     it has more elements than the subgroup of G the chosen g generate.  Every
     element of G below the next generator lies in that subgroup already, so
     its image is fixed before the generator's is chosen, and trying the
@@ -496,6 +498,7 @@ def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
     prof_G, prof_H = profile(G), profile(H)
     candidates = [[h for h in range(H.n) if prof_H[h] == prof_G[g]] for g in gens]
     dtype = np.min_scalar_type(G.n - 1)
+    identity = np.array([[G.identity, H.identity]], dtype=dtype)
 
     def multiply(A, X):
         return np.stack((G.table[A[:, 0], X[:, None, 0]],
@@ -510,15 +513,15 @@ def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
             return
         for h in candidates[i]:
             chosen = pairs + [(gens[i], h)]
+            A = np.array(chosen)
             try:
-                grown, _ = _closure(np.array(chosen, dtype=dtype), multiply,
-                                    (G.identity, H.identity), sizes[i])
+                grown, _ = _orbit(identity, lambda X: multiply(A, X), sizes[i])
             except CapExceeded:
                 continue            # more pairs than elements: not a map
             if len(np.unique(grown[:, 1])) == len(grown):
                 yield from extend(chosen, grown)
 
-    yield from extend([], np.array([[G.identity, H.identity]]))
+    yield from extend([], identity)
 
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP):
@@ -751,48 +754,57 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# breadth-first closure
+# breadth-first search and closure
 # ---------------------------------------------------------------------------
 
-def _closure(generators, multiply, identity, cap: int):
-    """(elements, words) of the group generated by the rows of the int array
-    ``generators`` [k, ...].
+def _orbit(starts, step, cap: int):
+    """(points, found): the orbit of the distinct rows of the int array
+    ``starts`` [S, ...] under the batch step ``step(X) -> [f, k, ...]``.
 
-    Breadth-first: the frontier X [f, ...] is multiplied on the left by every
-    generator at once, ``multiply(generators, X) -> [f, k, ...]`` in the
-    generators' dtype, in slices of ``_CLOSURE_SLICE`` rows, and the products
-    are read in flattened (f, i) order, keyed by their bytes (a small dtype
-    keeps the keys small).  Elements [N, ...] come in discovery
-    order, ``identity`` first; the word (i1, ..., ik) of an element is the
-    shortest one found, generators[i1] * ... * generators[ik].  Raises
-    CapExceeded once there would be more than ``cap`` elements.
-    """
-    identity = np.asarray(identity, dtype=generators.dtype)
-    key = np.dtype((np.void, identity.nbytes))
-    frontier = identity[None]
-    seen = {identity.tobytes()}
-    blocks, words = [frontier], [()]
+    Breadth-first: each frontier is stepped in slices of ``_CLOSURE_SLICE``
+    rows, in the starts' dtype, and the products are read in flattened
+    (f, i) order, keyed by their bytes (a small dtype keeps the keys small).
+    Points [N, ...] come in discovery order, the starts first; ``found[j]``
+    is the flat index f * k + i of the product (step i of point f) that
+    found point j, -1 for a start.  CapExceeded past S * ``cap`` points."""
+    key = np.dtype((np.void, starts[0].nbytes))
+
+    def keys(X):
+        return X.reshape(len(X), starts[0].size).view(key).ravel().tolist()
+
+    seen, frontier, limit = set(keys(starts)), starts, len(starts) * cap
+    blocks, found = [starts], [-1] * len(starts)
     while len(frontier):
-        base, found = len(words) - len(frontier), []
+        base, level = len(found) - len(frontier), len(blocks)
         for s in range(0, len(frontier), _CLOSURE_SLICE):
-            prods = multiply(generators, frontier[s:s + _CLOSURE_SLICE])
-            k = prods.shape[1]
-            prods = np.ascontiguousarray(prods).reshape((-1,) + identity.shape)
-            keys = prods.reshape(len(prods), identity.size).view(key)
+            prods = np.ascontiguousarray(step(frontier[s:s + _CLOSURE_SLICE]))
+            offset = (base + s) * prods.shape[1]
+            prods = prods.reshape((-1,) + starts.shape[1:])
             new = []
-            for j, row in enumerate(keys.ravel().tolist()):
+            for j, row in enumerate(keys(prods)):
                 if row not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= limit:
                         raise CapExceeded(
-                            f"generated group exceeds the cap of {cap}"
-                        )
+                            f"generated group exceeds the cap of {cap}")
                     seen.add(row)
                     new.append(j)
-            words += [(j % k,) + words[base + s + j // k] for j in new]
-            found.append(prods[new])
-        frontier = np.concatenate(found)
-        blocks.append(frontier)
-    return np.concatenate(blocks), words
+            found += [offset + j for j in new]
+            blocks.append(prods[new])
+        frontier = np.concatenate(blocks[level:])
+    return np.concatenate(blocks), found
+
+
+def _closure(generators, multiply, identity, cap: int):
+    """(elements, words): ``_orbit`` of ``identity`` under left products by
+    the rows of the int array ``generators`` [k, ...], ``multiply(generators,
+    X) -> [f, k, ...]`` in their dtype.  The word (i1, ..., ik) of an element
+    is the shortest found, generators[i1] * ... * generators[ik]."""
+    elements, found = _orbit(np.array([identity], generators.dtype),
+                             lambda X: multiply(generators, X), cap)
+    k, words = len(generators), [()]
+    for f in found[1:]:
+        words.append((f % k,) + words[f // k])
+    return elements, words
 
 
 def _extend_frames(frames, pools, table, want, cap):
@@ -888,8 +900,9 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 def _perm_closure(gens: list[tuple[int, ...]], cap: int = CLOSURE_CAP
                   ) -> list[tuple[int, ...]]:
-    elements, _ = _closure(_index_rows(gens, len(gens[0])), _compose_rows,
-                           np.arange(len(gens[0])), cap)
+    rows = _index_rows(gens, len(gens[0]))
+    elements, _ = _orbit(np.arange(len(gens[0]), dtype=rows.dtype)[None],
+                         lambda X: _compose_rows(rows, X), cap)
     return sorted(map(tuple, elements.tolist()))
 
 
@@ -973,6 +986,8 @@ def _permutation_group(spec: str, cap: int) -> FiniteGroup:
                 raise UnknownName(f"bad cycle {body!r}")
             cycles.append(pts)
             maxpt = max(maxpt, max(pts))
+        if len({p for c in cycles for p in c}) < sum(map(len, cycles)):
+            raise UnknownName(f"bad cycle string {gs!r}")     # not disjoint
         cycles_per_gen.append(cycles)
     gens = []
     for cycles in cycles_per_gen:

@@ -38,6 +38,12 @@ class TestExitCodes:
         assert payload["error"] == "UnknownName"
         assert "trivial-spec-typo" in payload["message"]
 
+    def test_overlapping_cycles_are_a_domain_error(self, capsys):
+        code, payload, _ = run_json(capsys, "chartable", "perm:(1 2)(2 3)")
+        assert code == 1
+        assert payload["error"] == "UnknownName"
+        assert payload["message"] == "bad cycle string '(1 2)(2 3)'"
+
     def test_certification_failure_is_domain_error(self, capsys, monkeypatch):
         import brpic.center as center
 

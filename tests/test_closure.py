@@ -1,12 +1,15 @@
-"""The batched breadth-first closure against the one-product-at-a-time
-closure it replaced, and the level-by-level frame extension against a
-brute-force filter.
+"""The one breadth-first search against the routines it replaced, and the
+level-by-level frame extension against a brute-force filter.
 
-``sequential_closure`` keeps the earlier routine as it was: each frontier
+``sequential_closure`` keeps the earlier closure as it was: each frontier
 element is multiplied on the left by each generator in turn, and every
 product is a hashable object.  The batched ``groups._closure`` must find the
 same elements, in the same order, with the same shortest words, for F_p
-matrices, permutations and autoequivalence mappings.
+matrices, permutations and autoequivalence mappings.  ``squaring_closure``
+keeps the earlier ``FiniteGroup.closure`` (the element set squared until it
+stops growing) and ``reference_basis_orbit`` the earlier orbit of the basis
+vectors in the matrix model (one dict of points, one list of images); both
+now run on ``groups._orbit`` and must agree with them.
 
 ``brute_extensions`` tests every ordered choice of distinct points at once;
 ``groups._extend_frames`` must keep the same frames, in the same order.
@@ -43,6 +46,8 @@ from brpic.groups import (
     _compose_rows,
     _extend_frames,
     _index_rows,
+    _orbit,
+    all_subgroups,
     identity_morphism,
     named_group,
 )
@@ -66,6 +71,42 @@ def sequential_closure(generators, multiply, identity, cap):
                     nxt.append(y)
         frontier = nxt
     return list(words), list(words.values())
+
+
+def squaring_closure(G, gens):
+    cur = {G.identity}
+    cur.update(int(g) for g in gens)
+    arr = np.fromiter(sorted(cur), dtype=np.int64)
+    while True:
+        prods = np.unique(G.table[np.ix_(arr, arr)])
+        if prods.size == arr.size:
+            return tuple(int(x) for x in arr)
+        arr = np.unique(np.concatenate([arr, prods]))
+
+
+def reference_basis_orbit(p, G, cap):
+    m = G.shape[-1]
+    key = np.dtype((np.void, m * G.itemsize))
+    frontier = np.eye(m, dtype=G.dtype)
+    index = {row: j for j, row in enumerate(frontier.view(key).ravel().tolist())}
+    images = []
+    while len(frontier):
+        prods = np.matmul(G[None], frontier[:, None, :, None], dtype=np.int64)
+        prods = (prods % p).astype(G.dtype).reshape(-1, m)
+        new = []
+        for j, row in enumerate(prods.view(key).ravel().tolist()):
+            i = index.get(row)
+            if i is None:
+                if len(index) >= m * cap:
+                    raise CapExceeded(
+                        f"generated group exceeds the cap of {cap}")
+                i = index[row] = len(index)
+                new.append(j)
+            images.append(i)
+        frontier = prods[new]
+    points = np.frombuffer(b"".join(index), dtype=G.dtype).reshape(-1, m)
+    act = np.array(images, dtype=np.min_scalar_type(len(points) - 1))
+    return points, np.ascontiguousarray(act.reshape(-1, len(G)).T)
 
 
 def batched_matrix_closure(gens, cap=CLOSURE_CAP):
@@ -163,6 +204,89 @@ def test_cap_fires_in_the_orbit_or_the_closure(monkeypatch, cap, orbit_fires):
     with pytest.raises(CapExceeded):
         generate_matrix_group(standard_generators(2, 2), cap)
     assert bool(closures) != orbit_fires
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("which", ["V", "BV", "EV", "R"])
+def test_basis_orbit_matches_reference(monkeypatch, p, n, which):
+    # the orbit is the first _orbit result of the matrix closure and act
+    # the generators of its _closure
+    import brpic.fpn as fpn
+
+    got = {}
+
+    def spy(name, keep):
+        real = getattr(fpn, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            got.setdefault(name, keep(args, out))
+            return out
+        monkeypatch.setattr(fpn, name, wrapper)
+
+    spy("_orbit", lambda args, out: out[0])
+    spy("_closure", lambda args, out: args[0])
+    gens = subgroup_generators(p, n, which)
+    generate_matrix_group(gens)
+    points, act = reference_basis_orbit(
+        p, np.array([g.entries for g in gens], dtype=np.uint8), CLOSURE_CAP)
+    for new, old in ((got["_orbit"], points), (got["_closure"], act)):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert got["_closure"].flags.c_contiguous
+    if which == "V":
+        # grading and character vectors never mix: e_1 and e_{n+1} lie in
+        # different orbits
+        assert not (points[:, :n].any(1) & points[:, n:].any(1)).any()
+
+
+@pytest.mark.parametrize("size, cap, fires", [(10, 5, False), (11, 5, True),
+                                              (10, 4, True)])
+def test_orbit_cap_counts_every_start(size, cap, fires):
+    # two starts: exactly 2 * cap points pass, one more raises
+    starts = np.array([0, 5], dtype=np.uint8)
+
+    def step(X):
+        return ((X + 1) % size).astype(np.uint8)[:, None]
+
+    if fires:
+        with pytest.raises(CapExceeded, match=re.escape(
+                f"generated group exceeds the cap of {cap}")):
+            _orbit(starts, step, cap)
+        return
+    points, found = _orbit(starts, step, cap)
+    assert points.dtype == np.uint8
+    assert points.tolist() == [0, 5, 1, 6, 2, 7, 3, 8, 4, 9]
+    assert found == [-1, -1, 0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_orbit_found_is_the_flat_product_index():
+    # k = 2 steps (+1, +3) on Z/8 from 0: point j was found by step i of
+    # point f at flat index 2 f + i
+    def step(X):
+        return ((X[:, None] + np.array([1, 3])) % 8).astype(np.uint8)
+
+    points, found = _orbit(np.zeros(1, dtype=np.uint8), step, 8)
+    assert points.tolist() == [0, 1, 3, 2, 4, 6, 5, 7]
+    assert found == [-1, 0, 1, 2, 3, 5, 7, 9]
+    for j in range(1, len(points)):
+        f, i = divmod(found[j], 2)
+        assert points[j] == (points[f] + (1, 3)[i]) % 8
+
+
+SUBGROUP_CLOSURE_GROUPS = ["S4", "A5", "D4xZ/2", "S3xS3", "Z/5:Z/4",
+                           "Q8xZ/3"]
+
+
+@pytest.mark.parametrize("name", SUBGROUP_CLOSURE_GROUPS)
+def test_subgroup_closure_matches_squaring(name):
+    G = named_group(name)
+    for H in all_subgroups(G):
+        assert G.closure(H.elements) == squaring_closure(G, H.elements)
+        assert G.closure(H.elements) == H.elements
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        gens = rng.choice(G.n, size=int(rng.integers(0, 4))).tolist()
+        assert G.closure(gens) == squaring_closure(G, gens)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])

@@ -2,6 +2,8 @@
 example groups (class sizes, subgroup counts, automorphism orders from
 standard references) plus exhaustive structural invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,14 @@ def test_perm_generators():
     assert G.n == 6
     H = gr.named_group("perm:(1 2 3),(1 2)")
     assert H.n == 6 and not H.is_abelian()
+
+
+@pytest.mark.parametrize("spec", ["(1 2)(2 3)", "(1 2 3)(3 4)", "(1 2)(1 2)",
+                                  "(1 2),(3 4)(4 5 6)"])
+def test_perm_generator_with_overlapping_cycles_is_refused(spec):
+    # one map from both cycles is no bijection ((1 2)(2 3) gave [1, 2, 1])
+    with pytest.raises(UnknownName, match=re.escape("bad cycle string")):
+        gr.named_group(f"perm:{spec}")
 
 
 def test_direct_product_name():
@@ -400,6 +410,15 @@ def test_subgroup_rejects_ids_outside_the_group(ids, bad):
     G = gr.named_group("S3")
     with pytest.raises(ValueError, match=f"element {bad} is not in S3"):
         gr.Subgroup(G, ids)
+
+
+@pytest.mark.parametrize("at_end", [False, True])
+def test_closure_rejects_ids_outside_the_group(at_end):
+    # -1 was read as the last element and G.n raised a bare IndexError
+    G = gr.named_group("S3")
+    bad = G.n if at_end else -1
+    with pytest.raises(ValueError, match=f"element {bad} is not in S3"):
+        G.closure((bad,))
 
 
 def test_morphism_rejects_images_outside_the_group():
