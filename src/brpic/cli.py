@@ -24,9 +24,11 @@ Output contract
 ---------------
 The report on standard output is pretty-printed JSON with sorted keys and no
 timestamps, so identical inputs produce byte-identical output; timing goes
-to standard error.  Exit codes: 0 success (and fixture PASS), 1 domain error
-with a structured error JSON on standard output (and fixture FAIL), 2 usage
-error with argparse text on standard error.
+to standard error.  A matrix stack is written in slices of ``_STACK_CHUNK``
+matrices, with the same bytes as one ``json.dumps``.  Exit codes: 0 success
+(and fixture PASS), 1 domain error with a structured error JSON on standard
+output (and fixture FAIL), 2 usage error with argparse text on standard
+error.
 
 Each ``dispatch`` builds a fresh argument parser, and of the subcommand
 parsers only those on its own command's path.  ``dispatch`` may be called any
@@ -74,11 +76,11 @@ from .errors import (
 )
 from .fpn import (
     FpMatrix,
+    bruhat_cells,
     bruhat_factorize,
     group_order_oracle,
     standard_generators,
     subgroup_generators,
-    _bruhat_stack,
     _matrix_closure,
 )
 from .groups import (
@@ -96,6 +98,7 @@ from .groups import (
 )
 
 _FPN_CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+_STACK_CHUNK = 1024     # matrices per stdout write of a stack
 
 
 # -- small helpers ---------------------------------------------------------
@@ -106,8 +109,8 @@ def _emit(report: dict) -> None:
 
     Values are plain JSON, except that an int stack ``[N, k, k]`` (a numpy
     array) is written exactly as its nested lists would be: ``json.dumps``
-    holds its place with a marker string, which is then replaced by one
-    ``%d`` template per matrix, re-indented to the marker's depth.
+    holds its place with a marker string, and ``_write_stack`` writes the
+    stack there, re-indented to the marker's depth.
     """
     stacks = []
 
@@ -122,20 +125,41 @@ def _emit(report: dict) -> None:
         head, text = text.split(json.dumps(f"\0stack {i}"), 1)
         line = head[head.rfind("\n") + 1:]
         sys.stdout.write(head)
-        sys.stdout.write(_stack_json(E, line[:len(line) - len(line.lstrip())]))
+        _write_stack(E, line[:len(line) - len(line.lstrip())])
     sys.stdout.write(text + "\n")
 
 
-def _stack_json(E: np.ndarray, indent: str) -> str:
-    """``json.dumps(E.tolist(), indent=2)`` for a stack whose opening line
-    is indented by ``indent``, from one ``%d`` template per matrix."""
-    if not len(E):
-        return "[]"
+def _write_stack(E: np.ndarray, indent: str) -> None:
+    """Write ``json.dumps(E.tolist(), indent=2)`` for a stack whose opening
+    line is indented by ``indent``, ``_STACK_CHUNK`` matrices per write,
+    each chunk from one ``%d`` template per matrix."""
     inner = "\n" + indent + "  "
     one = json.dumps(np.zeros(E.shape[1:], dtype=int).tolist(), indent=2)
     one = one.replace("0", "%d").replace("\n", inner)
-    body = ("," + inner).join([one] * len(E)) % tuple(E.ravel().tolist())
-    return "[" + inner + body + "\n" + indent + "]"
+    sys.stdout.write("[")
+    for s in range(0, len(E), _STACK_CHUNK):
+        part = E[s:s + _STACK_CHUNK]
+        body = ("," + inner).join([one] * len(part))
+        sys.stdout.write(("," if s else "") + inner
+                         + body % tuple(part.ravel().tolist()))
+    sys.stdout.write("\n" + indent + "]" if len(E) else "]")
+
+
+def _matrix_arg(text: str, p: int) -> FpMatrix:
+    """``--matrix`` as an FpMatrix; a usage error names a non-int64 entry."""
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise BadArguments(f"--matrix must be a JSON matrix: {e}")
+    for i, row in enumerate(rows if isinstance(rows, list) else [rows]):
+        for j, x in enumerate(row if isinstance(row, list) else [row]):
+            if type(x) is not int or not -2**63 <= x < 2**63:
+                raise BadArguments(f"--matrix: entry [{i}][{j}] is"
+                                   f" {json.dumps(x)}, not an int64 integer")
+    try:
+        return FpMatrix(p, rows)
+    except ValueError as e:
+        raise BadArguments(f"--matrix: {e}") from None
 
 
 def _parse_ids(text: str, what: str) -> tuple:
@@ -394,14 +418,7 @@ def _cmd_fpn(ns) -> tuple:
         return payload, [note], 0
     if sub == "bruhat":
         if ns.matrix is not None:
-            try:
-                rows = json.loads(ns.matrix)
-            except json.JSONDecodeError as e:
-                raise BadArguments(f"--matrix must be a JSON matrix: {e}")
-            try:
-                M = FpMatrix(p, rows)
-            except ValueError as e:
-                raise BadArguments(f"--matrix: {e}") from None
+            M = _matrix_arg(ns.matrix, p)
             if M.size != 2 * n:
                 raise BadArguments(
                     f"--matrix is {M.size} x {M.size}, but n = {n} needs"
@@ -420,7 +437,7 @@ def _cmd_fpn(ns) -> tuple:
             return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
         if ns.all:
             E = _standard_closure(p, n, cap)
-            d = _bruhat_stack(p, E)[0].tolist()
+            d = bruhat_cells(p, E).tolist()
             payload = {
                 "p": p,
                 "n": n,

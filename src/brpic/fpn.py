@@ -27,6 +27,8 @@ with character coordinates.  This module makes that dictionary executable:
 * :func:`bruhat_factorize` -- the rank-indexed triangular factorization
   ``M = b @ e @ r`` exhibiting the n + 1 cell partition; ``_bruhat_stack``
   factors a whole stack at once, and one matrix is a stack of one.
+* :func:`bruhat_cells` -- the cell index of every matrix of a stack, from
+  ``_bruhat_stack`` one slice at a time, keeping no witnesses.
 
 Conventions.  At odd ``p`` the form is the split (plus-type) symmetric form
 and the matrix group is O_{2n}^+(F_p).  At ``p = 2`` the same equation is
@@ -90,12 +92,13 @@ __all__ = [
     "generate_matrix_group",
     "group_order_oracle",
     "bruhat_factorize",
+    "bruhat_cells",
 ]
 
 # Exhaustive-oracle feasibility bounds (matrix size 2n and prime p).
 _ORACLE_MAX_SIZE = 4
 _ORACLE_MAX_P = 5
-_BRUHAT_SLICE = 4096   # matrices factored at once (bounds scratch memory)
+_BRUHAT_SLICE = 1024   # matrices factored at once: 3.3 MB scratch at n = 2
 
 
 def _check_prime(p: int) -> int:
@@ -509,6 +512,15 @@ def bruhat_factorize(M: FpMatrix) -> BruhatCell:
     """
     d, b, e, r = _bruhat_stack(M.p, M.entries[None])
     return BruhatCell(int(d[0]), tuple(FpMatrix(M.p, F[0]) for F in (b, e, r)))
+
+
+def bruhat_cells(p: int, E: np.ndarray) -> np.ndarray:
+    """The ``d`` of ``_bruhat_stack(p, E)``, with its errors, from one
+    ``_BRUHAT_SLICE`` at a time: no slice's witnesses are kept."""
+    d = np.empty(len(E), dtype=np.int64)
+    for s in range(0, len(E), _BRUHAT_SLICE):
+        d[s:s + _BRUHAT_SLICE] = _bruhat_stack(p, E[s:s + _BRUHAT_SLICE])[0]
+    return d
 
 
 @lru_cache(maxsize=None)

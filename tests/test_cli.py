@@ -1,17 +1,21 @@
 """Tests for the command-line dispatcher: payloads, exit codes, fixtures."""
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import brpic.cli as cli
+from brpic import fpn
 from brpic.cli import dispatch
 
 
@@ -486,6 +490,158 @@ class TestEmitMatchesJsonDumps:
             "message": "4 is not prime",
         }
         assert self.check(capsys, report) == 1
+
+
+class TestStreamedEmit:
+    """``_emit`` writes each stack ``_STACK_CHUNK`` matrices at a time, and
+    stdout is still ``json.dumps`` of the report with each stack as nested
+    lists, byte for byte."""
+
+    C = 3
+
+    @staticmethod
+    def as_lists(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, dict):
+            return {k: TestStreamedEmit.as_lists(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [TestStreamedEmit.as_lists(v) for v in obj]
+        return obj
+
+    @staticmethod
+    def stack(N, k=2, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 256, (N, k, k)).astype(np.uint8)
+
+    def check(self, capsys, monkeypatch, report):
+        monkeypatch.setattr(cli, "_STACK_CHUNK", self.C)
+        cli._emit(report)
+        want = json.dumps(self.as_lists(report), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("N", [0, 1, C - 1, C, C + 1, 3 * C + 2])
+    def test_stack_lengths(self, capsys, monkeypatch, N):
+        report = {"command": ["x"], "result": {"count": N,
+                                               "matrices": self.stack(N)}}
+        self.check(capsys, monkeypatch, report)
+
+    def test_two_stacks(self, capsys, monkeypatch):
+        report = {"b": self.stack(self.C + 1, 4, seed=1), "a": [1, 2],
+                  "c": self.stack(2 * self.C, 3, seed=2), "d": "\u00e9"}
+        self.check(capsys, monkeypatch, report)
+
+    def test_two_depths(self, capsys, monkeypatch):
+        report = {"top": self.stack(self.C + 2),
+                  "result": {"deep": {"deeper": [self.stack(1, 4, seed=3)],
+                                      "empty": self.stack(0)}}}
+        self.check(capsys, monkeypatch, report)
+
+    def test_chunks_are_separate_writes(self, capsys, monkeypatch):
+        writes = []
+        monkeypatch.setattr(cli, "_STACK_CHUNK", self.C)
+        monkeypatch.setattr(cli.sys.stdout, "write", writes.append)
+        cli._emit({"m": self.stack(3 * self.C + 1)})
+        # head, opening bracket, four chunks, closing bracket, tail
+        assert len(writes) == 8
+        assert [w.count("\n    [") for w in writes[2:6]] == [3, 3, 3, 1]
+
+    class Sink:
+        """A stdout that keeps only the length of what is written."""
+
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    def test_peak_memory_is_a_quarter_of_the_text(self):
+        # the (5, 2) closure, 8.8 MB of JSON; tracemalloc sees numpy's
+        # buffers and Python's strings, and the bound is a ratio
+        E = cli._standard_closure(5, 2, cli.CLOSURE_CAP)
+        sink = self.Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                cli._emit({"command": ["fpn", "5", "2", "generate"],
+                           "result": {"matrices": E}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 8_000_000
+        assert peak <= sink.size / 4
+
+
+class TestBruhatCensus:
+    def test_o4_plus_f5_one_slice_at_a_time(self, capsys, monkeypatch):
+        calls, real = [], fpn._bruhat_stack
+        monkeypatch.setattr(fpn, "_bruhat_stack",
+                            lambda p, E: calls.append(len(E)) or real(p, E))
+        code, payload, _ = run_json(capsys, "fpn", "5", "2", "bruhat", "--all")
+        assert code == 0
+        assert payload["result"] == {"p": 5, "n": 2, "total": 28800, "cells": {
+            "0": 12000, "1": 14400, "2": 2400}}
+        assert sum(calls) == 28800 and max(calls) == fpn._BRUHAT_SLICE
+
+
+class TestMatrixArgument:
+    """``fpn bruhat --matrix`` takes integers only: anything else is a usage
+    error naming the entry, never a coerced value or a traceback."""
+
+    @pytest.mark.parametrize("matrix, entry", [
+        ("[[1.5,0],[0,1]]", "entry [0][0] is 1.5"),
+        ("[[true,0],[0,1]]", "entry [0][0] is true"),
+        ('[[1,0],[0,"1"]]', 'entry [1][1] is "1"'),
+        ("[[1e30,0],[0,1]]", "entry [0][0] is 1e+30"),
+        ("[[1,0],[0,100000000000000000000]]",
+         "entry [1][1] is 100000000000000000000"),
+        ("[[1,-9223372036854775809],[0,1]]",
+         "entry [0][1] is -9223372036854775809"),
+        ("[[1,0],[9223372036854775808,1]]",
+         "entry [1][0] is 9223372036854775808"),
+        ("[[NaN,0],[0,1]]", "entry [0][0] is NaN"),
+        ("[[null,0],[0,1]]", "entry [0][0] is null"),
+        ('{"a": 1}', 'entry [0][0] is {"a": 1}'),
+        ("[[[1]]]", "entry [0][0] is [1]"),
+    ])
+    def test_non_integer_entry_is_usage_error(self, capsys, matrix, entry):
+        code, out, err = run(capsys, "fpn", "3", "1", "bruhat",
+                             "--matrix", matrix)
+        assert code == 2
+        assert not out
+        assert f"error: --matrix: {entry}, not an int64 integer" in err
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("[" * 5000, "maximum recursion depth"),
+        ("[[" + "1" * 5000 + "]]", "digits"),
+    ])
+    def test_unreadable_json_is_usage_error(self, capsys, matrix, message):
+        code, out, err = run(capsys, "fpn", "3", "1", "bruhat",
+                             "--matrix", matrix)
+        assert code == 2
+        assert not out
+        assert "--matrix must be a JSON matrix" in err and message in err
+
+    def test_int64_extremes_are_read_exactly(self, capsys):
+        lo, hi = -2**63, 2**63 - 1          # both 1 mod 3
+        code, payload, _ = run_json(capsys, "fpn", "3", "1", "bruhat",
+                                    "--matrix", f"[[{lo},0],[0,{hi}]]")
+        assert code == 0
+        assert payload["result"]["reflection_rank"] == 0
+        assert payload["result"]["b"] == [[1, 0], [0, 1]]
+
+    def test_integer_input_prints_the_same_bytes(self, capsys):
+        argv = ["fpn", "3", "2", "bruhat", "--matrix",
+                "[[0,0,1,0],[0,1,0,0],[1,0,0,0],[0,0,0,1]]"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        M = cli.FpMatrix(3, json.loads(argv[-1]))
+        b, e, r = cli.bruhat_factorize(M).factors
+        assert out == json.dumps({
+            "command": argv,
+            "notes": ["b lower triangular, e upper unipotent, b@e@r = input"],
+            "result": {"p": 3, "n": 2, "reflection_rank": 1, "b": b.tolist(),
+                       "e": e.tolist(), "r": r.tolist()},
+        }, indent=2, sort_keys=True) + "\n"
 
 
 class TestPinnedClosureOutput:

@@ -8,6 +8,7 @@ the generator machinery under test.
 
 import functools
 import itertools
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -579,6 +580,83 @@ class TestStackedBruhat:
             _bruhat_stack(p, E)
         with pytest.raises(NoFactorization):
             bruhat_factorize(FpMatrix.identity(3, 2))
+
+
+class TestBruhatCells:
+    """``bruhat_cells`` is the ``d`` of ``_bruhat_stack``, certified one
+    slice at a time and raising as ``_bruhat_stack`` does."""
+
+    @staticmethod
+    def slices(monkeypatch):
+        """The lengths of the stacks handed to ``_bruhat_stack``."""
+        calls, real = [], fpn._bruhat_stack
+        monkeypatch.setattr(fpn, "_bruhat_stack",
+                            lambda p, E: calls.append(len(E)) or real(p, E))
+        return calls
+
+    @staticmethod
+    def raised(call, p, E):
+        with pytest.raises(Exception) as info:
+            call(p, E)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+    def test_matches_the_stack(self, monkeypatch, p, n):
+        p, E = _matrix_closure(standard_generators(p, n))
+        d = _bruhat_stack(p, E)[0]
+        monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
+        calls = self.slices(monkeypatch)
+        assert np.array_equal(fpn.bruhat_cells(p, E), d)
+        assert calls == [len(E[s:s + 7]) for s in range(0, len(E), 7)]
+
+    def test_empty_stack(self):
+        E = np.zeros((0, 4, 4), dtype=np.uint8)
+        assert fpn.bruhat_cells(3, E).shape == (0,)
+
+    def test_bad_matrix_in_the_second_slice(self, monkeypatch):
+        p, E = _matrix_closure(standard_generators(3, 2))
+        E = E.copy()
+        E[10, 0, 0] = (E[10, 0, 0] + 1) % p
+        monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
+        want = self.raised(_bruhat_stack, p, E)
+        assert want == (NotFormPreserving,
+                        "matrix does not preserve the hyperbolic form")
+        calls = self.slices(monkeypatch)
+        assert self.raised(fpn.bruhat_cells, p, E) == want
+        assert calls == [7, 7]          # the second slice raises
+
+    def test_no_subset_works(self, monkeypatch):
+        p, E = _matrix_closure(standard_generators(2, 2))
+        # the zero "reflections" of TestStackedBruhat.test_no_subset_works
+        monkeypatch.setattr(
+            fpn, "_pair_swap",
+            lambda n, subset: np.zeros((2 * n, 2 * n), dtype=np.int64))
+        monkeypatch.setattr(
+            fpn, "_swap_stack", functools.lru_cache(fpn._swap_stack.__wrapped__))
+        want = self.raised(_bruhat_stack, p, E)
+        assert want == (NoFactorization,
+                        "no rank-2 pair subset factorizes the given matrix")
+        assert self.raised(fpn.bruhat_cells, p, E) == want
+
+    def test_cells_of_o4_plus_f5(self):
+        p, E = _matrix_closure(standard_generators(5, 2))
+        assert np.bincount(fpn.bruhat_cells(p, E)).tolist() == [
+            12000, 14400, 2400]
+
+    def test_peak_memory_is_a_quarter_of_the_stack(self):
+        # tracemalloc sees numpy's buffers; the bound is a ratio, so it
+        # holds on any machine
+        p, E = _matrix_closure(standard_generators(5, 2))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call(p, E)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(fpn.bruhat_cells) <= peak(_bruhat_stack) / 4
 
 
 class TestInt64Limit:
