@@ -81,6 +81,9 @@ from .fpn import (
     group_order_oracle,
     standard_generators,
     subgroup_generators,
+    _chain_stack,
+    _int64_entry,
+    _matrix_chain,
     _matrix_closure,
 )
 from .groups import (
@@ -153,11 +156,12 @@ def _matrix_arg(text: str, p: int) -> FpMatrix:
         raise BadArguments(f"--matrix must be a JSON matrix: {e}")
     for i, row in enumerate(rows if isinstance(rows, list) else [rows]):
         for j, x in enumerate(row if isinstance(row, list) else [row]):
-            if type(x) is not int or not -2**63 <= x < 2**63:
+            if not _int64_entry(x):
                 raise BadArguments(f"--matrix: entry [{i}][{j}] is"
                                    f" {json.dumps(x)}, not an int64 integer")
     try:
-        return FpMatrix(p, rows)
+        # every entry is an int64 integer now: FpMatrix checks only the dtype
+        return FpMatrix(p, np.array(rows, dtype=np.int64))
     except ValueError as e:
         raise BadArguments(f"--matrix: {e}") from None
 
@@ -436,8 +440,8 @@ def _cmd_fpn(ns) -> tuple:
             }
             return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
         if ns.all:
-            E = _standard_closure(p, n, cap)
-            d = bruhat_cells(p, E).tolist()
+            _, points, levels = _standard_chain(p, n, cap)
+            d = bruhat_cells(p, _chain_stack(points, levels)).tolist()
             payload = {
                 "p": p,
                 "n": n,
@@ -450,12 +454,18 @@ def _cmd_fpn(ns) -> tuple:
 
 
 def _standard_closure(p: int, n: int, cap: int):
-    """The stack [N, 2n, 2n] of the group the four families generate."""
+    """The stack [N, 2n, 2n] of the group the four families generate, in
+    breadth-first order."""
     return _matrix_closure(standard_generators(p, n), cap)[1]
 
 
+def _standard_chain(p: int, n: int, cap: int):
+    """(order, points, levels) of the same group's stabilizer chain."""
+    return _matrix_chain(standard_generators(p, n), cap)
+
+
 def _orders_report(p: int, n: int, cap: int = CLOSURE_CAP) -> dict:
-    generated = len(_standard_closure(p, n, cap))
+    generated = _standard_chain(p, n, cap)[0]
     oracle = group_order_oracle(p, n)
     return {"generated": generated, "oracle": oracle,
             "match": generated == oracle}

@@ -21,6 +21,14 @@ with character coordinates.  This module makes that dictionary executable:
   the one search of ``groups``: the orbit of the basis vectors, then the
   closure on index rows (a matrix is the row of its columns' indices in
   that orbit), decoded once into a stack ``E [N, 2n, 2n]``, uint8 for p < 257.
+* ``_matrix_chain`` -- the stabilizer chain of ``groups`` on the same basis
+  orbit, with base e_1 ... e_2n: the order of the generated group as the
+  product of the orbit lengths (``fpn P N orders``), and, through
+  ``_chain_stack``, every element once as a product of transversal elements
+  read at the basis (the census of ``fpn P N bruhat --all``), in no
+  breadth-first order.  Both raise CapExceeded where the closure does; the
+  chain as soon as its orbit lengths pass the cap, holding no more than its
+  generators' rows and [orbit, 2n] per level.
 * :func:`group_order_oracle` -- an independent count of all form-preserving
   matrices by constrained column extension, used to cross-check the order of
   the group generated by the four families.
@@ -76,6 +84,7 @@ from .groups import (
     _compose_rows,
     _extend_frames,
     _orbit,
+    _stabilizer_chain,
     conjugacy_classes,
     named_group,
 )
@@ -131,6 +140,16 @@ def hyperbolic_form(p: int, n: int) -> np.ndarray:
 # -- matrices over F_p -----------------------------------------------------
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_entry(x) -> bool:
+    """The one rule for a matrix entry: an int (not a bool) or a numpy
+    integer, in the int64 range."""
+    return ((type(x) is int or isinstance(x, np.integer))
+            and _INT64.min <= x <= _INT64.max)
+
+
 class FpMatrix:
     """An immutable square matrix over F_p of even size 2n.
 
@@ -142,12 +161,27 @@ class FpMatrix:
 
     def __init__(self, p: int, entries) -> None:
         _check_prime(p)
-        arr = np.array(entries, dtype=np.int64)
+        ints = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu"
+        arr = entries if ints else np.array(entries, dtype=object)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must form a square matrix")
         if arr.shape[0] % 2 or arr.shape[0] == 0:
             raise ValueError("matrix size must be even and positive")
+        # no cast of a float, bool or string: an integer array is checked
+        # by its dtype (uint64 also by value), anything else entry by entry
+        if not ints:
+            bad = [k for k, x in enumerate(arr.ravel().tolist())
+                   if not _int64_entry(x)]
+        elif arr.dtype == np.uint64:
+            bad = np.flatnonzero(arr > _INT64.max)
+        else:
+            bad = []
+        if len(bad):
+            i, j = divmod(int(bad[0]), arr.shape[1])
+            raise ValueError(f"entry [{i}][{j}] is {arr[i, j]!r},"
+                             " not an int64 integer")
         _check_int64(arr.shape[0], int(p))
+        arr = arr.astype(np.int64)
         arr %= p
         arr.setflags(write=False)
         object.__setattr__(self, "p", int(p))
@@ -414,14 +448,12 @@ def generate_matrix_group(
     return tuple(FpMatrix(p, M) for M in E)
 
 
-def _matrix_closure(generators, cap: int = CLOSURE_CAP):
-    """(p, E): the closure as one stack E [N, 2n, 2n], in the smallest
-    unsigned dtype that holds F_p.  A matrix is fixed by its columns, so
-    ``_closure`` runs on the rows of their indices in ``points``, the
-    ``_orbit`` of the basis (the identity is ``arange(2n)``), under ``act[i,
-    j]`` = index of ``G[i] @ points[j]``; CapExceeded past ``2n * cap``
-    points.  Rows are equal exactly when the matrices are, so elements and
-    words come in the order of a matrix closure."""
+def _basis_action(generators, cap: int):
+    """(p, points, act): the ``_orbit`` of the basis vectors (the rows
+    ``points[:2n]``, in the smallest unsigned dtype that holds F_p) under
+    the generators, and ``act[i, j]`` = index of ``G[i] @ points[j]``;
+    CapExceeded past ``2n * cap`` points.  A matrix is fixed by its
+    columns, so it is the row of their indices in ``points``."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -442,9 +474,41 @@ def _matrix_closure(generators, cap: int = CLOSURE_CAP):
                    axis=0, return_inverse=True)[1].ravel()
     index = np.empty(P, dtype=np.min_scalar_type(P - 1))
     index[at[:P]] = np.arange(P)
-    act = np.ascontiguousarray(index[at[P:]].reshape(P, len(G)).T)
-    rows, _ = _closure(act, _compose_rows, np.arange(size), cap)
+    return p, points, np.ascontiguousarray(
+        index[at[P:]].reshape(P, len(G)).T)
+
+
+def _matrix_closure(generators, cap: int = CLOSURE_CAP):
+    """(p, E): the closure as one stack E [N, 2n, 2n], in the dtype of
+    ``_basis_action``'s points: ``_closure`` on index rows, from the
+    identity ``arange(2n)`` under ``act``.  Rows are equal exactly when the
+    matrices are, so elements and words come in the order of a matrix
+    closure."""
+    p, points, act = _basis_action(generators, cap)
+    rows, _ = _closure(act, _compose_rows, np.arange(points.shape[1]), cap)
     return p, points[rows].swapaxes(1, 2)
+
+
+def _matrix_chain(generators, cap: int = CLOSURE_CAP):
+    """(order, points, levels): ``groups._stabilizer_chain`` of
+    ``_basis_action`` on the base e_1 ... e_2n, whose pointwise stabilizer
+    is trivial.  CapExceeded where ``_matrix_closure`` raises it: past
+    ``2n * cap`` orbit points, then, as soon as the orbit lengths show it,
+    past ``cap`` elements."""
+    _, points, act = _basis_action(generators, cap)
+    levels = _stabilizer_chain(act, range(points.shape[1]), cap)
+    return math.prod(len(lv.orbit) for lv in levels), points, levels
+
+
+def _chain_stack(points, levels) -> np.ndarray:
+    """Every element of ``_matrix_chain``'s group once, as a stack [N, 2n,
+    2n] in the points' dtype: the base images of each product of
+    transversal elements, level 0's after level 1's after ..., decoded by
+    ``points``."""
+    rows = levels[-1].B
+    for lv in reversed(levels[:-1]):
+        rows = lv.images(rows).reshape(-1, points.shape[1])
+    return points[rows].swapaxes(1, 2)
 
 
 # -- independent order oracle ----------------------------------------------

@@ -27,7 +27,19 @@ Product and quotient tables are built as array expressions.
 
 Every closure and orbit is one breadth-first search, ``_orbit``: ``_closure``
 (with words, for ``autoeq`` and ``fpn``), ``FiniteGroup.closure`` on ids,
-``_perm_closure``, the isomorphism search and the basis orbit of ``fpn``.
+``_perm_closure``, the isomorphism search, the basis orbit of ``fpn`` and the
+orbits of the stabilizer chain.
+
+The order of a group given by index rows, and each of its elements once,
+come from a stabilizer chain without listing the group: ``_stabilizer_chain``
+is an incremental Schreier-Sims (C. C. Sims, "Computational methods in the
+study of permutation groups", 1970; A. Seress, "Permutation Group
+Algorithms", 2003, ch. 4) on a given base.  Level i keeps the orbit of base
+point i under the stabilizer of the earlier ones, its transversal as a
+Schreier vector and the transversal's base images, so full rows are kept
+for strong generators only; the order is the product of the orbit lengths,
+and the chain stops as soon as that passes its cap.  Each Schreier
+generator is sifted once, on its base images only.
 
 Searches for tuples of distinct points under pairwise constraints share one
 level-by-level frame extension, ``_extend_frames``: the completion search of
@@ -805,6 +817,151 @@ def _closure(generators, multiply, identity, cap: int):
     for f in found[1:]:
         words.append((f % k,) + words[f // k])
     return elements, words
+
+
+class _Level:
+    """One level of ``_stabilizer_chain``: strong generators ``S`` fixing
+    the earlier base points and their inverse rows ``R``; the orbit of base
+    point ``orbit[0]`` under them, ``pos`` its inverse (-1 off the orbit);
+    the Schreier vector ``by``, ``gen`` (the transversal element of
+    ``orbit[t]`` is ``S[gen[t]]`` after that of ``orbit[by[t]]``) and ``B``,
+    the base images of the transversal elements; and per generator the
+    orbit positions whose Schreier generator has been sifted.  Only the
+    generators are kept as full rows, so no array is [orbit, P]."""
+
+    def __init__(self, b, base, ident):
+        self.ident, self.S, self.R = ident, ident[None][:0], ident[None][:0]
+        self.done = []
+        self.orbit, self.B = ident[[b]], base[None]
+        self.by = self.gen = np.zeros(1, dtype=np.intp)
+        self.pos = np.full(len(ident), -1)
+        self.pos[b] = 0
+
+    def add(self, gens):
+        """Append strong generators and extend the orbit by ``_orbit`` from
+        its points; a new point's Schreier vector entry is the product
+        that found it."""
+        if not len(gens):
+            return
+        R = np.empty_like(gens)
+        R[np.arange(len(gens))[:, None], gens] = self.ident
+        self.S, self.R = np.concatenate([self.S, gens]), np.concatenate(
+            [self.R, R])
+        self.done += [0] * len(gens)
+        old = len(self.orbit)
+        self.orbit, found = _orbit(self.orbit, lambda X: self.S[:, X].T,
+                                   len(self.ident))
+        by, gen = np.divmod(np.array(found[old:], dtype=np.intp), len(self.S))
+        self.by, self.gen = np.append(self.by, by), np.append(self.gen, gen)
+        self.B = self.images(self.B[0], self.B)
+        self.pos[self.orbit[old:]] = np.arange(old, len(self.orbit))
+
+    def images(self, X, done=None):
+        """[len(orbit), *X.shape]: every transversal element applied to the
+        points X, one breadth-first round (the rows whose finders are
+        built) at a time after the rows ``done`` already holds."""
+        Y = np.empty((len(self.orbit),) + X.shape, X.dtype)
+        t = 1 if done is None else len(done)
+        Y[:t] = X if done is None else done
+        by, shape = np.append(self.by, len(Y)), (-1,) + (1,) * X.ndim
+        while t < len(Y):
+            stop = t + np.argmax(by[t:] >= t)
+            Y[t:stop] = self.S[self.gen[t:stop].reshape(shape), Y[by[t:stop]]]
+            t = stop
+        return Y
+
+    def element(self, t):
+        """The full row of the transversal element of ``orbit[t]``."""
+        row, path = self.ident, []
+        while t:
+            path.append(self.gen[t])
+            t = self.by[t]
+        for g in reversed(path):
+            row = self.S[g][row]
+        return row
+
+    def take(self):
+        """(s, j): up to ``_CLOSURE_SLICE`` unsifted pairs (generator s,
+        orbit position j), in generator order, now counted as sifted."""
+        s, j = [], []
+        for g, d in enumerate(self.done):
+            stop = min(len(self.orbit), d + _CLOSURE_SLICE - len(j))
+            s += [g] * (stop - d)
+            j += range(d, stop)
+            self.done[g] = stop
+        return np.array(s, dtype=np.intp), np.array(j, dtype=np.intp)
+
+
+def _sift(levels, X, cols, start):
+    """(X, drop): the rows X, images of some points with level i's base
+    point in column ``cols[i]``, divided level by level from ``start`` by
+    the transversal element that matches their base image (its inverse
+    generators along the Schreier vector, last first), until the image
+    leaves the level's orbit (``drop``) or the levels end (len(levels))."""
+    drop, live = np.full(len(X), len(levels)), np.arange(len(X))
+    for i in range(start, len(levels)):
+        lv = levels[i]
+        t = lv.pos[X[live, cols[i]]]
+        drop[live[t < 0]] = i
+        live, t = live[t >= 0], t[t >= 0]
+        rows = live
+        while True:
+            rows, t = rows[t > 0], t[t > 0]
+            if not len(t):
+                break
+            X[rows] = lv.R[lv.gen[t][:, None], X[rows]]
+            t = lv.by[t]
+    return X, drop
+
+
+def _stabilizer_chain(act, base, cap: int):
+    """The levels (``_Level``) of the group that the index rows ``act``
+    [k, P] generate, on a ``base`` whose pointwise stabilizer is trivial:
+    level i holds the orbit ``orbit`` of ``base[i]`` under the pointwise
+    stabilizer of ``base[:i]``, in the smallest unsigned dtype, and its
+    transversal as a Schreier vector.  Every element is one product of
+    transversal elements, level 0's after level 1's after ..., so the order
+    is the product of the orbit lengths.  That product only grows, so the
+    chain raises CapExceeded as soon as it passes ``cap``.
+
+    Incremental Schreier-Sims, deterministic: the deepest level with
+    unsifted Schreier generators sifts up to ``_CLOSURE_SLICE`` of them,
+    each (orbit point, strong generator) pair once, on base images alone
+    (they determine the element).  The first that leaves an orbit becomes
+    a strong generator of the levels down to where it left, and the others
+    that left are sifted on against the grown chain; transversals only
+    grow, so a sift that reached the identity stays valid.
+    """
+    ident = np.arange(act.shape[1], dtype=np.min_scalar_type(act.shape[1] - 1))
+    S, base = np.asarray(act, dtype=ident.dtype), list(base)
+    levels = [_Level(b, ident[base], ident) for b in base]
+
+    def grow(lv, gens):
+        lv.add(gens)
+        if prod(len(x.orbit) for x in levels) > cap:
+            raise CapExceeded(f"generated group exceeds the cap of {cap}")
+
+    for i, lv in enumerate(levels):
+        grow(lv, S[(S[:, base[:i]] == base[:i]).all(1) & (S != ident).any(1)])
+    while True:
+        todo = [i for i, lv in enumerate(levels)
+                if sum(lv.done) < len(lv.orbit) * len(lv.done)]
+        if not todo:
+            return levels
+        i = todo[-1]
+        lv = levels[i]
+        s, j = lv.take()
+        X, start = lv.S[s[:, None], lv.B[j]], i
+        while len(X):
+            X, drop = _sift(levels, X, range(len(levels)), start)
+            out = drop < len(levels)
+            X, drop, s, j, start = X[out], drop[out], s[out], j[out], i + 1
+            if len(X):
+                h = lv.S[s[0]][lv.element(j[0])][None]
+                h = _sift(levels, h, base, i)[0]
+                for below in levels[i + 1:drop[0] + 1]:
+                    grow(below, h)
+                X, s, j = X[1:], s[1:], j[1:]
 
 
 def _extend_frames(frames, pools, table, want, cap):

@@ -847,3 +847,126 @@ class TestModuleEntry:
         assert a.stdout == b.stdout
         assert json.loads(a.stdout)["result"]["generated"] == 6
         assert "time:" in a.stderr
+
+
+class TestOrdersAndCensusFromTheChain:
+    """``fpn orders`` and ``fpn bruhat --all`` read the group from a
+    stabilizer chain, not from a breadth-first closure.  Their stdout is
+    pinned to the bytes the closure-based commands printed, errors
+    included, and the cap still counts elements."""
+
+    STDOUT_SHA256 = {
+        ("2", "1", "orders"):
+            "d041bb725e57ae97f49428b47ed47647a4a95f055d922b0611c3ea348453963d",
+        ("2", "1", "bruhat", "--all"):
+            "b95e10ddfc6a66fa2e476aadc97e4e93b851dc28cac065a31f806f9539f9d42b",
+        ("3", "1", "orders"):
+            "b4dae3596122e645ead77e39688ed43b367a3ada4a07fc658c4087d7fd0f284d",
+        ("3", "1", "bruhat", "--all"):
+            "98d71ec3fefbed8ffdc1725a132285c4485233e56aa173014269715a8ebdd861",
+        ("5", "1", "orders"):
+            "6b824c31019daec5aa4dbd50389511448f2239f038f0672d56917f7e793843a4",
+        ("5", "1", "bruhat", "--all"):
+            "820674b9e49e5540c0e02441deb32fb080468841a387c9e4bff496e92ca1bbbb",
+        ("2", "2", "orders"):
+            "16234b3ea2828ce0cca5d0082b4579c8bae983a99c8acf9da4ab36cfad5f5b86",
+        ("2", "2", "bruhat", "--all"):
+            "6b8b8d090a31f0884afbddd25f5b94f739d4aa11c2dbbad6bc0e460584b63ec6",
+        ("3", "2", "orders"):
+            "074546339d62abaf7e621688f4d2a12c7974193f8de56d3bef293d6385afe255",
+        ("3", "2", "bruhat", "--all"):
+            "a457bd834e43c652ba236ed17d79cbf489ed10b13fb2a9cdea156f0cf2cd8486",
+        ("5", "2", "orders"):
+            "d1ae8d90d4bebac1dcbfa37e0ba9ece59f3fd10cb0bc03c43e7adc2afbab87a4",
+        ("5", "2", "bruhat", "--all"):
+            "ee44448f5f9dcf76e2a5508c6e0455fd9e3b29e1f29edf567c2c915cc4e9a125",
+    }
+
+    def test_every_config_is_pinned(self):
+        pinned = {(int(p), int(n)) for p, n, *_ in self.STDOUT_SHA256}
+        assert pinned == set(cli._FPN_CONFIGS) | {(5, 2)}
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, "fpn", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            self.STDOUT_SHA256[argv])
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["fpn", "3", "3", "orders"], "CapExceeded",
+         "generated group exceeds the cap of 1000000"),
+        (["fpn", "2", "3", "bruhat", "--all"], "CapExceeded",
+         "generated group exceeds the cap of 1000000"),
+        (["fpn", "7", "2", "orders"], "BudgetExceeded",
+         "oracle enumeration restricted to 2n <= 4, p <= 5;"
+         " got (p, n) = (7, 2)"),
+        (["--cap", "719", "fpn", "2", "2", "orders"], "CapExceeded",
+         "generated group exceeds the cap of 719"),
+        (["--cap", "719", "fpn", "2", "2", "bruhat", "--all"], "CapExceeded",
+         "generated group exceeds the cap of 719"),
+    ])
+    def test_errors_are_unchanged(self, capsys, argv, error, message):
+        # (3, 3) has 24,261,120 elements and (2, 3) 1,451,520, past the
+        # default cap; (7, 2) has 225,792, inside it, so the oracle's limit
+        # is what stops it
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == json.dumps({"command": argv, "error": error,
+                                  "message": message},
+                                 indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("sub, result", [
+        (["orders"], {"generated": 720, "match": True, "n": 2, "oracle": 720,
+                      "p": 2}),
+        (["bruhat", "--all"], {"cells": {"0": 384, "1": 288, "2": 48},
+                               "n": 2, "p": 2, "total": 720}),
+    ])
+    def test_cap_of_exactly_the_order_passes(self, capsys, sub, result):
+        code, payload, _ = run_json(capsys, "--cap", "720", "fpn", "2", "2",
+                                    *sub)
+        assert code == 0
+        assert payload["result"] == result
+
+    def test_cap_bounds_the_chain_memory(self, capsys):
+        # O+_6(7): its 17,100 isotropic basis-orbit points are past the cap
+        # with the next orbit; [orbit, P] transversal rows would be 1.2 GB
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "fpn", "7", "3", "orders")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert json.loads(out)["error"] == "CapExceeded"
+        assert peak < 64 * 2**20
+
+    def test_cap_bounds_the_chain_memory_at_11_3(self):
+        # 162,260 basis-orbit points: the basis action itself peaks near
+        # 250 MB, and [orbit, P] transversal rows would be 210 GB
+        script = (
+            "import resource, runpy, sys\n"
+            "sys.argv = ['brpic', 'fpn', '11', '3', 'orders']\n"
+            "try:\n"
+            "    runpy.run_module('brpic.cli', run_name='__main__')\n"
+            "finally:\n"
+            "    r = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    print('maxrss_kb', r, file=sys.stderr)\n")
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True)
+        assert res.returncode == 1
+        assert res.stdout == json.dumps(
+            {"command": ["fpn", "11", "3", "orders"], "error": "CapExceeded",
+             "message": "generated group exceeds the cap of 1000000"},
+            indent=2, sort_keys=True) + "\n"
+        rss_kb = int(re.search(r"maxrss_kb (\d+)", res.stderr).group(1))
+        assert rss_kb < 400 * 1024
+
+    def test_commands_never_close_the_group(self, capsys, monkeypatch):
+        def refuse(*args):
+            pytest.fail("breadth-first closure")
+
+        monkeypatch.setattr(fpn, "_closure", refuse)
+        for sub in (["orders"], ["bruhat", "--all"]):
+            code, _, _ = run(capsys, "fpn", "3", "2", *sub)
+            assert code == 0

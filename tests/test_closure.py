@@ -13,6 +13,10 @@ now run on ``groups._orbit`` and must agree with them.
 
 ``brute_extensions`` tests every ordered choice of distinct points at once;
 ``groups._extend_frames`` must keep the same frames, in the same order.
+
+``groups._stabilizer_chain`` must give the closure's order and, as products
+of its transversal elements, the closure's elements each once; past the cap
+it is checked against the closed-form orders of O+_2n(p) and Sp_2n(2).
 """
 
 import itertools
@@ -32,6 +36,7 @@ from brpic.autoeq import (
     partial_dualization_rprime,
 )
 from brpic.cohom import h2_classes
+from brpic import fpn
 from brpic.errors import BudgetExceeded, CapExceeded
 from brpic.fpn import (
     FpMatrix,
@@ -47,6 +52,8 @@ from brpic.groups import (
     _extend_frames,
     _index_rows,
     _orbit,
+    _perm_closure,
+    _stabilizer_chain,
     all_subgroups,
     identity_morphism,
     named_group,
@@ -378,3 +385,205 @@ def test_extend_frames_never_repeats_a_point():
                             [1, 0, 2, 3], [1, 0, 3, 2]]
     with pytest.raises(BudgetExceeded, match="cap = 7 nodes"):
         _extend_frames(start, [np.arange(4)] * 2, table, table, 7)
+
+
+# ---------------------------------------------------------------------------
+# stabilizer chain: the order and the elements of a closure, found without
+# listing the group breadth-first
+# ---------------------------------------------------------------------------
+
+def chain_order(act, base):
+    return math.prod(len(lv.orbit)
+                     for lv in _stabilizer_chain(act, base, math.inf))
+
+
+def transversal_rows(lv):
+    """The full rows of a level's transversal elements."""
+    return lv.images(lv.ident)
+
+
+def transversal_products(levels):
+    """Every product of transversal elements, level 0's after level 1's
+    after ..., as index rows composed from the full rows."""
+    E = transversal_rows(levels[-1])
+    for lv in reversed(levels[:-1]):
+        T = transversal_rows(lv)
+        E = _compose_rows(T, E).reshape(-1, T.shape[1])
+    return E
+
+
+def o_plus_order(p, n):
+    """|O+_2n(p)| = 2 p^(n(n-1)) (p^n - 1) prod_{i<n} (p^(2i) - 1)."""
+    return (2 * p ** (n * (n - 1)) * (p**n - 1)
+            * math.prod(p ** (2 * i) - 1 for i in range(1, n)))
+
+
+def sp_order(n):
+    """|Sp_2n(2)| = 2^(n^2) prod_{i<=n} (4^i - 1)."""
+    return 2 ** (n * n) * math.prod(4**i - 1 for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                  (5, 2)])
+def test_chain_order_is_the_closure_size(p, n):
+    gens = standard_generators(p, n)
+    act = fpn._basis_action(gens, CLOSURE_CAP)[2]
+    order = len(fpn._matrix_closure(gens)[1])
+    assert chain_order(act, range(2 * n)) == order
+    assert fpn._matrix_chain(gens)[0] == order
+
+
+@pytest.mark.parametrize("p, n, order", [
+    (7, 2, o_plus_order(7, 2)),     # 225,792: past the oracle's p <= 5
+    (3, 3, o_plus_order(3, 3)),     # 24,261,120: past CLOSURE_CAP too
+    (2, 3, sp_order(3)),            # 1,451,520
+    (2, 4, sp_order(4)),            # 47,377,612,800
+])
+def test_chain_order_is_the_closed_form(p, n, order):
+    assert o_plus_order(3, 2) == 1152 and sp_order(2) == 720
+    act = fpn._basis_action(standard_generators(p, n), CLOSURE_CAP)[2]
+    assert chain_order(act, range(2 * n)) == order
+
+
+@pytest.mark.parametrize("spec, order", [
+    ([(1, 2, 3, 0), (1, 0, 2, 3)], 24),                     # S4
+    ([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], 60),               # A5
+    ([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+      (0, 1, 2, 3, 5, 4), (2, 3, 0, 1, 4, 5)], 16),         # D4 x Z/2
+])
+def test_chain_on_permutation_groups(spec, order):
+    rows = _index_rows(spec, len(spec[0]))
+    elements = _perm_closure(spec)
+    assert len(elements) == order
+    levels = _stabilizer_chain(rows, range(len(spec[0])), order)
+    assert math.prod(len(lv.orbit) for lv in levels) == order
+    # every product of transversal elements, each element once
+    E = transversal_products(levels)
+    assert sorted(map(tuple, E.tolist())) == elements
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2)])
+def test_chain_transversals(p, n):
+    act = fpn._basis_action(standard_generators(p, n), CLOSURE_CAP)[2]
+    levels = _stabilizer_chain(act, range(2 * n), CLOSURE_CAP)
+    assert [lv.orbit[0] for lv in levels] == list(range(2 * n))
+    for i, lv in enumerate(levels):
+        o, T = lv.orbit, transversal_rows(lv)
+        assert o.dtype == T.dtype == lv.B.dtype == act.dtype
+        assert sorted(o.tolist()) == sorted(set(o.tolist()))
+        assert np.array_equal(T[:, i], o)
+        assert (T[:, :i] == np.arange(i)).all()
+        assert np.array_equal(T[0], np.arange(act.shape[1]))
+        # the base images are all a level keeps per orbit point
+        assert np.array_equal(lv.B, T[:, :2 * n])
+        assert lv.S.shape[1] == lv.R.shape[1] == act.shape[1]
+        assert (lv.R[np.arange(len(lv.S))[:, None], lv.S] == lv.ident).all()
+        assert all(lv.element(t).tolist() == T[t].tolist()
+                   for t in range(len(o)))
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2)])
+def test_chain_stack_is_the_closure(p, n):
+    gens = standard_generators(p, n)
+    order, points, levels = fpn._matrix_chain(gens)
+    E = fpn._chain_stack(points, levels)
+    closure = fpn._matrix_closure(gens)[1]
+    assert E.shape == closure.shape and E.dtype == closure.dtype
+    key = np.dtype((np.void, E[0].nbytes))
+    got = np.ascontiguousarray(E).reshape(len(E), -1).view(key).ravel()
+    want = np.ascontiguousarray(closure).reshape(len(E), -1).view(key).ravel()
+    assert len(set(got.tolist())) == len(E) == order
+    assert set(got.tolist()) == set(want.tolist())
+
+
+@pytest.mark.parametrize("cap", [1, 2, 100, 719, 720])
+def test_chain_cap_is_the_closure_cap(cap):
+    gens = standard_generators(2, 2)
+    if cap == 720:
+        assert fpn._matrix_chain(gens, cap)[0] == 720
+        return
+    with pytest.raises(CapExceeded) as closure:
+        fpn._matrix_closure(gens, cap)
+    with pytest.raises(CapExceeded) as chain:
+        fpn._matrix_chain(gens, cap)
+    assert str(chain.value) == str(closure.value)
+
+
+def test_chain_stops_as_soon_as_the_orbits_pass_the_cap(monkeypatch):
+    # the product of the orbit lengths only grows and ends at the order:
+    # the chain raises at the first growth that takes it past the cap
+    import brpic.groups as groups
+
+    lengths, products, add = {}, [], groups._Level.add
+
+    def spy(lv, gens):
+        add(lv, gens)
+        lengths[id(lv)] = len(lv.orbit)
+        products.append(math.prod(lengths.values()))
+
+    monkeypatch.setattr(groups._Level, "add", spy)
+    act = fpn._basis_action(standard_generators(3, 3), CLOSURE_CAP)[2]
+    with pytest.raises(CapExceeded,
+                       match=r"^generated group exceeds the cap of 1000000$"):
+        _stabilizer_chain(act, range(6), CLOSURE_CAP)
+    assert products[-1] > CLOSURE_CAP >= max(products[:-1])
+
+
+@pytest.mark.parametrize("spec, order", [
+    ([(1, 2, 3, 0), (1, 0, 2, 3)], 24),
+    ([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], 60),
+])
+def test_chain_cap_is_the_order(spec, order):
+    rows = _index_rows(spec, len(spec[0]))
+    assert chain_order(rows, range(len(spec[0]))) == order
+    _stabilizer_chain(rows, range(len(spec[0])), order)
+    with pytest.raises(CapExceeded, match=f"cap of {order - 1}$"):
+        _stabilizer_chain(rows, range(len(spec[0])), order - 1)
+
+
+def test_chain_needs_every_schreier_generator():
+    # <(1 2)(3 4 5)> on base (1, 3): the orbit of 1 is {1, 2}, and only
+    # the last Schreier generator, g * g = (3 5 4), is not the identity
+    rows = _index_rows([(1, 0, 3, 4, 2)], 5)
+    levels = _stabilizer_chain(rows, [0, 2], 6)
+    assert [lv.orbit.tolist() for lv in levels] == [[0, 1], [2, 4, 3]]
+    assert transversal_rows(levels[1]).tolist() == [
+        [0, 1, 2, 3, 4], [0, 1, 4, 2, 3], [0, 1, 3, 4, 2]]
+
+
+def test_chain_on_seeded_permutation_groups():
+    # small groups of every kind, on a shuffled full base: the order and
+    # the elements of each chain are those of the breadth-first closure
+    rng = np.random.default_rng(29)
+    orders = set()
+    for _ in range(60):
+        degree = int(rng.integers(3, 8))
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            g = np.arange(degree)
+            cycle = rng.permutation(degree)[:int(rng.integers(2, degree + 1))]
+            g[cycle] = np.roll(cycle, 1)
+            gens.append(tuple(g.tolist()))
+        rows = _index_rows(gens, degree)
+        elements = _perm_closure(gens)
+        base = rng.permutation(degree).tolist()
+        levels = _stabilizer_chain(rows, base, len(elements))
+        assert math.prod(len(lv.orbit) for lv in levels) == len(elements)
+        E = transversal_products(levels)
+        assert sorted(map(tuple, E.tolist())) == elements
+        with pytest.raises(CapExceeded):
+            _stabilizer_chain(rows, base, len(elements) - 1)
+        orders.add(len(elements))
+    assert len(orders) > 10
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_chain_in_small_slices(monkeypatch, rows):
+    # a level's Schreier generators are sifted a slice at a time; residues
+    # found in one slice grow the chain the next slice sifts against
+    import brpic.groups as groups
+
+    monkeypatch.setattr(groups, "_CLOSURE_SLICE", rows)
+    for (p, n), order in (((3, 2), 1152), ((2, 3), sp_order(3))):
+        act = fpn._basis_action(standard_generators(p, n), CLOSURE_CAP)[2]
+        assert chain_order(act, range(2 * n)) == order

@@ -8,6 +8,7 @@ the generator machinery under test.
 
 import functools
 import itertools
+import re
 import tracemalloc
 from math import prod
 
@@ -751,3 +752,57 @@ class TestProperties:
         for i in word:
             M = M @ gens[i % len(gens)]
         assert autoeq_to_matrix(matrix_to_autoeq(M)) == M
+
+
+class TestFpMatrixEntries:
+    """Entries are int64 integers: nothing is cast into one, and a refused
+    entry is named by its position."""
+
+    @pytest.mark.parametrize("entries, at", [
+        ([[1.5, 0], [0, 1]], "[0][0]"),
+        ([[1, 0], [True, 1]], "[1][0]"),
+        ([[1, 0], [0, "1"]], "[1][1]"),
+        ([[None, 0], [0, 1]], "[0][0]"),
+        ([[1, 0], [0, np.uint64(2**64 - 1)]], "[1][1]"),
+        ([[1, 2**63], [0, 1]], "[0][1]"),
+        ([[1, 0], [-2**63 - 1, 1]], "[1][0]"),
+        ([[1, 0], [0, np.float64(1)]], "[1][1]"),
+        ([[np.bool_(True), 0], [0, 1]], "[0][0]"),
+        (np.eye(2), "[0][0]"),
+        (np.eye(2, dtype=bool), "[0][0]"),
+        (np.array([[1, 0], [0, 2**64 - 1]], dtype=np.uint64), "[1][1]"),
+    ])
+    def test_refused(self, entries, at):
+        with pytest.raises(ValueError, match=re.escape(
+                f"entry {at} is ") + ".*not an int64 integer"):
+            FpMatrix(3, entries)
+
+    @pytest.mark.parametrize("entries", [
+        [[-2**63, 2**63 - 1], [np.int64(4), np.uint64(2**63 - 1)]],
+        np.array([[-2**63, 2**63 - 1], [4, 2**63 - 1]], dtype=np.int64),
+        np.array([[0, 2**63 - 1], [4, 2**63 - 1]], dtype=np.uint64),
+        np.array([[-5, 7], [4, 1]], dtype=np.int8),
+    ])
+    def test_int64_range_read_exactly(self, entries):
+        want = [[x % 3 for x in map(int, row)] for row in entries]
+        M = FpMatrix(3, entries)
+        assert M.tolist() == want and M.entries.dtype == np.int64
+
+    def test_integer_array_is_checked_by_its_dtype(self):
+        # 500 x 500 int64 entries past the small-int cache: read one by one
+        # they would take an object array, a list and an int per entry
+        # (over 5x the array); by dtype, a copy and its bytes for the hash
+        arr = np.random.default_rng(3).integers(1000, 2000, size=(500, 500))
+        tracemalloc.start()
+        try:
+            M = FpMatrix(3, arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(M.entries, arr % 3)
+        assert peak < 3 * arr.nbytes
+
+    def test_ragged_and_deep_entries(self):
+        for bad in ([[1, 0], [0]], [[[1]]], [1, 0]):
+            with pytest.raises(ValueError, match="square matrix"):
+                FpMatrix(3, bad)
