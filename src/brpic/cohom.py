@@ -81,6 +81,7 @@ class Cocycle2:
     __slots__ = ("group", "m", "values")
 
     def __init__(self, group: FiniteGroup, m: int, values, check: bool = True):
+        _check_modulus(m, 0)        # sums only: no product can overflow
         v = np.asarray(values, dtype=np.int64) % m
         if v.shape != (group.n, group.n):
             raise NotACocycle(f"value table must be {group.n}x{group.n}")
@@ -155,6 +156,7 @@ class Cocycle2:
 
 def coboundary(G: FiniteGroup, phi, m: int) -> Cocycle2:
     """d(phi)(a,b) = phi(a) + phi(b) - phi(ab) as a normalized cocycle."""
+    _check_modulus(m, 0)
     p = np.asarray(phi, dtype=np.int64) % m
     vals = (p[:, None] + p[None, :] - p[G.table]) % m
     return Cocycle2(G, m, vals, check=False)
@@ -433,6 +435,7 @@ class Pairing:
     __slots__ = ("subgroup", "m", "values")
 
     def __init__(self, subgroup: Subgroup, m: int, values):
+        _check_modulus(m, 0)
         if not subgroup.is_abelian():
             raise NotAbelian(f"{subgroup!r} is not abelian")
         Sgrp, _ = subgroup.as_group()

@@ -19,8 +19,8 @@ with character coordinates.  This module makes that dictionary executable:
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
 * :func:`generate_matrix_group` -- the closure of a generator list, run by
   the one search of ``groups``: the orbit of the basis vectors, then the
-  closure on index rows (a matrix is the row of its columns' indices in
-  that orbit), decoded once into a stack ``E [N, 2n, 2n]``, uint8 for p < 257.
+  closure on index rows, keeping no words (a matrix is its columns' indices
+  in that orbit), decoded once into a uint8 stack ``E [N, 2n, 2n]`` (p < 257).
 * ``_matrix_chain`` -- the stabilizer chain of ``groups`` on the same basis
   orbit, with base e_1 ... e_2n: the order of the generated group as the
   product of the orbit lengths (``fpn P N orders``), and, through
@@ -34,7 +34,7 @@ with character coordinates.  This module makes that dictionary executable:
   the group generated by the four families.
 * :func:`bruhat_factorize` -- the rank-indexed triangular factorization
   ``M = b @ e @ r`` exhibiting the n + 1 cell partition; ``_bruhat_stack``
-  factors a whole stack at once, and one matrix is a stack of one.
+  factors exactly the stack it is given, and one matrix is a stack of one.
 * :func:`bruhat_cells` -- the cell index of every matrix of a stack, from
   ``_bruhat_stack`` one slice at a time, keeping no witnesses.
 
@@ -80,7 +80,6 @@ from .errors import (
 from .groups import (
     CLOSURE_CAP,
     FiniteGroup,
-    _closure,
     _compose_rows,
     _extend_frames,
     _orbit,
@@ -468,24 +467,22 @@ def _basis_action(generators, cap: int):
         return (prods[..., 0] % p).astype(dt)
 
     points, _ = _orbit(np.eye(size, dtype=dt), step, cap)
-    P = len(points)
-    # one more step over the points, each product located among them
-    at = np.unique(np.concatenate([points, step(points).reshape(-1, size)]),
-                   axis=0, return_inverse=True)[1].ravel()
-    index = np.empty(P, dtype=np.min_scalar_type(P - 1))
-    index[at[:P]] = np.arange(P)
+    # one more step over the points, each product located by its bytes
+    key = np.dtype((np.void, points[0].nbytes))
+    keys = points.view(key).ravel()
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys[order], step(points).view(key).ravel())]
     return p, points, np.ascontiguousarray(
-        index[at[P:]].reshape(P, len(G)).T)
+        at.reshape(-1, len(G)).T, dtype=np.min_scalar_type(len(points) - 1))
 
 
 def _matrix_closure(generators, cap: int = CLOSURE_CAP):
-    """(p, E): the closure as one stack E [N, 2n, 2n], in the dtype of
-    ``_basis_action``'s points: ``_closure`` on index rows, from the
-    identity ``arange(2n)`` under ``act``.  Rows are equal exactly when the
-    matrices are, so elements and words come in the order of a matrix
-    closure."""
+    """(p, E): the closure as one stack E [N, 2n, 2n], in the points' dtype:
+    the ``_orbit`` of the identity row ``arange(2n)`` under ``act``, in the
+    order of a matrix closure (rows are equal exactly when matrices are)."""
     p, points, act = _basis_action(generators, cap)
-    rows, _ = _closure(act, _compose_rows, np.arange(points.shape[1]), cap)
+    rows, _ = _orbit(np.arange(points.shape[1], dtype=act.dtype)[None],
+                     lambda X: _compose_rows(act, X), cap)
     return p, points[rows].swapaxes(1, 2)
 
 
@@ -579,8 +576,11 @@ def bruhat_factorize(M: FpMatrix) -> BruhatCell:
 
 
 def bruhat_cells(p: int, E: np.ndarray) -> np.ndarray:
-    """The ``d`` of ``_bruhat_stack(p, E)``, with its errors, from one
-    ``_BRUHAT_SLICE`` at a time: no slice's witnesses are kept."""
+    """The ``d`` of ``_bruhat_stack(p, E)`` for E [N, 2n, 2n], n >= 1, with
+    its errors, one ``_BRUHAT_SLICE`` at a time: no witnesses are kept."""
+    m = E.shape[-1] if E.ndim == 3 else 0
+    if E.shape[1:] != (m, m) or m % 2 or not m:
+        raise ValueError(f"stack shape {E.shape} is not [N, 2n, 2n], n >= 1")
     d = np.empty(len(E), dtype=np.int64)
     for s in range(0, len(E), _BRUHAT_SLICE):
         d[s:s + _BRUHAT_SLICE] = _bruhat_stack(p, E[s:s + _BRUHAT_SLICE])[0]
@@ -604,10 +604,6 @@ def _bruhat_stack(p: int, E: np.ndarray):
     in combinations order whose witnesses preserve the form and give M.
     M's form check runs with the witnesses' but raises first."""
     N, n = len(E), E.shape[-1] // 2
-    if N > _BRUHAT_SLICE:
-        parts = [_bruhat_stack(p, E[s:s + _BRUHAT_SLICE])
-                 for s in range(0, N, _BRUHAT_SLICE)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
     sizes, rs = _swap_stack(n)
     aug = np.zeros((N, len(rs), n, 2 * n), dtype=np.int64)     # [X | I]
     aug[..., :n] = E[:, None, :n] @ rs[:, :, :n] % p

@@ -26,9 +26,9 @@ constructions in ``autoeq``.
 Product and quotient tables are built as array expressions.
 
 Every closure and orbit is one breadth-first search, ``_orbit``: ``_closure``
-(with words, for ``autoeq`` and ``fpn``), ``FiniteGroup.closure`` on ids,
-``_perm_closure``, the isomorphism search, the basis orbit of ``fpn`` and the
-orbits of the stabilizer chain.
+(with words, for ``autoeq``), ``FiniteGroup.closure`` on ids,
+``_perm_closure``, the isomorphism search, the basis orbit and closure of
+``fpn`` and the orbits of the stabilizer chain.
 
 The order of a group given by index rows, and each of its elements once,
 come from a stabilizer chain without listing the group: ``_stabilizer_chain``

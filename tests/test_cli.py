@@ -966,7 +966,12 @@ class TestOrdersAndCensusFromTheChain:
         def refuse(*args):
             pytest.fail("breadth-first closure")
 
-        monkeypatch.setattr(fpn, "_closure", refuse)
+        # cli holds its own reference to the closure
+        monkeypatch.setattr(fpn, "_matrix_closure", refuse)
+        monkeypatch.setattr(cli, "_matrix_closure", refuse)
         for sub in (["orders"], ["bruhat", "--all"]):
             code, _, _ = run(capsys, "fpn", "3", "2", *sub)
             assert code == 0
+        # the refusal bites where the group is listed
+        with pytest.raises(pytest.fail.Exception, match="breadth-first"):
+            run(capsys, "fpn", "3", "2", "generate")

@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_matrix_closure_keys_do_not_overflow():
     assert check_matrices(subgroup_generators(7, 3, "BV")) == 7 ** 3
 
 
+def test_matrix_closure_memory_is_linear():
+    # O+_2(10007) is dihedral of order 20012: its breadth-first words run
+    # to thousands of letters, and one kept per element peaked at 400 MB;
+    # the decoded stack is 160 kB
+    gens = standard_generators(10007, 1)
+    tracemalloc.start()
+    try:
+        E = fpn._matrix_closure(gens)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(E) == 20012
+    assert peak < 40_000_000
+
+
 def test_permutation_closure_matches_sequential():
     gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]     # (1 2 3 4 5), (1 2)
     old, old_words = sequential_closure(
@@ -201,45 +217,29 @@ def test_cap_raises_where_sequential_does(cap):
                                               (100, False), (719, False)])
 def test_cap_fires_in_the_orbit_or_the_closure(monkeypatch, cap, orbit_fires):
     # Sp_4(F_2) moves e_1 to all 15 nonzero vectors: past 4 * cap points
-    # the orbit step raises before the closure starts
-    import brpic.fpn as fpn
-
-    closures = []
-    closure = fpn._closure
-    monkeypatch.setattr(fpn, "_closure",
-                        lambda *a: closures.append(a) or closure(*a))
+    # the orbit step raises before the closure, the second _orbit, starts
+    orbits = []
+    orbit = fpn._orbit
+    monkeypatch.setattr(fpn, "_orbit",
+                        lambda *a: orbits.append(a) or orbit(*a))
     with pytest.raises(CapExceeded):
         generate_matrix_group(standard_generators(2, 2), cap)
-    assert bool(closures) != orbit_fires
+    assert len(orbits) == (1 if orbit_fires else 2)
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (7, 3)])
 @pytest.mark.parametrize("which", ["V", "BV", "EV", "R"])
-def test_basis_orbit_matches_reference(monkeypatch, p, n, which):
-    # the orbit is the first _orbit result of the matrix closure and act
-    # the generators of its _closure
-    import brpic.fpn as fpn
-
-    got = {}
-
-    def spy(name, keep):
-        real = getattr(fpn, name)
-
-        def wrapper(*args):
-            out = real(*args)
-            got.setdefault(name, keep(args, out))
-            return out
-        monkeypatch.setattr(fpn, name, wrapper)
-
-    spy("_orbit", lambda args, out: out[0])
-    spy("_closure", lambda args, out: args[0])
+def test_basis_orbit_matches_reference(p, n, which):
+    # at (7, 3) V generates GL_3(F_7), past the cap: the basis action does
+    # not close the group
     gens = subgroup_generators(p, n, which)
-    generate_matrix_group(gens)
+    q, *got = fpn._basis_action(gens, CLOSURE_CAP)
     points, act = reference_basis_orbit(
         p, np.array([g.entries for g in gens], dtype=np.uint8), CLOSURE_CAP)
-    for new, old in ((got["_orbit"], points), (got["_closure"], act)):
+    assert q == p
+    for new, old in zip(got, (points, act)):
         assert new.dtype == old.dtype and np.array_equal(new, old)
-    assert got["_closure"].flags.c_contiguous
+    assert got[1].flags.c_contiguous
     if which == "V":
         # grading and character vectors never mix: e_1 and e_{n+1} lie in
         # different orbits

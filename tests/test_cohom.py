@@ -79,6 +79,22 @@ def test_cocycle_algebra_and_equality():
     assert hash(a) == hash(Cocycle2(G, 2, a.values))
 
 
+@pytest.mark.parametrize("m", [0, -2, -3])
+def test_cocycle_modulus_below_one_is_refused(m):
+    G = named_group("Z/3")
+    with pytest.raises(ValueError, match=f"modulus m = {m} must be at least 1"):
+        Cocycle2(G, m, np.zeros((3, 3), dtype=int))
+
+
+@pytest.mark.parametrize("m", [0, -2, -3])
+def test_coboundary_modulus_below_one_is_refused(m):
+    G = named_group("Z/3")
+    with pytest.raises(ValueError, match=f"modulus m = {m} must be at least 1"):
+        coboundary(G, [0, 1, 2], m)
+    # only sums are formed: a modulus past the int64 product bound is valid
+    assert coboundary(G, [0, 1, 2], 2**62).m == 2**62
+
+
 # ---------------------------------------------------------------------------
 # h2_classes counts against the classical multiplier tables
 # ---------------------------------------------------------------------------
@@ -404,6 +420,13 @@ def test_pairing_rejects_non_bimultiplicative():
     bad[1, 1] = 1
     with pytest.raises(BrpicError):
         Pairing(G.full_subgroup(), 2, bad)
+
+
+@pytest.mark.parametrize("m", [0, -2, -3])
+def test_pairing_modulus_below_one_is_refused(m):
+    G = named_group("Z/2^2")
+    with pytest.raises(ValueError, match=f"modulus m = {m} must be at least 1"):
+        Pairing(G.full_subgroup(), m, np.zeros((4, 4), dtype=int))
 
 
 def test_dual_element_bijection_on_klein():

@@ -553,13 +553,6 @@ class TestStackedBruhat:
             assert [F.tolist() for F in old.factors] == [
                 b[k].tolist(), e[k].tolist(), r[k].tolist()]
 
-    def test_slices_give_the_same_factors(self, monkeypatch):
-        p, E = _matrix_closure(standard_generators(2, 2))
-        whole = _bruhat_stack(p, E)
-        monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
-        for a, b in zip(whole, _bruhat_stack(p, E)):
-            assert np.array_equal(a, b)
-
     def test_one_bad_matrix_in_the_stack(self):
         p, E = _matrix_closure(standard_generators(3, 2))
         E = E.copy()
@@ -613,6 +606,14 @@ class TestBruhatCells:
     def test_empty_stack(self):
         E = np.zeros((0, 4, 4), dtype=np.uint8)
         assert fpn.bruhat_cells(3, E).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 4), (2, 4, 2),
+                                       (1, 0, 0), (1, 1, 4, 4), ()])
+    def test_stack_shape_is_refused(self, shape):
+        E = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"stack shape {shape} is not [N, 2n, 2n], n >= 1")):
+            fpn.bruhat_cells(3, E)
 
     def test_bad_matrix_in_the_second_slice(self, monkeypatch):
         p, E = _matrix_closure(standard_generators(3, 2))
