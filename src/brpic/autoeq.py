@@ -73,7 +73,6 @@ from .groups import (
     named_group,
     opposite_group,
     _closure,
-    _compose_rows,
     _extend_frames,
     _index_rows,
     _is_complement,
@@ -700,8 +699,10 @@ def generate_group(generators, cap: int = CLOSURE_CAP) -> GeneratedGroup:
     Element order is discovery order (identity first, then by word length);
     the word (i1, ..., ik) stands for generators[i1] after ... after
     generators[ik], and the element's provenance is the composite of those
-    generators' provenances.  The closure runs on the mappings; each element
-    is then built, and so verified, exactly once."""
+    generators' provenances.  The closure is ``groups._closure`` of the
+    mappings on the base of all simple objects; the words are decoded here,
+    from the product that found each element, and each element is then
+    built, and so verified, exactly once."""
     gens = list(generators)
     if not gens:
         return GeneratedGroup(1, (), ())
@@ -710,12 +711,11 @@ def generate_group(generators, cap: int = CLOSURE_CAP) -> GeneratedGroup:
         raise DomainMismatch("generators live over different groups")
 
     ident = identity_autoeq(group)
-    mappings, words = _closure(
-        _index_rows([F.mapping for F in gens], len(ident.mapping)),
-        _compose_rows,
-        ident.mapping,
-        cap,
-    )
+    size, k, words = len(ident.mapping), len(gens), [()]
+    mappings, found = _closure(
+        _index_rows([F.mapping for F in gens], size), range(size), cap)
+    for f in found[1:]:
+        words.append((f % k,) + words[f // k])
     elements = [ident] + [
         BraidedAutoeq(group, tuple(m), Provenance(
             "composite", tuple(gens[i].provenance for i in w)))

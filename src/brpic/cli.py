@@ -231,6 +231,17 @@ def _load_mapping_json(path: str) -> dict:
         raise BadArguments(
             f"{path} must hold an object with 'group' and 'mapping' fields"
         )
+    if not isinstance(data["group"], str):
+        raise BadArguments(f"{path}: 'group' is {json.dumps(data['group'])},"
+                           " not a string")
+    mapping = data["mapping"]
+    if not isinstance(mapping, list):
+        raise BadArguments(f"{path}: 'mapping' is {json.dumps(mapping)},"
+                           " not a list")
+    for i, x in enumerate(mapping):
+        if type(x) is not int:          # a JSON integer; true is no integer
+            raise BadArguments(f"{path}: 'mapping' entry [{i}] is"
+                               f" {json.dumps(x)}, not an integer")
     return data
 
 
@@ -406,7 +417,7 @@ def _cmd_fpn(ns) -> tuple:
     if sub == "generate":
         which = ns.which
         if which == "all":
-            mats = _standard_closure(p, n, cap)
+            mats = _matrix_closure(standard_generators(p, n), cap)[1]
             note = "closure of the V, BV, EV, R families"
         else:
             mats = np.array([M.entries for M in subgroup_generators(
@@ -440,7 +451,7 @@ def _cmd_fpn(ns) -> tuple:
             }
             return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
         if ns.all:
-            _, points, levels = _standard_chain(p, n, cap)
+            _, points, levels = _matrix_chain(standard_generators(p, n), cap)
             d = bruhat_cells(p, _chain_stack(points, levels)).tolist()
             payload = {
                 "p": p,
@@ -453,19 +464,8 @@ def _cmd_fpn(ns) -> tuple:
     raise BadArguments(f"unknown fpn subcommand {sub!r}")
 
 
-def _standard_closure(p: int, n: int, cap: int):
-    """The stack [N, 2n, 2n] of the group the four families generate, in
-    breadth-first order."""
-    return _matrix_closure(standard_generators(p, n), cap)[1]
-
-
-def _standard_chain(p: int, n: int, cap: int):
-    """(order, points, levels) of the same group's stabilizer chain."""
-    return _matrix_chain(standard_generators(p, n), cap)
-
-
 def _orders_report(p: int, n: int, cap: int = CLOSURE_CAP) -> dict:
-    generated = _standard_chain(p, n, cap)[0]
+    generated = _matrix_chain(standard_generators(p, n), cap)[0]
     oracle = group_order_oracle(p, n)
     return {"generated": generated, "oracle": oracle,
             "match": generated == oracle}

@@ -18,9 +18,10 @@ with character coordinates.  This module makes that dictionary executable:
   families: block-diagonal GL_n embeddings ("V"), lower and upper unipotent
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
 * :func:`generate_matrix_group` -- the closure of a generator list, run by
-  the one search of ``groups``: the orbit of the basis vectors, then the
-  closure on index rows, keeping no words (a matrix is its columns' indices
-  in that orbit), decoded once into a uint8 stack ``E [N, 2n, 2n]`` (p < 257).
+  the one search of ``groups``: the orbit of the basis vectors, then
+  ``groups._closure`` of their index rows on the base of the basis vectors
+  (a matrix is its columns' indices in that orbit; no words are decoded),
+  decoded once into a uint8 stack ``E [N, 2n, 2n]`` (p < 257).
 * ``_matrix_chain`` -- the stabilizer chain of ``groups`` on the same basis
   orbit, with base e_1 ... e_2n: the order of the generated group as the
   product of the orbit lengths (``fpn P N orders``), and, through
@@ -80,7 +81,8 @@ from .errors import (
 from .groups import (
     CLOSURE_CAP,
     FiniteGroup,
-    _compose_rows,
+    _CLOSURE_SLICE,
+    _closure,
     _extend_frames,
     _orbit,
     _stabilizer_chain,
@@ -467,22 +469,26 @@ def _basis_action(generators, cap: int):
         return (prods[..., 0] % p).astype(dt)
 
     points, _ = _orbit(np.eye(size, dtype=dt), step, cap)
-    # one more step over the points, each product located by its bytes
+    # one more step over the points, ``_CLOSURE_SLICE`` at a time, each
+    # product located by its bytes
     key = np.dtype((np.void, points[0].nbytes))
     keys = points.view(key).ravel()
     order = np.argsort(keys)
-    at = order[np.searchsorted(keys[order], step(points).view(key).ravel())]
-    return p, points, np.ascontiguousarray(
-        at.reshape(-1, len(G)).T, dtype=np.min_scalar_type(len(points) - 1))
+    keys = keys[order]
+    at = np.empty((len(points), len(G)), np.min_scalar_type(len(points) - 1))
+    for s in range(0, len(points), _CLOSURE_SLICE):
+        prods = step(points[s:s + _CLOSURE_SLICE]).view(key)[..., 0]
+        at[s:s + _CLOSURE_SLICE] = order[np.searchsorted(keys, prods)]
+    return p, points, np.ascontiguousarray(at.T)
 
 
 def _matrix_closure(generators, cap: int = CLOSURE_CAP):
     """(p, E): the closure as one stack E [N, 2n, 2n], in the points' dtype:
-    the ``_orbit`` of the identity row ``arange(2n)`` under ``act``, in the
-    order of a matrix closure (rows are equal exactly when matrices are)."""
+    ``groups._closure`` of ``act`` on the base of the basis vectors, the
+    first 2n points, in the order of a matrix closure (rows are equal
+    exactly when matrices are)."""
     p, points, act = _basis_action(generators, cap)
-    rows, _ = _orbit(np.arange(points.shape[1], dtype=act.dtype)[None],
-                     lambda X: _compose_rows(act, X), cap)
+    rows, _ = _closure(act, range(points.shape[1]), cap)
     return p, points[rows].swapaxes(1, 2)
 
 

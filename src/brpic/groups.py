@@ -25,10 +25,14 @@ one conjugacy class per piece ``normal_subgroups``.  One complement test,
 constructions in ``autoeq``.
 Product and quotient tables are built as array expressions.
 
-Every closure and orbit is one breadth-first search, ``_orbit``: ``_closure``
-(with words, for ``autoeq``), ``FiniteGroup.closure`` on ids,
-``_perm_closure``, the isomorphism search, the basis orbit and closure of
-``fpn`` and the orbits of the stabilizer chain.
+Every closure and orbit is one breadth-first search, ``_orbit``.  A group
+given by index rows is listed by one closure on it, ``_closure``: the orbit
+of the identity row under left composition, each element as its images of
+a base.  It lists ``FiniteGroup.closure`` on ids, ``_perm_closure``, the
+pairs of the isomorphism search, the matrix groups of ``fpn`` and the
+generated groups of ``autoeq``, whose shortest words ``generate_group``
+decodes from the finders it returns.  The basis orbit of ``fpn`` and the
+orbits of the stabilizer chain run on ``_orbit`` directly.
 
 The order of a group given by index rows, and each of its elements once,
 come from a stabilizer chain without listing the group: ``_stabilizer_chain``
@@ -231,10 +235,8 @@ class FiniteGroup:
         sorted; ValueError for the first id that is no element."""
         gens = np.array(list(gens), dtype=np.int64)
         _check_ids(gens, self)
-        rows = self.table[gens]
-        elements, _ = _orbit(np.array([self.identity]),
-                             lambda X: rows[:, X].T, self.n)
-        return tuple(sorted(elements.tolist()))
+        elements, _ = _closure(self.table[gens], [self.identity], self.n)
+        return tuple(sorted(elements.ravel().tolist()))
 
     def minimal_generators(self) -> tuple[int, ...]:
         gens: list[int] = []
@@ -492,11 +494,13 @@ def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
     The images of ``G.minimal_generators()`` are chosen in turn, each among
     the elements of H with its generator's element order and class size.  A
     choice is kept when the chosen pairs (g, h) generate, inside G x H, the
-    graph of an injective map: ``_orbit`` of int pairs, stopped as soon as
-    it has more elements than the subgroup of G the chosen g generate.  Every
-    element of G below the next generator lies in that subgroup already, so
-    its image is fixed before the generator's is chosen, and trying the
-    candidates in ascending order yields the image tuples in ascending order.
+    graph of an injective map: ``_closure`` of the pairs, acting by left
+    products on G's elements and then H's (shifted by G.n), on the base of
+    the two identities, stopped as soon as it has more elements than the
+    subgroup of G the chosen g generate.  Every element of G below the next
+    generator lies in that subgroup already, so its image is fixed before
+    the generator's is chosen, and trying the candidates in ascending order
+    yields the image tuples in ascending order.
     """
     if G.n != H.n:
         return
@@ -509,31 +513,28 @@ def _iso_backtrack(G: FiniteGroup, H: FiniteGroup):
 
     prof_G, prof_H = profile(G), profile(H)
     candidates = [[h for h in range(H.n) if prof_H[h] == prof_G[g]] for g in gens]
-    dtype = np.min_scalar_type(G.n - 1)
-    identity = np.array([[G.identity, H.identity]], dtype=dtype)
-
-    def multiply(A, X):
-        return np.stack((G.table[A[:, 0], X[:, None, 0]],
-                         H.table[A[:, 1], X[:, None, 1]]), axis=-1).astype(dtype)
+    dtype = np.min_scalar_type(G.n + H.n - 1)
+    base = (G.identity, G.n + H.identity)
 
     def extend(pairs, graph):
         i = len(pairs)
         if i == len(gens):
             images = np.empty(G.n, dtype=np.int64)
-            images[graph[:, 0]] = graph[:, 1]
+            images[graph[:, 0]] = graph[:, 1] - G.n
             yield tuple(images.tolist())
             return
         for h in candidates[i]:
             chosen = pairs + [(gens[i], h)]
             A = np.array(chosen)
+            rows = np.hstack((G.table[A[:, 0]], H.table[A[:, 1]] + G.n))
             try:
-                grown, _ = _orbit(identity, lambda X: multiply(A, X), sizes[i])
+                grown, _ = _closure(rows.astype(dtype), base, sizes[i])
             except CapExceeded:
                 continue            # more pairs than elements: not a map
             if len(np.unique(grown[:, 1])) == len(grown):
                 yield from extend(chosen, grown)
 
-    yield from extend([], identity)
+    yield from extend([], np.array([base]))
 
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP):
@@ -806,17 +807,18 @@ def _orbit(starts, step, cap: int):
     return np.concatenate(blocks), found
 
 
-def _closure(generators, multiply, identity, cap: int):
-    """(elements, words): ``_orbit`` of ``identity`` under left products by
-    the rows of the int array ``generators`` [k, ...], ``multiply(generators,
-    X) -> [f, k, ...]`` in their dtype.  The word (i1, ..., ik) of an element
-    is the shortest found, generators[i1] * ... * generators[ik]."""
-    elements, found = _orbit(np.array([identity], generators.dtype),
-                             lambda X: multiply(generators, X), cap)
-    k, words = len(generators), [()]
-    for f in found[1:]:
-        words.append((f % k,) + words[f // k])
-    return elements, words
+def _closure(rows, base, cap: int):
+    """(elements, found): the group generated by the index rows ``rows``
+    [k, P], maps of range(P) to itself, each element as its row of images
+    of the points ``base``.  It is the ``_orbit`` of the identity row
+    ``base`` under left composition, rows[i] after X[f] at step i of X[f],
+    in the rows' dtype: element j is rows[found[j] % k] after element
+    found[j] // k, so the words of the breadth-first order decode from
+    ``found``.  Only the identity may fix every base point: all of
+    range(P) for permutations, the basis vectors in the matrix model, the
+    identity element for left products in a group table."""
+    return _orbit(np.array([base], dtype=rows.dtype),
+                  lambda X: rows[:, X].swapaxes(0, 1), cap)
 
 
 class _Level:
@@ -1004,12 +1006,6 @@ def _index_rows(maps, n: int) -> np.ndarray:
     return np.array(maps, dtype=np.min_scalar_type(n - 1)).reshape(len(maps), n)
 
 
-def _compose_rows(G, X):
-    """The batch multiply of ``_closure`` for maps stored as index rows:
-    entry [f, i] is G[i] after X[f]."""
-    return G[:, X].swapaxes(0, 1)
-
-
 # ---------------------------------------------------------------------------
 # permutation groups and the naming mini-language
 # ---------------------------------------------------------------------------
@@ -1057,9 +1053,8 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 def _perm_closure(gens: list[tuple[int, ...]], cap: int = CLOSURE_CAP
                   ) -> list[tuple[int, ...]]:
-    rows = _index_rows(gens, len(gens[0]))
-    elements, _ = _orbit(np.arange(len(gens[0]), dtype=rows.dtype)[None],
-                         lambda X: _compose_rows(rows, X), cap)
+    elements, _ = _closure(_index_rows(gens, len(gens[0])),
+                           range(len(gens[0])), cap)
     return sorted(map(tuple, elements.tolist()))
 
 
@@ -1138,8 +1133,12 @@ def _permutation_group(spec: str, cap: int) -> FiniteGroup:
             body = part.strip()
             if not (body.startswith("(") and body.endswith(")")):
                 raise UnknownName(f"bad cycle string {gs!r}")
-            pts = [int(x) for x in body[1:-1].replace(",", " ").split()]
-            if len(pts) != len(set(pts)) or any(p < 1 for p in pts):
+            try:
+                pts = [int(x) for x in body[1:-1].replace(",", " ").split()]
+            except ValueError:
+                raise UnknownName(f"bad cycle {body!r}") from None
+            if (not pts or len(pts) != len(set(pts))
+                    or any(p < 1 for p in pts)):
                 raise UnknownName(f"bad cycle {body!r}")
             cycles.append(pts)
             maxpt = max(maxpt, max(pts))
@@ -1180,9 +1179,12 @@ def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
         alpha = tuple(range(N.n))
     elif action_spec == "inv":
         alpha = tuple(int(N.inv[x]) for x in range(N.n))
-    elif action_spec.startswith("["):
-        body = action_spec.strip("[]")
-        alpha = tuple(int(x) for x in body.replace(",", " ").split())
+    elif action_spec.startswith("[") and action_spec.endswith("]"):
+        body = action_spec[1:-1].replace(",", " ")
+        try:
+            alpha = tuple(int(x) for x in body.split())
+        except ValueError:
+            raise BadSemidirectAction(f"bad action {action_spec!r}") from None
         if len(alpha) != N.n:
             raise BadSemidirectAction(
                 f"explicit action needs {N.n} images, got {len(alpha)}"
@@ -1191,7 +1193,7 @@ def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
         raise BadSemidirectAction(f"unknown action {action_spec!r}")
     try:
         GroupMorphism(N, N, alpha, check=True)
-    except NotAnAutomorphism as exc:
+    except (NotAnAutomorphism, ValueError) as exc:     # or an image off N
         raise BadSemidirectAction(str(exc)) from exc
     # alpha^|Q| must be the identity for q -> alpha^j to be a homomorphism
     power = tuple(range(N.n))

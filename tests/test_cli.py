@@ -336,6 +336,28 @@ class TestAutoeqCommands:
         assert payload["result"]["ok"] is False
         assert payload["result"]["witness"]
 
+    @pytest.mark.parametrize("sub", ["verify", "generate"])
+    @pytest.mark.parametrize("fields, message", [
+        ({"mapping": [0, 1, 2, 3, 4, 5, 6, 7.0]},
+         "'mapping' entry [7] is 7.0, not an integer"),
+        ({"mapping": [0, 1, 2, 3, 4, 5, 6, 6.9]},
+         "'mapping' entry [7] is 6.9, not an integer"),
+        ({"mapping": [0, True, 2, 3, 4, 5, 6, 7]},
+         "'mapping' entry [1] is true, not an integer"),
+        ({"mapping": None}, "'mapping' is null, not a list"),
+        ({"mapping": "abc"}, "'mapping' is \"abc\", not a list"),
+        ({"group": 5}, "'group' is 5, not a string"),
+    ])
+    def test_malformed_mapping_file_is_usage_error(self, capsys, tmp_path,
+                                                   sub, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"group": "S3", "mapping": list(range(8)),
+                                    **fields}))
+        code, out, err = run(capsys, "autoeq", sub, str(path))
+        assert code == 2
+        assert not out
+        assert f"error: {path}: {message}" in err
+
     def test_verify_missing_file(self, capsys):
         code, _, err = run(capsys, "autoeq", "verify", "/tmp/nope-missing.json")
         assert code == 2
@@ -557,7 +579,7 @@ class TestStreamedEmit:
     def test_peak_memory_is_a_quarter_of_the_text(self):
         # the (5, 2) closure, 8.8 MB of JSON; tracemalloc sees numpy's
         # buffers and Python's strings, and the bound is a ratio
-        E = cli._standard_closure(5, 2, cli.CLOSURE_CAP)
+        E = fpn._matrix_closure(fpn.standard_generators(5, 2))[1]
         sink = self.Sink()
         tracemalloc.start()
         try:

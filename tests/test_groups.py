@@ -113,6 +113,29 @@ def test_perm_generator_with_overlapping_cycles_is_refused(spec):
         gr.named_group(f"perm:{spec}")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("perm:(1 a)", "bad cycle '(1 a)'"),
+    ("perm:(1.5 2)", "bad cycle '(1.5 2)'"),
+    ("perm:()", "bad cycle '()'"),
+    ("perm:(1 2),()", "bad cycle '()'"),
+    ("perm:(1 2)( )", "bad cycle '( )'"),
+])
+def test_malformed_cycle_is_refused(spec, message):
+    with pytest.raises(UnknownName, match=f"^{re.escape(message)}$"):
+        gr.named_group(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Z/3:Z/2@[0,2,x]", "bad action '[0,2,x]'"),
+    ("Z/3:Z/2@[0,2,1]]", "bad action '[0,2,1]]'"),
+    ("Z/3:Z/2@[0,2,1", "unknown action '[0,2,1'"),
+    ("Z/3:Z/2@[0,5,2]", "element 5 is not in Z/3 (order 3)"),
+])
+def test_malformed_action_is_refused(spec, message):
+    with pytest.raises(BadSemidirectAction, match=f"^{re.escape(message)}$"):
+        gr.named_group(spec)
+
+
 def test_direct_product_name():
     G = gr.named_group("Z/2xZ/3")
     assert G.n == 6 and G.is_abelian()
