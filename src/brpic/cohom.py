@@ -34,10 +34,12 @@ from .groups import FiniteGroup, Subgroup
 from .zmodlin import (
     DiagonalizedSystem,
     _check_modulus,
+    _echelon_rows,
     _factorize,
+    _mod_dtype,
+    _nullspace,
     _select_spanning_rows,
     diagonalize_mod,
-    echelon_rows_mod,
     elementary_divisor_chain,
     nullspace_mod,
     solve_mod,
@@ -59,7 +61,8 @@ __all__ = [
 ]
 
 # ceiling on the entries (rows x cols) of the generator-row cocycle system,
-# |gens| (n-1)^2 x (n-1)^2, that the class computation builds
+# |gens| (n-1)^2 x (n-1)^2, that the class computation builds; it counts
+# entries, not bytes (each entry takes the bytes of zmodlin._mod_dtype(m))
 H2_ENTRY_BUDGET = 100_000_000
 # ceiling on the number of class representatives enumerated
 H2_CLASS_BUDGET = 4096
@@ -195,7 +198,9 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     by assumption.  F vanishes whenever an argument is 1 (eta is
     normalized), so rows with an identity argument are left out.  The rows
     come in the order of the full system, restricted to generator first
-    arguments (the generators are ascending).
+    arguments (the generators are ascending).  The matrix is built in
+    ``_mod_dtype(m)`` from its at most four nonzero terms per row, with no
+    wider copy.
     """
     n = G.n
     nz = np.asarray(_nontrivial_elements(G), dtype=np.int64)
@@ -211,17 +216,24 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
             f"cocycle system {E}x{N} = {E * N} entries exceeds"
             f" H2_ENTRY_BUDGET = {H2_ENTRY_BUDGET}"
         )
-    A = np.zeros((E, N), dtype=np.int64)
-    rows = np.arange(E)
+    rows = np.arange(E) * N
     ab = G.table[a, b]
     bc = G.table[b, c]
-    np.add.at(A, (rows, idx[a] * w + idx[b]), 1)
-    keep = ab != G.identity
-    np.add.at(A, (rows[keep], idx[ab[keep]] * w + idx[c[keep]]), 1)
-    np.add.at(A, (rows, idx[b] * w + idx[c]), -1)
-    keep = bc != G.identity
-    np.add.at(A, (rows[keep], idx[a[keep]] * w + idx[bc[keep]]), -1)
-    A %= m
+    k1, k2 = ab != G.identity, bc != G.identity
+    # flat positions of the terms +eta(a,b) +eta(ab,c) -eta(b,c) -eta(a,bc);
+    # a position may take two terms
+    at = np.concatenate([
+        rows + idx[a] * w + idx[b],
+        rows[k1] + idx[ab[k1]] * w + idx[c[k1]],
+        rows + idx[b] * w + idx[c],
+        rows[k2] + idx[a[k2]] * w + idx[bc[k2]],
+    ])
+    sign = np.repeat([1, 1, -1, -1], [E, k1.sum(), E, k2.sum()])
+    at, term = np.unique(at, return_inverse=True)
+    coef = np.zeros(at.size, dtype=np.int64)
+    np.add.at(coef, term, sign)
+    A = np.zeros((E, N), dtype=_mod_dtype(m))
+    A.reshape(-1)[at] = coef % m
     return A
 
 
@@ -315,6 +327,22 @@ class H2Classes:
         return self._label_index[self._label(eta)]
 
 
+def _cocycle_basis(G: FiniteGroup, m: int) -> np.ndarray:
+    """int64 columns generating the cocycle module in the (n-1)^2 unknowns:
+    the kernel of the rows spanning the cocycle system mod each p^k || m,
+    after their echelon.  The system, the chosen rows, their echelon form
+    and its diagonalization stay in ``_mod_dtype(m)``; the system is freed
+    on return, before any solver is built."""
+    A = _cocycle_equations(G, m)
+    chosen: set[int] = set()
+    for p, k in _factorize(m):
+        chosen.update(_select_spanning_rows(A, p, k))
+    small = _echelon_rows(A[sorted(chosen)], m)
+    if not small.shape[0]:
+        return np.eye(A.shape[1], dtype=np.int64)
+    return _nullspace(small, m)
+
+
 def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     """One normalized representative per class, trivial class first.
 
@@ -333,14 +361,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
         G._memo[key] = res
         return res
 
-    A = _cocycle_equations(G, m)
-    chosen: set[int] = set()
-    for p, k in _factorize(m):
-        chosen.update(_select_spanning_rows(A, p, k))
-    A_small = echelon_rows_mod(A[sorted(chosen)], A.shape[1], m)
-    zbasis = nullspace_mod(A_small, m) if A_small.shape[0] else np.eye(
-        A.shape[1], dtype=np.int64
-    )
+    zbasis = _cocycle_basis(G, m)
     zsolver = DiagonalizedSystem(zbasis, m)
 
     # coboundary + connecting-image generators, in cocycle coordinates: the

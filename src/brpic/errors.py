@@ -146,9 +146,10 @@ class BudgetExceeded(BrpicError):
     in), the H^2 computation's ``H2_ENTRY_BUDGET`` (entries of the cocycle
     system on generator rows, |gens| (n-1)^2 x (n-1)^2) and
     ``H2_CLASS_BUDGET`` (class representatives), the matrix-model oracle's
-    (p, n) limits (2n and p; its frame extension has no node budget), and
+    (p, n) limits (2n and p; its frame extension has no node budget),
     ``FPN_INT64_LIMIT``, the int64 limit on the modulus of F_p matrix
-    products and of Z/m elimination."""
+    products and of Z/m elimination, and ``PERM_DEGREE_LIMIT``, the largest
+    point a permutation group name may move."""
 
 
 class ConditionFailed(BrpicError):

@@ -106,6 +106,9 @@ __all__ = [
 
 DEFAULT_CAP = 10000
 ORDER_CAP = 200
+# largest point a "perm:" name may move: its generators are built over all
+# points up to the largest one, before the order cap can be checked
+PERM_DEGREE_LIMIT = 1000
 CLOSURE_CAP = 1_000_000
 EXTENSION_NODE_BUDGET = 1_000_000
 # frontier rows stepped at once by _orbit (bounds its scratch memory)
@@ -1145,6 +1148,11 @@ def _permutation_group(spec: str, cap: int) -> FiniteGroup:
         if len({p for c in cycles for p in c}) < sum(map(len, cycles)):
             raise UnknownName(f"bad cycle string {gs!r}")     # not disjoint
         cycles_per_gen.append(cycles)
+    if maxpt > PERM_DEGREE_LIMIT:
+        raise BudgetExceeded(
+            f"permutation degree {maxpt} exceeds"
+            f" PERM_DEGREE_LIMIT = {PERM_DEGREE_LIMIT}"
+        )
     gens = []
     for cycles in cycles_per_gen:
         perm = list(range(maxpt))
@@ -1217,7 +1225,9 @@ def named_group(spec: str, cap: int = ORDER_CAP) -> FiniteGroup:
     notation>", and "AxB" direct products of any of these.  Raises
     UnknownName for anything else and CapExceeded past the order cap
     (default 200; dense-table algorithms are only sane at desk scale),
-    before the table of an over-cap group is built.
+    before the table of an over-cap group is built; a "perm:" name moving a
+    point past ``PERM_DEGREE_LIMIT`` raises BudgetExceeded before any
+    generator is built.
     """
     G = _named_group_inner(spec, cap)
     _check_order(spec, G.n, cap)

@@ -27,6 +27,19 @@ leaves the other rows unchanged); only an entry it does not divide takes a
 sequential xgcd step, so the operations, and U and V, are those of one row
 at a time.  ``DiagonalizedSystem`` solves with no per-row loop.
 
+One storage rule: a working matrix mod m (the system, D, U and V) is held
+in ``_mod_dtype(m)``, the smallest unsigned dtype holding [0, m), uint8 up
+to m = 256; ``_reduced`` makes that copy.  Arithmetic is int64 on widened
+copies only: the run ``_clear`` gathers, the two rows ``_combine`` mixes,
+the pivot row ``_select_spanning_rows`` scales and the gcds of a pivot
+search, each stored back reduced mod m.  No Python scalar meets a narrow
+array in arithmetic, so numpy's scalar promotion (NEP 50 or not) never
+decides a result.  int64 remains in the public outputs (``echelon_rows_mod``,
+``diagonalize_mod``, ``nullspace_mod``) and in a ``DiagonalizedSystem``,
+whose D, U and V are widened once, at construction, for its solves.  The
+private ``_echelon_rows`` and ``_nullspace`` keep the system narrow from one
+step to the next; ``_nullspace`` widens only the kernel columns of V.
+
 One pivot rule, the nonzero entry minimizing (gcd(entry, m), index), makes
 the outputs byte-stable.  ``diagonalize_mod`` applies it to the remaining
 block, indexed by (row, col), and scans row k alone first: a unit there
@@ -109,6 +122,30 @@ def _check_modulus(m: int, size: int) -> None:
     if m < 1:
         raise ValueError(f"modulus m = {m} must be at least 1")
     _check_int64(size, m)
+
+
+def _mod_dtype(m: int) -> np.dtype:
+    """The smallest unsigned dtype holding every residue in [0, m)."""
+    return np.min_scalar_type(m - 1)
+
+
+def _integer_array(A) -> np.ndarray:
+    """A as an integer array: an integer ndarray as it is, anything else
+    read as int64."""
+    A = np.asarray(A)
+    return A if A.dtype.kind in "iu" else A.astype(np.int64)
+
+
+def _reduced(A, m: int, order: str = "C") -> np.ndarray:
+    """A new copy of A mod m in ``_mod_dtype(m)``.  The remainder runs in a
+    dtype holding both A's entries and m, buffered, so no wide copy of A is
+    made."""
+    A = _integer_array(A)
+    wide = np.promote_types(A.dtype, np.min_scalar_type(m))
+    out = np.empty(A.shape, dtype=_mod_dtype(m), order=order)
+    np.remainder(A, np.asarray(m, dtype=wide), out=out, dtype=wide,
+                 casting="unsafe")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +271,10 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
     p-adic valuation; it is scaled so that its entry becomes that gcd, which
     then divides every other candidate's entry, and ``_clear`` clears them.
     The returned rows (in their original, unreduced form) generate every row
-    of A as a Z/p^k-combination.
+    of A as a Z/p^k-combination.  The copy is held in ``_mod_dtype(p^k)``.
     """
     q = p ** k
-    W = np.remainder(A, q, out=np.empty_like(A, order="F"))
+    W = _reduced(A, q, order="F")
     active = np.ones(W.shape[0], dtype=bool)
     pivots: list[int] = []
     for j in range(W.shape[1]):
@@ -245,11 +282,12 @@ def _select_spanning_rows(A: np.ndarray, p: int, k: int) -> list[int]:
         cand = (active & (col != 0)).nonzero()[0]
         if cand.size == 0:
             continue
-        gs = np.gcd(col[cand], q)
+        gs = np.gcd(col[cand].astype(np.int64), q)
         at = int(gs.argmin())
         r = int(cand[at])
         unit = int(col[r]) // int(gs[at])
-        W[r, j:] = (W[r, j:] * pow(unit, -1, q)) % q      # entry at j becomes gcd
+        # entry at j becomes gcd
+        W[r, j:] = W[r, j:].astype(np.int64) * pow(unit, -1, q) % q
         _clear(W, None, q, r, j, np.concatenate((cand[:at], cand[at + 1:])))
         active[r] = False
         pivots.append(r)
@@ -281,22 +319,28 @@ def echelon_rows_mod(equations, ncols: int, m: int) -> np.ndarray:
     """
     _check_modulus(m, 2)          # an xgcd step sums two products
     try:
-        W = np.array(equations, dtype=np.int64, order="F")
+        A = _integer_array(equations)
     except ValueError:
         widths = sorted({np.size(row) for row in equations})
         if len(widths) < 2:
             raise
         raise ValueError(
             f"rows of widths {widths}, expected {ncols} columns") from None
-    if W.shape == (0,):
-        W = W.reshape(0, ncols)
-    if W.ndim != 2 or W.shape[1] != ncols:
+    if A.shape == (0,):
+        A = A.reshape(0, ncols)
+    if A.ndim != 2 or A.shape[1] != ncols:
         raise ValueError(
-            f"expected a 2-D array of {ncols} columns, got shape {W.shape}")
-    W %= m
+            f"expected a 2-D array of {ncols} columns, got shape {A.shape}")
+    return _echelon_rows(A, m).astype(np.int64)
+
+
+def _echelon_rows(A: np.ndarray, m: int) -> np.ndarray:
+    """``echelon_rows_mod`` of a 2-D integer array, unchecked, in
+    ``_mod_dtype(m)``."""
+    W = _reduced(A, m, order="F")
     active = np.ones(W.shape[0], dtype=bool)
     pivots: list[int] = []
-    for j in range(ncols):
+    for j in range(W.shape[1]):
         cand = (active & (W[:, j] != 0)).nonzero()[0]
         if cand.size == 0:
             continue
@@ -318,11 +362,12 @@ class _Transforms:
     ``_swap``, ``_combine`` and ``_clear`` are written once, for rows, on
     (A, M) = (D, U) or (D.T, V.T): ``A <- E A`` and ``M <- E M``.  The
     echelon routines call ``_clear`` with M = None: they keep no transform.
+    U and V are held in the dtype of D.
     """
 
-    def __init__(self, r: int, c: int):
-        self.U = np.eye(r, dtype=np.int64)
-        self.V = np.eye(c, dtype=np.int64)
+    def __init__(self, r: int, c: int, dtype):
+        self.U = np.eye(r, dtype=dtype)
+        self.V = np.eye(c, dtype=dtype)
 
 
 def _swap(A, M, i, j):
@@ -331,9 +376,10 @@ def _swap(A, M, i, j):
 
 
 def _combine(mats, m, i, j, s, t, ag, bg):
-    """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj) in each X, det = 1."""
+    """(row_i, row_j) <- (s*ri + t*rj, -bg*ri + ag*rj) in each X, det = 1,
+    on the two rows widened to int64."""
     for X in mats:
-        ri, rj = X[i].copy(), X[j].copy()
+        ri, rj = X[i].astype(np.int64), X[j].astype(np.int64)
         X[i] = (s * ri + t * rj) % m
         X[j] = (-bg * ri + ag * rj) % m
 
@@ -345,7 +391,8 @@ def _clear(A, M, m, r, j, rows) -> bool:
     Each run of rows whose entry the pivot a = A[r, j] divides is cleared by
     one gather-update-scatter per matrix, row_i -= (b_i / a) row_r on the
     pivot row's nonzero columns (entries lie in [0, m), so a zero there
-    leaves row_i unchanged; each product is at most (m-1)^2).  The first
+    leaves row_i unchanged; each product is at most (m-1)^2).  The gathered
+    run is widened to int64 and stored back reduced mod m.  The first
     row a does not divide gets an xgcd step with row r, which changes a for
     the next run.  Only row r and the row being cleared change at each
     step, so the result is that of one row at a time.  Row r and ``rows``
@@ -357,7 +404,7 @@ def _clear(A, M, m, r, j, rows) -> bool:
     a = int(A[r, 0])
     dirty = False
     while rows.size:
-        b = A[rows, 0]
+        b = A[rows, 0].astype(np.int64)
         bad = (b % a).nonzero()[0]
         stop = int(bad[0]) if bad.size else rows.size
         if stop:
@@ -366,7 +413,10 @@ def _clear(A, M, m, r, j, rows) -> bool:
             for X in mats:
                 pivot = X[r]
                 nzc = pivot.nonzero()[0]
-                X[run, nzc] = (X[run, nzc] - q * pivot[nzc]) % m
+                Y = X[run, nzc].astype(np.int64)
+                Y -= q * pivot[nzc]
+                Y %= m
+                X[run, nzc] = Y
         if stop == rows.size:
             break
         i, bi = int(rows[stop]), int(b[stop])
@@ -388,13 +438,21 @@ def diagonalize_mod(A, m: int):
     (see the module docstring).  ValueError when m < 1.
     """
     _check_modulus(m, max(2, *np.shape(A)))     # U @ b, V @ z in solve
-    D = np.asarray(A, dtype=np.int64) % m
+    D, T = _diagonalize(A, m)
+    T.U, T.V = T.U.astype(np.int64), T.V.astype(np.int64)
+    return D.astype(np.int64), T
+
+
+def _diagonalize(A, m: int):
+    """``diagonalize_mod`` of an integer matrix, unchecked, with D, U and V
+    in ``_mod_dtype(m)``."""
+    D = _reduced(A, m)
     r, c = D.shape
-    T = _Transforms(r, c)
+    T = _Transforms(r, c, D.dtype)
     rows, cols = (D, T.U), (D.T, T.V.T)
     for k in range(min(r, c)):
         while True:
-            head = D[k, k:]
+            head = D[k, k:].astype(np.int64)
             # nonzero as well: at m = 1, gcd(0, m) = 1 too
             units = ((head != 0) & (np.gcd(head, m) == 1)).nonzero()[0]
             if units.size:
@@ -405,7 +463,7 @@ def diagonalize_mod(A, m: int):
                 if nz[0].size == 0:
                     break
                 # min gcd, then min row, then min col: nz is row-major
-                at = int(np.gcd(block[nz], m).argmin())
+                at = int(np.gcd(block[nz].astype(np.int64), m).argmin())
                 bi, bj = int(nz[0][at]) + k, int(nz[1][at]) + k
             if bi != k:
                 _swap(*rows, k, bi)
@@ -430,10 +488,9 @@ class DiagonalizedSystem:
     """
 
     def __init__(self, A, m: int):
-        A = np.asarray(A, dtype=np.int64)
         self.m = m
-        self.rows, self.cols = A.shape
-        self.D, self.T = diagonalize_mod(A, m)
+        self.D, self.T = diagonalize_mod(A, m)     # int64: solves multiply
+        self.rows, self.cols = self.D.shape
         d = np.diagonal(self.D)
         self._g = g = np.gcd(d, m)             # m where d_i = 0
         self._mg = m // g                      # an inverse mod 1 is 0
@@ -454,14 +511,18 @@ class DiagonalizedSystem:
         return self.T.V @ z % m
 
     def nullspace(self) -> np.ndarray:
-        """Columns generating {x : A x = 0 mod m} as a Z/m-module: column i
-        of V times m / gcd(d_i, m) for each d_i that is no unit mod m (the
-        diagonal is padded with zeros to one d_i per column)."""
-        m = self.m
-        mult = np.pad(self._mg, (0, self.cols - self._mg.size),
-                      constant_values=1)
-        keep = mult != m
-        return self.T.V[:, keep] * mult[keep] % m
+        """Columns generating {x : A x = 0 mod m} as a Z/m-module."""
+        return _kernel_columns(self.T.V, self._mg, self.m)
+
+
+def _kernel_columns(V, mg, m: int) -> np.ndarray:
+    """The kernel of A from U A V = D, as int64 columns: column i of V times
+    mg_i = m / gcd(d_i, m) for each d_i that is no unit mod m (mg_i != m).
+    mg is padded to one entry per column with ones, the value at d_i = 0.
+    Only the kept columns of V are widened."""
+    mult = np.pad(mg, (0, V.shape[1] - mg.size), constant_values=1)
+    keep = mult != m
+    return V[:, keep].astype(np.int64) * mult[keep] % m
 
 
 def solve_mod(A, b, m: int):
@@ -471,12 +532,21 @@ def solve_mod(A, b, m: int):
 
 def nullspace_mod(A, m: int) -> np.ndarray:
     """Columns generating {x : A x = 0 mod m} as a Z/m-module."""
-    A = np.asarray(A, dtype=np.int64)
-    r, c = A.shape
+    A = _integer_array(A)
+    _, c = A.shape
     _check_modulus(m, max(2, c))    # before the echelon
-    if r > c:
-        A = echelon_rows_mod(A, c, m)
-    return DiagonalizedSystem(A, m).nullspace()
+    return _nullspace(A, m)
+
+
+def _nullspace(A: np.ndarray, m: int) -> np.ndarray:
+    """``nullspace_mod`` of a 2-D integer array, unchecked: its echelon form
+    (when it has more rows than columns) and diagonalization stay in
+    ``_mod_dtype(m)``."""
+    if A.shape[0] > A.shape[1]:
+        A = _echelon_rows(A, m)
+    D, T = _diagonalize(A, m)
+    mg = m // np.gcd(np.diagonal(D).astype(np.int64), m)
+    return _kernel_columns(T.V, mg, m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from brpic import groups as gr
 from brpic.errors import (
     BadSemidirectAction,
+    BudgetExceeded,
     CapExceeded,
     NoIdentity,
     NoInverse,
@@ -169,6 +170,37 @@ def test_over_cap_names_are_rejected_before_building(spec):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_permutation_degree_limit(monkeypatch):
+    limit = gr.PERM_DEGREE_LIMIT
+    G = gr.named_group(f"perm:(1 {limit})")
+    assert G.n == 2 and G.names == ("e", f"(1 {limit})")
+
+    def refuse(*args):
+        pytest.fail("a generator was built")
+
+    # refused before a generator tuple or the closure exists
+    monkeypatch.setattr(gr, "_perm_closure", refuse)
+    message = (f"^permutation degree {limit + 1} exceeds"
+               f" PERM_DEGREE_LIMIT = {limit}$")
+    for spec in (f"perm:(1 {limit + 1})", f"perm:(1 2),(3 {limit + 1} 4)"):
+        with pytest.raises(BudgetExceeded, match=message):
+            gr.named_group(spec)
+
+
+def test_far_point_is_refused_in_constant_memory():
+    # the generator of perm:(1 200000) alone was 200,000 points (60 MB peak)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="PERM_DEGREE_LIMIT"):
+            gr.named_group("perm:(1 200000)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_permutation_closure_cap_boundary():

@@ -535,13 +535,14 @@ def test_modulus_below_one_is_refused(call, m):
 
 def _frozen_clear(A, M, m, r, j, rows):
     """Reference: ``_clear`` as one ``np.ix_`` gather, outer-product update
-    and scatter per run and matrix."""
+    and scatter per run and matrix.  The gathered entries are read as int64,
+    so a matrix stored in a narrow unsigned dtype does not wrap."""
     A = A[:, j:]
     mats = (A,) if M is None else (A, M)
     a = int(A[r, 0])
     dirty = False
     while rows.size:
-        b = A[rows, 0]
+        b = A[rows, 0].astype(np.int64)
         bad = np.flatnonzero(b % a)
         stop = int(bad[0]) if bad.size else rows.size
         if stop:
@@ -549,8 +550,8 @@ def _frozen_clear(A, M, m, r, j, rows):
             for X in mats:
                 nzc = np.flatnonzero(X[r])
                 sub = np.ix_(rows[:stop], nzc)
-                Y = X[sub]
-                Y -= np.multiply.outer(q, X[r, nzc])
+                Y = X[sub].astype(np.int64)
+                Y -= np.multiply.outer(q, X[r, nzc].astype(np.int64))
                 Y %= m
                 X[sub] = Y
         if stop == rows.size:
@@ -672,6 +673,92 @@ def test_cocycle_systems_match_the_frozen_copies(monkeypatch, name, m):
     rhss += list(rng.integers(0, m, size=(3, zbasis.shape[1])) @ zbasis.T % m)
     rhss += list(rng.integers(0, m, size=(3, zbasis.shape[0])))
     assert _assert_same_solves(monkeypatch, zbasis, m, rhss) >= 1
+
+
+# ---------------------------------------------------------------------------
+# narrow storage at the boundaries of the unsigned dtypes
+# ---------------------------------------------------------------------------
+
+# both sides of each unsigned boundary, and 768 = 2^8 * 3, whose 2-part 256
+# fills uint8 exactly
+BOUNDARY_MODULI = [255, 256, 257, 65535, 65536, 65537, 768]
+
+
+@pytest.mark.parametrize("m,dtype", [
+    (1, np.uint8), (2, np.uint8), (255, np.uint8), (256, np.uint8),
+    (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+])
+def test_mod_dtype_is_the_smallest_unsigned_dtype_of_the_residues(m, dtype):
+    assert zmodlin._mod_dtype(m) == dtype
+
+
+@pytest.mark.parametrize("m", BOUNDARY_MODULI)
+def test_reduced_copy_is_narrow_and_exact(m):
+    # m need not fit the input's dtype (uint8 % 256 overflows a uint8
+    # scalar), and negative entries reduce to [0, m)
+    rng = np.random.default_rng(m)
+    for A in (rng.integers(-3 * m, 3 * m, size=(5, 7)),
+              rng.integers(0, 2**16, size=(5, 7)).astype(np.uint16),
+              rng.integers(0, 2**8, size=(5, 7)).astype(np.uint8),
+              rng.integers(-128, 128, size=(5, 7)).astype(np.int8)):
+        before = A.copy()
+        got = zmodlin._reduced(A, m, order="F")
+        assert got.dtype == zmodlin._mod_dtype(m) and got.flags.f_contiguous
+        assert np.array_equal(got, A.astype(np.int64) % m)
+        assert np.array_equal(A, before)
+
+
+def _boundary_case(m, seed):
+    """An int64 matrix with entries in [-3m, 3m), so negative and past m,
+    about half of them zero; when m is composite, half its columns are
+    scaled by a power of m's smallest prime, so that a pivot may not divide
+    the entries below it."""
+    rng = np.random.default_rng(4000 + seed)
+    short, long = int(rng.integers(2, 7)), int(rng.integers(7, 12))
+    E, N = (long, short) if seed % 2 else (short, long)
+    A = rng.integers(-3 * m, 3 * m, size=(E, N)) * (rng.random((E, N)) < 0.5)
+    p = _factorize(m)[0][0]
+    if p < m:
+        A = A * p ** (rng.integers(1, 4, size=N) * (rng.random(N) < 0.5))
+    return A
+
+
+@pytest.mark.parametrize("m", BOUNDARY_MODULI)
+def test_eliminations_at_storage_boundaries_match_the_references(
+        monkeypatch, m):
+    calls = []
+    monkeypatch.setattr(zmodlin, "xgcd",
+                        lambda *a: calls.append(a) or xgcd(*a))
+    for seed in range(6):
+        A = _boundary_case(m, seed)
+        E, N = A.shape
+        before = A.copy()
+        got = echelon_rows_mod(A, N, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _streaming_echelon_rows_mod(A, N, m))
+        assert np.array_equal(got, _frozen(monkeypatch, echelon_rows_mod,
+                                           A, N, m))
+        assert zmodlin._echelon_rows(A, m).dtype == zmodlin._mod_dtype(m)
+        for p, k in _factorize(m):
+            rows = _select_spanning_rows(A, p, k)
+            assert rows == _dense_select_spanning_rows(A, p, k)
+            assert rows == _frozen(monkeypatch, _select_spanning_rows,
+                                   A, p, k)
+        D, T = diagonalize_mod(A, m)
+        D_ref, U_ref, _, V_ref = _sequential_diagonalize_mod(A, m)
+        for got, want in zip((D, T.U, T.V), (D_ref, U_ref, V_ref)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        kernel = nullspace_mod(A, m)
+        assert kernel.dtype == np.int64
+        assert np.array_equal(kernel, _frozen(monkeypatch, nullspace_mod,
+                                              A, m))
+        assert not (A @ kernel % m).any()
+        rng = np.random.default_rng(m + seed)
+        rhss = list(rng.integers(-m, 2 * m, size=(3, N)) @ A.T)
+        rhss += list(rng.integers(-m, 2 * m, size=(3, E)))
+        _assert_same_solves(monkeypatch, A, m, rhss)
+        assert np.array_equal(A, before)             # the input is not modified
+    assert calls                                     # the xgcd step fired
 
 
 @pytest.mark.parametrize("A,b", [
