@@ -1,27 +1,33 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Numbers are stored on the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n)
-(z a fixed primitive n-th root of unity) with ``fractions.Fraction``
-coefficients, and every value is kept in *canonical* form: the conductor is
-the smallest n such that the value lies in Q(zeta_n) (so n is never
-congruent to 2 mod 4, and rationals live at n = 1).  Equality, hashing and
-serialization therefore agree with mathematical equality, with no floats
-anywhere.
+One format holds every number: integer coordinates over one denominator,
+
+    x = (c_0 + c_1 z + ... + c_(phi(n)-1) z^(phi(n)-1)) / den,
+
+on the power basis of Q(zeta_n), z a fixed primitive n-th root of unity.  A
+``Cyclotomic`` is one such column and a ``CycloArray`` is many of them over
+one field and one denominator.  A ``Cyclotomic`` is always *canonical*: the
+conductor n is the smallest with x in Q(zeta_n) (so n is never congruent to
+2 mod 4, and rationals live at n = 1), den > 0 and gcd(den, c_0, ...) = 1.
+Equality, hashing and serialization therefore agree with mathematical
+equality, with no floats anywhere.
 
 Design notes
 ------------
+* All field arithmetic runs on Python ints: +, -, *, division, ``inverse``,
+  ``galois``/``conj``, the lift to a larger field and the descent to a
+  smaller one.  ``fractions.Fraction`` appears only at the boundary: the
+  constructor's input, ``rational``/``as_rational``, ``order_key``,
+  ``repr``, JSON and the hash (a rational hashes like its Fraction), plus
+  the memoized descent solve.
 * Canonicalization descends n -> n/p whenever the value is fixed by the
   kernel of Gal(Q(zeta_n)) -> Gal(Q(zeta_{n/p})); membership is decided by
-  exact Galois invariance and the rebasing is an exact linear solve.
-* Multiplication works on integer vectors with a common denominator, so the
-  common case (algebraic integers such as character values) never touches
-  Fraction arithmetic in the inner loop.
+  exact Galois invariance and the rebasing is an exact linear map.
 * ``as_root_of_unity`` returns the minimal (m, k) with value = zeta_m^k;
   e.g. -1 -> (2, 1) and 1 + zeta_3 -> (6, 1).
-* ``CycloArray``, the one exact-array type, holds numbers of one field
-  Q(zeta_L) as integer planes.  Character tables, S and the dual cocycle
-  are built as CycloArrays and decoded once into shared ``Cyclotomic``
-  objects; the certificates lift the released objects into it.
+* Character tables, S and the dual cocycle are built as CycloArrays and
+  decoded once into shared ``Cyclotomic`` objects; the certificates lift
+  the released objects into one CycloArray.
 """
 
 from __future__ import annotations
@@ -149,25 +155,19 @@ def _descent_solver(n: int, d: int):
         + [Fraction(1 if k == r else 0) for k in range(hn)]
         for r in range(hn)
     ]
-    pivot_rows: list[int] = []
-    row = 0
     for col in range(hd):
-        piv = next(r for r in range(row, hn) if aug[r][col] != 0)
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        piv = next(r for r in range(col, hn) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
         for r in range(hn):
-            if r != row and aug[r][col] != 0:
+            if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivot_rows.append(row)
-        row += 1
-    sol = [aug[r][hd:] for r in pivot_rows]
-    den = 1
-    for r in sol:
-        for v in r:
-            den = lcm(den, v.denominator)
-    rows = tuple(tuple(int(v * den) for v in r) for r in sol)
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    sol = [r[hd:] for r in aug[:hd]]
+    den = lcm(*(v.denominator for r in sol for v in r))
+    rows = tuple(tuple(v.numerator * (den // v.denominator) for v in r)
+                 for r in sol)
     return den, rows
 
 
@@ -186,40 +186,45 @@ def _int_matvec(coords: list[int], rows) -> list[int]:
 # the number type
 # ---------------------------------------------------------------------------
 
-def _to_int_vec(coeffs) -> tuple[int, list[int]]:
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return den, [int(c * den) for c in coeffs]
-
-
 class Cyclotomic:
-    """An exact element of some Q(zeta_n), always in canonical form."""
+    """An exact element (c_0 + c_1 z + ...) / den of Q(zeta_n), canonical.
 
-    __slots__ = ("n", "c", "_hash")
+    ``n`` is the minimal conductor, ``c`` the tuple of phi(n) integer
+    coordinates on the power basis and ``den`` > 0 their denominator, with
+    gcd(den, *c) = 1: one column of a ``CycloArray``.
+    ``Cyclotomic(n, coeffs)`` reads phi(n) rational coordinates (anything
+    ``Fraction`` accepts) in Q(zeta_n) for an int n >= 1, and keeps the
+    canonical form of their value.
+    """
 
-    def __init__(self, n: int, coeffs, _canonical: bool = False):
-        if _canonical:
-            self.n = n
-            self.c = coeffs
-        else:
-            val = _canonicalize(n, [Fraction(x) for x in coeffs])
-            self.n = val.n
-            self.c = val.c
-        self._hash = None
+    __slots__ = ("n", "den", "c", "_hash")
+
+    def __init__(self, n: int, coeffs):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"conductor must be an int >= 1, got {n!r}")
+        coeffs = [Fraction(x) for x in coeffs]
+        k = len(coeffs)
+        # phi(n) >= sqrt(n/2), so a huge n is refused before it is factored
+        if 2 * k * k < n or k != _phi(n):
+            raise ValueError(
+                f"conductor {n} takes phi({n}) coefficients, got {k}")
+        den = lcm(*(x.denominator for x in coeffs))
+        val = _canonicalize(
+            n, den, [x.numerator * (den // x.denominator) for x in coeffs])
+        self.n, self.den, self.c, self._hash = val.n, val.den, val.c, None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),), _canonical=True)
+        return Cyclotomic._coerce(Fraction(q))
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic":
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic.rational(x)
+            return _make(1, x.denominator, (x.numerator,))
         return NotImplemented  # type: ignore[return-value]
 
     # -- predicates --------------------------------------------------------
@@ -233,7 +238,7 @@ class Cyclotomic:
     def as_rational(self) -> Fraction:
         if self.n != 1:
             raise ValueError(f"{self!r} is irrational")
-        return self.c[0]
+        return Fraction(self.c[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -241,17 +246,16 @@ class Cyclotomic:
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return _canonicalize(self.n, [a + b for a, b in zip(self.c, other.c)])
         big = lcm(self.n, other.n)
-        a = self._lift_coeffs(big)
-        b = other._lift_coeffs(big)
-        return _canonicalize(big, [x + y for x, y in zip(a, b)])
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        return _canonicalize(big, self.den * fa, [
+            x * fa + y * fb for x, y in zip(self._lift(big), other._lift(big))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, tuple(-x for x in self.c), _canonical=True)
+        return _make(self.n, self.den, [-x for x in self.c])
 
     def __sub__(self, other):
         other = Cyclotomic._coerce(other)
@@ -266,33 +270,30 @@ class Cyclotomic:
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.n == 1:
-            q = other.c[0]
-            if q == 0:
-                return _ZERO
-            return _canonicalize(self.n, [x * q for x in self.c])
-        if self.n == 1:
-            return other * self.c[0]
-        big = lcm(self.n, other.n)
-        da, va = _to_int_vec(self._lift_coeffs(big))
-        db, vb = _to_int_vec(other._lift_coeffs(big))
-        table = _power_table(big)
-        h = _phi(big)
-        conv = [0] * (len(va) + len(vb) - 1)
+        a, b = (other, self) if self.n == 1 else (self, other)
+        den = a.den * b.den
+        if b.n == 1:
+            # a rational factor keeps the conductor (or gives 0)
+            q = b.c[0]
+            return _make(a.n, den, [x * q for x in a.c]) if q else _ZERO
+        big = lcm(a.n, b.n)
+        va, vb = a._lift(big), b._lift(big)
+        h = len(va)
+        conv = [0] * (2 * h - 1)
         for i, x in enumerate(va):
             if x:
                 for j, y in enumerate(vb):
                     if y:
                         conv[i + j] += x * y
-        out = conv[:h] + [0] * (h - min(h, len(conv)))
-        for k in range(h, len(conv)):
+        out = conv[:h]
+        table = _power_table(big)
+        for k in range(h, 2 * h - 1):
             ck = conv[k]
             if ck:
                 row = table[k % big]
                 for j in range(h):
                     out[j] += ck * row[j]
-        den = da * db
-        return _canonicalize(big, [Fraction(v, den) for v in out])
+        return _canonicalize(big, den, out)
 
     __rmul__ = __mul__
 
@@ -301,20 +302,18 @@ class Cyclotomic:
         conjugates over Gal(Q(zeta_n)/Q), is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of 0 in a cyclotomic field")
-        rest = Cyclotomic.rational(1)
+        if self.n == 1:
+            return _make(1, self.c[0], (self.den,))
+        rest = _ONE
         for j in range(2, self.n):
             if gcd(j, self.n) == 1:
                 rest = rest * self.galois(j)
-        return rest / (self * rest)
+        return rest * (self * rest).inverse()
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.n == 1:
-            if other.c[0] == 0:
-                raise DivisionByZero("division by 0")
-            return self * Cyclotomic.rational(Fraction(1) / other.c[0])
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -330,14 +329,14 @@ class Cyclotomic:
         return self.galois(self.n - 1)
 
     def galois(self, j: int) -> "Cyclotomic":
-        """Apply sigma_j: zeta_n -> zeta_n^j (requires gcd(j, n) = 1)."""
+        """Apply sigma_j: zeta_n -> zeta_n^j (requires gcd(j, n) = 1).  The
+        conductor and the content are Galois invariant."""
         if self.n == 1:
             return self
         if gcd(j, self.n) != 1:
             raise ValueError(f"galois exponent {j} not invertible mod {self.n}")
-        den, vec = _to_int_vec(self.c)
-        out = _int_matvec(vec, _galois_matrix(self.n, j % self.n))
-        return _canonicalize(self.n, [Fraction(v, den) for v in out])
+        return _make(self.n, self.den,
+                     _int_matvec(self.c, _galois_matrix(self.n, j % self.n)))
 
     # -- structure ---------------------------------------------------------
 
@@ -346,27 +345,19 @@ class Cyclotomic:
 
         Examples: 1 -> (1, 0); -1 -> (2, 1); 1 + zeta_3 = zeta_6 -> (6, 1).
         """
-        if self.n == 1:
-            if self.c[0] == 1:
-                return (1, 0)
-            if self.c[0] == -1:
-                return (2, 1)
+        if self.den != 1:
             return None
-        if any(x.denominator != 1 for x in self.c):
-            return None
-        table = _power_table(self.n)
-        ints = tuple(int(x) for x in self.c)
-        for k in range(self.n):
-            if table[k] == ints:
-                r = self.n // gcd(self.n, k)
-                return (r, k // (self.n // r))
-        if self.n % 2 == 1:
-            negs = tuple(-v for v in ints)
-            for k in range(self.n):
+        n, table = self.n, _power_table(self.n)
+        for k in range(n):
+            if table[k] == self.c:
+                r = n // gcd(n, k)
+                return (r, k // (n // r))
+        if n % 2 == 1:
+            negs = tuple(-v for v in self.c)
+            for k in range(n):
                 if table[k] == negs:
-                    r = self.n // gcd(self.n, k) if k else 1
-                    t = k // (self.n // r) if k else 0
-                    return (2 * r, (r + 2 * t) % (2 * r))
+                    r = n // gcd(n, k)
+                    return (2 * r, (r + 2 * (k // (n // r))) % (2 * r))
         return None
 
     def order_key(self):
@@ -376,34 +367,35 @@ class Cyclotomic:
         the coefficient tuple is compared *descending*, so larger (more
         positive) values sort first.
         """
-        return (self.n, tuple(-x for x in self.c))
+        return (self.n, tuple(-x for x in self._fractions()))
 
     # -- plumbing ----------------------------------------------------------
 
-    def _lift_coeffs(self, big: int) -> list[Fraction]:
+    def _lift(self, big: int):
+        """The integer coordinates over ``den`` in Q(zeta_big), n | big."""
         if big == self.n:
-            return list(self.c)
-        if self.n == 1:
-            out = [Fraction(0)] * _phi(big)
-            out[0] = self.c[0]
-            return out
-        den, vec = _to_int_vec(self.c)
-        out = _int_matvec(vec, _lift_matrix(self.n, big))
-        return [Fraction(v, den) for v in out]
+            return self.c
+        return _int_matvec(self.c, _lift_matrix(self.n, big))
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, for the boundary methods only."""
+        return tuple(Fraction(x, self.den) for x in self.c)
 
     def key(self):
-        return (self.n, self.c)
+        return (self.n, self.den, self.c)
 
     def __eq__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return self.c == other.c and self.n == other.n and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            # a rational hashes like its Fraction, so like an equal int
-            self._hash = hash(self.c[0]) if self.n == 1 else hash((self.n, self.c))
+            # the hash of the Fraction coordinates (an int hashes like its
+            # Fraction), so a rational hashes like its Fraction and int
+            q = self._fractions() if self.den > 1 else self.c
+            self._hash = hash(q[0]) if self.n == 1 else hash((self.n, q))
         return self._hash
 
     def __bool__(self):
@@ -411,9 +403,9 @@ class Cyclotomic:
 
     def __repr__(self):
         if self.n == 1:
-            return str(self.c[0])
+            return str(self.as_rational())
         terms = []
-        for i, x in enumerate(self.c):
+        for i, x in enumerate(self._fractions()):
             if x == 0:
                 continue
             if i == 0:
@@ -434,7 +426,8 @@ class Cyclotomic:
     def to_json(self):
         return {
             "conductor": self.n,
-            "coeffs": [[str(x.numerator), str(x.denominator)] for x in self.c],
+            "coeffs": [[str(x.numerator), str(x.denominator)]
+                       for x in self._fractions()],
         }
 
     @staticmethod
@@ -443,6 +436,37 @@ class Cyclotomic:
             data["conductor"],
             [Fraction(int(num), int(den)) for num, den in data["coeffs"]],
         )
+
+
+def _make(n: int, den: int, c) -> Cyclotomic:
+    """The one maker of Cyclotomic objects: c / den, for integer
+    coordinates c at their minimal conductor n, with the content divided
+    out and the sign moved off den."""
+    g = gcd(den, *c)
+    if den < 0:
+        g = -g
+    x = object.__new__(Cyclotomic)
+    x.n, x.den, x._hash = n, den // g, None
+    x.c = tuple(c) if g == 1 else tuple(v // g for v in c)
+    return x
+
+
+def _canonicalize(n: int, den: int, c) -> Cyclotomic:
+    """The canonical value of c / den (integer coordinates c) in Q(zeta_n)."""
+    c = list(c)
+    while n > 1:
+        for p, _ in _factorize(n):
+            d = n // p
+            if all(_int_matvec(c, _galois_matrix(n, j)) == c
+                   for j in _descent_kernel(n, d)):
+                sden, rows = _descent_solver(n, d)
+                c = [sum(r * x for r, x in zip(row, c) if r) for row in rows]
+                den *= sden
+                n = d
+                break
+        else:
+            break
+    return _make(n, den, c)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +516,14 @@ class CycloArray:
     def lift(cls, values, L: int | None = None) -> "CycloArray":
         """The object array of Cyclotomic ``values`` in Q(zeta_L), by
         default L = the lcm of their conductors; each distinct value is
-        lifted once."""
+        lifted once, and their integer columns are stacked over one
+        denominator."""
         index: dict[Cyclotomic, int] = {}
         ids = [index.setdefault(v, len(index)) for v in values.flat]
         if L is None:
             L = lcm(*(v.n for v in index))
-        lifted = [v._lift_coeffs(L) for v in index]
-        den = lcm(*(c.denominator for coeffs in lifted for c in coeffs))
-        rows = [[int(c * den) for c in coeffs] for coeffs in lifted]
+        den = lcm(*(v.den for v in index))
+        rows = [[x * (den // v.den) for x in v._lift(L)] for v in index]
         bound = max(abs(c) for row in rows for c in row)
         table = np.array(rows, dtype=np.int64 if bound <= _INT64_MAX else object)
         return cls(L, den, table[ids].T.reshape((_phi(L),) + values.shape))
@@ -575,49 +599,22 @@ class CycloArray:
             raise ValueError(f"Q(zeta_{self.L}) and Q(zeta_{other.L}) mixed")
 
     def decode(self) -> np.ndarray:
-        """The entries as an object array of canonical Cyclotomic numbers;
-        equal entries share one object."""
+        """The entries as an object array of canonical Cyclotomic numbers:
+        one integer column canonicalized per distinct value, and equal
+        entries share one object."""
         keys = list(map(tuple, self.A.reshape(len(self.A), -1).T.tolist()))
-        decoded = {key: _canonicalize(self.L, [Fraction(c, self.den) for c in key])
-                   for key in set(keys)}
+        decoded = {key: _canonicalize(self.L, self.den, key) for key in set(keys)}
         out = np.empty(len(keys), dtype=object)
         out[:] = [decoded[key] for key in keys]
         return out.reshape(self.A.shape[1:])
-
-
-def _canonicalize(n: int, coeffs: list[Fraction]) -> Cyclotomic:
-    """Reduce (n, coeffs) to the canonical minimal-conductor representation."""
-    while n > 1:
-        for p, _ in _factorize(n):
-            d = n // p
-            kernel = _descent_kernel(n, d)
-            if kernel:
-                _, vec = _to_int_vec(coeffs)
-                fixed = True
-                for j in kernel:
-                    if _int_matvec(vec, _galois_matrix(n, j)) != vec:
-                        fixed = False
-                        break
-                if not fixed:
-                    continue
-            sden, rows = _descent_solver(n, d)
-            coeffs = [
-                sum((r * c for r, c in zip(row, coeffs) if r), Fraction(0)) / sden
-                for row in rows
-            ]
-            n = d
-            break
-        else:
-            break
-    return Cyclotomic(n, tuple(coeffs), _canonical=True)
 
 
 # ---------------------------------------------------------------------------
 # module-level conveniences
 # ---------------------------------------------------------------------------
 
-_ZERO = Cyclotomic(1, (Fraction(0),), _canonical=True)
-_ONE = Cyclotomic(1, (Fraction(1),), _canonical=True)
+_ZERO = _make(1, 1, (0,))
+_ONE = _make(1, 1, (1,))
 
 
 def zero() -> Cyclotomic:
@@ -639,8 +636,7 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     k %= n
     if n == 1 or k == 0:
         return _ONE
-    row = _power_table(n)[k]
-    return _canonicalize(n, [Fraction(v) for v in row])
+    return _canonicalize(n, 1, _power_table(n)[k])
 
 
 def cyclo_sum(values) -> Cyclotomic:

@@ -706,6 +706,71 @@ class TestPinnedClosureOutput:
         )
 
 
+class TestPinnedTableOutput:
+    """sha256 of ``chartable G`` and ``center G`` stdout on the groups of the
+    ``center`` benchmark workload, recorded from the tuple-of-Fraction
+    ``Cyclotomic`` that preceded integer coordinates over one denominator:
+    they pin every rendered value and the row order ``order_key`` sets."""
+
+    STDOUT_SHA256 = {
+        ("chartable", "S3"):
+            "6d634905b6feff8bd21a4386001a1bf01b905bb6bd497517c51e0ed4e7ed88b7",
+        ("chartable", "D4"):
+            "89ad7b0c291670929e1ece534776f153b0688d2c6d109e9155ceea2fcbddd816",
+        ("chartable", "Q8"):
+            "396052b527ee7013bc22820a5f0a13cc3277d8243a45fb37ab44333da4a37704",
+        ("chartable", "A4"):
+            "a5af9bd33c7295c3b30ae606c98c2ef0e872400cb231de8fd61147067c0652bb",
+        ("chartable", "S4"):
+            "6c1caab34d02776354c483b6ef56d4a9e4d7833a6c0ca0beeb90682eb4bd262c",
+        ("chartable", "A5"):
+            "331691b5a3acdfbcea3dddb5d33c5e6898c9653589cf71e616708290f4e8f2e8",
+        ("chartable", "S3xZ/2"):
+            "33e58b6ddf35f8f3008fa2c61932328ae3eec94620dd199a14f8b75ca9f5aeee",
+        ("chartable", "Z/2^2"):
+            "bb453f80a317b7a7e22ad784164ae0836ca74081e385cf9adc014150c2925628",
+        ("chartable", "Z/3"):
+            "ba8b9ccebc50df19ed5f85ba025b3cae8557235d960b921f1e5c95e2c79772f6",
+        ("chartable", "Z/5"):
+            "7dc74eb31ff3c378306b0a28153aa3b632ddda8e5425bb1e8c0f79f1c2707bb9",
+        ("chartable", "Z/6"):
+            "cf65666401a859a16696825f7b7eb57a41392919ab8510497d8c30a9df59aea5",
+        ("chartable", "Z/2^3"):
+            "5a05435a117610061a5d34f888299d4db10e2b03a2ad418d2af01df2266ef6a4",
+        ("center", "S3"):
+            "a2acfcb473c59926d52ea7ab24b066b2f3d82875a490fa0ff018e2a4f23ed1b4",
+        ("center", "D4"):
+            "b0b082b46f572d70dc6d27abf7a1f84875023ea355b2f6f5239624bdd1d6514d",
+        ("center", "Q8"):
+            "684fe47b33df211996c271e97b15479c32f6f222ffcaa6b7bd044921dba9a527",
+        ("center", "A4"):
+            "b86243a1e0b761781172eefd454fed9b4e1c64b060cc272f701017c4d9cdee0d",
+        ("center", "S4"):
+            "2b7f147062a78d2d3377f877e3b4d7e49504454c775c07703b5a24dae2c164e0",
+        ("center", "A5"):
+            "5a91c3f4f014de2dcee8fd284d9b6eeb75eecc32e01c6ec102f6af6ff287b577",
+        ("center", "S3xZ/2"):
+            "490f5698f927cacce804d49c452763fc9bced6e738e861f55b5962b914986fcd",
+        ("center", "Z/2^2"):
+            "11f6a2a2b6a5dfec7dcb5f37a9f3442a9925be1e881f26493f21a907a35ff41c",
+        ("center", "Z/3"):
+            "178728869718d30a56ec3622fdc18984cfc4267249e150ec24a75568fd50318c",
+        ("center", "Z/5"):
+            "a0fb45f4bc2749eb0d376f8d0e6bf8aa3b447d9ec85c61dba1d2ed7055eaa290",
+        ("center", "Z/6"):
+            "82f00c3663f9c69e2b9a1b2bc8b65a2b48105c4694e7d10ee616141a8c546802",
+        ("center", "Z/2^3"):
+            "3d60221c9d6e5e0a7160c09f25ef123ab1a2cb60fe8ae5caacac55a11d4c1dff",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            self.STDOUT_SHA256[argv])
+
+
 class TestExamples:
     @pytest.mark.parametrize(
         "name", ["s3-reflection", "s4-bv-swap", "fpn-orders", "a5-rigidity"]

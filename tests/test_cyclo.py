@@ -5,7 +5,9 @@ Frozen expected values were derived by hand from standard identities
 tests check the field axioms on randomly sampled values.
 """
 
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -27,6 +29,15 @@ from brpic.cyclo import _cyclo_poly  # internal, pinned against textbook values
 from brpic.cyclo import _lift_matrix, _poly_divmod_exact
 from brpic.errors import CertificationError, DivisionByZero
 from brpic.groups import abelian_normal_subgroups, conjugacy_classes, named_group
+from brpic.zmodlin import _phi
+
+
+def _assert_canonical(x):
+    """The one format: phi(n) int coordinates over a positive int
+    denominator with content 1, at a conductor not 2 mod 4."""
+    assert type(x.den) is int and all(type(v) is int for v in x.c)
+    assert len(x.c) == _phi(x.n) and x.n % 4 != 2
+    assert x.den > 0 and gcd(x.den, *x.c) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +165,70 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+@pytest.mark.parametrize("n, coeffs", [
+    (3, [1]),                   # a rational stored at conductor 3
+    (5, [1, 2]),                # fewer coordinates than the basis
+    (5, [1, 2, 3, 4, 5, 6]),    # terms past the basis
+    (10 ** 40, [1]),            # refused without factoring n
+])
+def test_constructor_refuses_a_wrong_number_of_coefficients(n, coeffs):
+    message = rf"conductor {n} takes phi\({n}\) coefficients, got {len(coeffs)}"
+    with pytest.raises(ValueError, match=message):
+        Cyclotomic(n, coeffs)
+    data = {"conductor": n, "coeffs": [[str(c), "1"] for c in coeffs]}
+    with pytest.raises(ValueError, match=message):
+        Cyclotomic.from_json(data)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.0, "5", True])
+def test_constructor_refuses_a_conductor_that_is_not_an_int_at_least_one(n):
+    with pytest.raises(ValueError, match=f"got {n!r}"):
+        Cyclotomic(n, [1, 2])
+    with pytest.raises(ValueError, match=f"got {n!r}"):
+        Cyclotomic.from_json({"conductor": n, "coeffs": [["1", "1"]]})
+
+
+# repr, and the sha256 of (to_json, order_key, hash), of values with a
+# denominator above 1, recorded from the tuple-of-Fraction representation
+# that preceded integer coordinates over one denominator
+VALUE_PINS = [
+    (lambda: root_of_unity(5) * Fraction(1, 2) - Fraction(3, 4),
+     "-3/4 + 1/2*z5", "323cf90c755427f8"),
+    (lambda: from_rational(Fraction(-7, 3)), "-7/3", "8438b5be158ccdae"),
+    (lambda: root_of_unity(8) + root_of_unity(8, 3) * Fraction(1, 3),
+     "z8 + 1/3*z8^3", "67045905efd528fb"),
+    (lambda: Cyclotomic(6, [Fraction(1, 2), Fraction(-2, 3)]),
+     "-1/6 - 2/3*z3", "ed24d82fd69a0c2e"),
+    (lambda: from_rational(Fraction(5, 6)), "5/6", "2bf1283d670b11ec"),
+    (lambda: Cyclotomic(12, [Fraction(1, 2), 0, Fraction(-1, 5), Fraction(3, 7)]),
+     "1/2 - 1/5*z12^2 + 3/7*z12^3", "f473f79cd3bdb802"),
+    (lambda: (root_of_unity(3) * 2 + 1) / 9, "1/9 + 2/9*z3", "e2ba82ca1f82316b"),
+    (lambda: root_of_unity(9, 2) / 6 + Fraction(1, 4),
+     "1/4 + 1/6*z9^2", "c3b88751176d3515"),
+    (lambda: (root_of_unity(4) - 1) * Fraction(3, 8),
+     "-3/8 + 3/8*z4", "6d4f38c520cc7381"),
+    (lambda: Cyclotomic(15, [Fraction(k - 3, k + 2) for k in range(8)]),
+     "-3/2 - 2/3*z15 - 1/4*z15^2 + 1/6*z15^4 + 2/7*z15^5 + 3/8*z15^6"
+     " + 4/9*z15^7", "47edee1d98e4b465"),
+    (lambda: Cyclotomic(7, [1, 2, 3, 4, 5, 6]) / -10,
+     "-1/10 - 1/5*z7 - 3/10*z7^2 - 2/5*z7^3 - 1/2*z7^4 - 3/5*z7^5",
+     "ad24a5aed50268b1"),
+    (lambda: (root_of_unity(5, 2) + Fraction(1, 2)).inverse(),
+     "-2/11 - 8/11*z5 - 4/11*z5^2 + 8/11*z5^3", "6ed323c7ff9fb8f1"),
+]
+
+
+@pytest.mark.parametrize("build, text, digest", VALUE_PINS,
+                         ids=[text for _, text, _ in VALUE_PINS])
+def test_rendering_pinned(build, text, digest):
+    x = build()
+    assert x.den > 1
+    _assert_canonical(x)
+    assert repr(x) == text
+    record = (x.to_json(), x.order_key(), hash(x))
+    assert hashlib.sha256(repr(record).encode()).hexdigest()[:16] == digest
+
+
 def test_rational_hashes_like_its_fraction():
     # equal values hash equally across Cyclotomic, int and Fraction
     assert one() == 1 and hash(one()) == hash(1)
@@ -232,6 +307,26 @@ def test_norm_is_nonnegative_rational(a):
     assert m.conj() == m
     if a.is_zero():
         assert m == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomics(), cyclotomics())
+def test_every_operation_keeps_the_canonical_form(a, b):
+    results = [a, b, a + b, a - b, 3 - a, -a, a * b, a * Fraction(-2, 3),
+               a / -4, a.conj(), Cyclotomic.from_json(a.to_json())]
+    results += [a.galois(j) for j in range(1, a.n) if gcd(j, a.n) == 1]
+    if b:
+        results += [b.inverse(), a / b, 1 / b]
+    for x in results:
+        _assert_canonical(x)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4", "A5", "S3xZ/2",
+                                  "Z/2^2", "Z/3", "Z/5", "Z/6", "Z/2^3"])
+def test_modular_data_entries_are_canonical(name):
+    md = modular_data(named_group(name))
+    for x in list(md.S.flat) + list(md.T):
+        _assert_canonical(x)
 
 
 def test_internal_checks_raise_certification_error():
@@ -320,6 +415,8 @@ def test_cyclo_array_matches_entrywise_arithmetic(n):
     assert _same((a @ M).decode(), X @ M)
     assert _same((a * M[0]).decode(), X * M[0])
     assert _same((a / -4).decode(), X / -4)
+    for x in (a / -4).decode().flat:
+        _assert_canonical(x)
     assert _same(a.conj().transpose().decode(), conj(X).T)
     assert _same(a[1].decode(), X[1])
     assert np.array_equal(a == b, X == Y)
