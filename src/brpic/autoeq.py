@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .center import ModularData, modular_data, simple_objects
+from .center import ModularData, modular_data, _simple_layout
 from .chars import (
     centralizer_table,
     character_table,
@@ -171,15 +171,12 @@ class BraidedAutoeq:
             raise NotBraided(
                 f"mapping is not a bijection of the {ns} simple objects"
             )
-        unit = _unit_index(group)
-        if mapping[unit] != unit:
-            raise NotBraided(f"unit object {unit} moved to {mapping[unit]}")
-        simples = simple_objects(group)
-        for i, s in enumerate(simples):
-            if simples[mapping[i]].qdim != s.qdim:
-                raise NotBraided(
-                    f"quantum dimension changes at object {i}"
-                )
+        if mapping[0] != 0:
+            raise NotBraided(f"unit object 0 moved to {mapping[0]}")
+        _, qdims = _simple_layout(group)
+        moved = np.flatnonzero(qdims[list(mapping)] != qdims)
+        if moved.size:
+            raise NotBraided(f"quantum dimension changes at object {moved[0]}")
         rep = _check_preservation(md, mapping)
         if not rep:
             raise NotBraided(rep.witness)
@@ -272,21 +269,13 @@ class GeneratedGroup(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# shared lookups
+# shared lookups: simple (class c, character k) is start[c] + k, with
+# ``center._simple_layout``'s offsets, and simple 0 is the unit
 # ---------------------------------------------------------------------------
 
-def _simple_index(G: FiniteGroup) -> dict:
-    key = ("simple_index",)
-    if key not in G._memo:
-        G._memo[key] = {
-            (s.class_index, s.char_index): i
-            for i, s in enumerate(simple_objects(G))
-        }
-    return G._memo[key]
-
-
 def _unit_index(G: FiniteGroup) -> int:
-    return _simple_index(G)[(class_of(G, G.identity), 0)]
+    """The unit object (class 0 = {identity}, trivial character): 0."""
+    return 0
 
 
 def _fingerprints(md: ModularData) -> np.ndarray:
@@ -334,11 +323,11 @@ def _twisted_transport(v, mu, provenance) -> BraidedAutoeq:
         raise NotAnAutomorphism(f"{v!r} is not an automorphism of {G.name}")
     if mu is not None and mu.group != G:
         raise DomainMismatch("cocycle lives on a different group")
-    index_of = _simple_index(G)
+    start, _ = _simple_layout(G)
     classes = conjugacy_classes(G)
     act = G.conjugation()
     vinv = np.argsort(v.images)
-    mapping = [0] * len(index_of)
+    mapping = [0] * start[-1]
     for cl in classes:
         g = cl.rep
         h = v(g)
@@ -359,8 +348,7 @@ def _twisted_transport(v, mu, provenance) -> BraidedAutoeq:
         for k, chi in enumerate(table_g):
             vals = [chi.values[a] if z is None else chi.values[a] * z
                     for a, z in zip(at, twist)]
-            mapping[index_of[(cl.index, k)]] = index_of[
-                (cj, find_character(Hr, vals))]
+            mapping[start[cl.index] + k] = start[cj] + find_character(Hr, vals)
     return BraidedAutoeq(G, mapping, provenance)
 
 
@@ -396,15 +384,12 @@ def _dualization_partial(G, S, pairing, provenance) -> PartialBrEq:
     themselves exactly (the construction's twisting modules are trivial
     there)."""
     md = modular_data(G)
-    index_of = _simple_index(G)
-    classes = conjugacy_classes(G)
-    unit_class = class_of(G, G.identity)
+    start, _ = _simple_layout(G)
     fps = _fingerprints(md)
-    table = character_table(G)
     cand: dict[int, list[int]] = {}
 
-    for k, chi in enumerate(table):
-        src = index_of[(unit_class, k)]
+    # source k is simple (class 0, character k) = k
+    for k, chi in enumerate(character_table(G)):
         comps = clifford_decomposition(chi, S)
         duals = {class_of(G, dual_element(pairing, c.linear_char))
                  for c in comps}
@@ -415,22 +400,17 @@ def _dualization_partial(G, S, pairing, provenance) -> PartialBrEq:
                 f" character {k} dualize into {len(duals)} classes"
             )
         cj = duals.pop()
-        if cj == unit_class:
+        if cj == 0:
             # the restriction meets only the trivial character of S, so the
             # twisting modules are trivial and the source maps to itself
-            cand[src] = [src]
+            cand[k] = [k]
             continue
-        _, _, target_table = centralizer_table(G, classes[cj].rep)
-        pool = [
-            index_of[(cj, j)]
-            for j in range(len(target_table))
-            if fps[index_of[(cj, j)]] == fps[src]
-        ]
+        pool = [t for t in range(start[cj], start[cj + 1]) if fps[t] == fps[k]]
         if not pool:
             raise NoExtension(
-                f"no admissible target over class {cj} for source {src}"
+                f"no admissible target over class {cj} for source {k}"
             )
-        cand[src] = pool
+        cand[k] = pool
 
     _refine_candidates(md, cand)
     mapping = {a: pool[0] for a, pool in cand.items() if len(pool) == 1}
@@ -729,11 +709,16 @@ def preserves_modular_data(F, md: Optional[ModularData] = None
     """Exact S- and T-equivariance check with a first-failure witness.
 
     ``F`` may be a BraidedAutoeq (always passes, by construction) or a raw
-    mapping sequence to test; a raw mapping needs ``md`` supplied."""
+    mapping sequence to test; a raw mapping needs ``md`` supplied.  Modular
+    data of a group other than a BraidedAutoeq's raises DomainMismatch."""
     if isinstance(F, BraidedAutoeq):
         mapping = F.mapping
         if md is None:
             md = modular_data(F.group)
+        elif md.group != F.group:
+            raise DomainMismatch(
+                "autoequivalence and modular data live over different groups"
+            )
     else:
         mapping = tuple(int(x) for x in F)
         if md is None:

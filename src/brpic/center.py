@@ -4,6 +4,10 @@ Simple objects of the center of the category of G-graded vector spaces are
 pairs (conjugacy class of g, irreducible character of the centralizer of g).
 The S and T matrices are computed exactly over cyclotomic numbers.
 
+Simples are class-major: ``_simple_layout`` puts the one with character k
+of class c at start[c] + k.  Class 0 is {identity} and character 0 is
+trivial, so simple 0 is the unit object, as the unit-row check certifies.
+
 Normalization convention (fixed once, here): S is the *unnormalized* integer-
 friendly matrix, i.e. ``|G|`` times the unitary S-matrix,
 
@@ -50,7 +54,7 @@ import numpy as np
 from .chars import centralizer_table
 from .cyclo import Cyclotomic, CycloArray, cyclo_sum, zero
 from .errors import CapExceeded, CertificationError, NonIntegralFusion
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes, _class_indices
 
 __all__ = [
     "SimpleObject",
@@ -144,6 +148,22 @@ def simple_objects(G: FiniteGroup) -> list[SimpleObject]:
     return list(G._memo[key])
 
 
+def _simple_layout(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(start, qdims), read-only int arrays: the simples over class c are
+    start[c] .. start[c+1] - 1, start[-1] = N, and qdims[i] is the quantum
+    dimension of simple i.  Memoized on G."""
+    key = ("layout",)
+    if key not in G._memo:
+        simples = simple_objects(G)
+        cls = [s.class_index for s in simples]
+        start = np.searchsorted(cls, np.arange(len(conjugacy_classes(G)) + 1))
+        qdims = np.array([s.qdim for s in simples])
+        start.setflags(write=False)
+        qdims.setflags(write=False)
+        G._memo[key] = (start, qdims)
+    return G._memo[key]
+
+
 def modular_data(G: FiniteGroup) -> ModularData:
     """The exact (S, T) pair; every structural relation is certified."""
     key = ("modular",)
@@ -154,13 +174,9 @@ def modular_data(G: FiniteGroup) -> ModularData:
     classes = conjugacy_classes(G)
     tables = [centralizer_table(G, cl.rep) for cl in classes]
 
-    # T: twists theta = chi(g)/chi(1)
-    T = []
-    for s in simples:
-        _, elems, table = tables[s.class_index]
-        ch = table[s.char_index]
-        rep = elems.index(classes[s.class_index].rep)
-        T.append(ch.value_at_element(rep) / ch.degree)
+    # T: twists theta = chi(g)/chi(1), class-major as the simples
+    T = [ch.value_at_element(elems.index(cl.rep)) / ch.degree
+         for cl, (_, elems, table) in zip(classes, tables) for ch in table]
 
     S = _s_matrix(G, simples, classes, tables)
     _certify_modular(G, simples, S, T)
@@ -185,15 +201,14 @@ def _s_matrix(G, simples, classes, tables):
     n, ns = G.n, len(simples)
     act = G.conjugation()
     reps = np.array([cl.rep for cl in classes])
-    cls = np.array([s.class_index for s in simples])
-    start = np.searchsorted(cls, np.arange(len(classes)))
+    start, _ = _simple_layout(G)
+    cls = np.repeat(np.arange(len(classes)), np.diff(start))
 
     # col[a, g]: row of (a, class of g in Cent(a)), or -1 off Cent(a)
     col = np.full((len(classes), n), -1, dtype=np.int64)
     values = np.full((ns, ns), zero(), dtype=object)
     for a, (H, elems, table) in enumerate(tables):
-        conjugacy_classes(H)
-        col[a, list(elems)] = start[a] + H._memo["class_of"]
+        col[a, list(elems)] = start[a] + _class_indices(H)
         block = slice(start[a], start[a] + len(table))
         values[block, block] = [ch.values for ch in table]
     Xbar = CycloArray.lift(values).conj()
@@ -256,7 +271,7 @@ def _certify_modular(G, simples, S, T):
 
     ident = np.arange(ns)
     _raise_at("symmetry: S is not symmetric", ~(S == S.transpose()))
-    qdims = np.array([s.qdim for s in simples])
+    _, qdims = _simple_layout(G)
     _raise_at("unit row: S[0, j] is not the quantum dimension of j",
               _mark(ns, 0, ident, ~(S[0] == qdims)))
 

@@ -44,7 +44,8 @@ from .errors import (
     NotASubgroup,
     NotIrreducible,
 )
-from .groups import FiniteGroup, Subgroup, centralizer, class_of, conjugacy_classes
+from .groups import (FiniteGroup, Subgroup, centralizer, class_of,
+                     conjugacy_classes, _class_indices)
 from .zmodlin import _inv_mod_p, _is_prime, _kernel_mod_p, _primitive_root, _rref_mod_p
 
 __all__ = [
@@ -118,7 +119,7 @@ def _dixon_prime(e: int, order: int) -> int:
 def _class_matrices(G: FiniteGroup):
     classes = conjugacy_classes(G)
     r = len(classes)
-    cls_of = G._memo["class_of"]
+    cls_of = _class_indices(G)
     mats = np.zeros((r, r, r), dtype=np.int64)
     # a[i, j, k] = #{(x, y) in C_i x C_j : x y in fixed rep position of C_k},
     # accumulated over all of C_k and divided by |C_k| at the end.
@@ -199,7 +200,7 @@ def character_table(G: FiniteGroup) -> list[Character]:
     # mod-p DFT of c over the powers of g, one matrix product per class
     chi = np.array([chi_p for _, chi_p in raw_rows], dtype=np.int64)
     degs = np.array([deg for deg, _ in raw_rows])
-    cls_of = G._memo["class_of"]
+    cls_of = _class_indices(G)
     counts = np.zeros((r, r, e), dtype=np.int64)
     for j, cl in enumerate(classes):
         nj = G.order_of(cl.rep)

@@ -7,6 +7,10 @@ characters (the part of H^2(G, mu_m) that dies once mu_m sits inside the
 divisible group C*).  With m = |G| that image is the whole Schur multiplier,
 so the class count matches the classical tables.
 
+The identity is element 0, so the unknowns eta(a, b), a, b != 1, of every
+system here are the ``[1:, 1:]`` block of a value table, row-major: unknown
+(a, b) is (a-1)(n-1) + (b-1).  Those of a cochain phi are ``phi[1:]``.
+
 Everything is exact linear algebra over Z/m; no floating point anywhere.
 """
 
@@ -88,8 +92,7 @@ class Cocycle2:
         v = np.asarray(values, dtype=np.int64) % m
         if v.shape != (group.n, group.n):
             raise NotACocycle(f"value table must be {group.n}x{group.n}")
-        e = group.identity
-        v = (v - v[e, e]) % m
+        v = (v - v[0, 0]) % m                  # the identity is element 0
         if check:
             tbl = group.table
             t1 = v[:, :, None] + v[tbl, :]       # eta(a,b) + eta(ab,c)
@@ -101,7 +104,7 @@ class Cocycle2:
                     f"cocycle identity fails at ({group.names[a]}, "
                     f"{group.names[b]}, {group.names[c]})"
                 )
-            if v[e, :].any() or v[:, e].any():
+            if v[0].any() or v[:, 0].any():
                 raise NotACocycle("table cannot be normalized")
         self.group = group
         self.m = m
@@ -169,18 +172,6 @@ def coboundary(G: FiniteGroup, phi, m: int) -> Cocycle2:
 # the class computation
 # ---------------------------------------------------------------------------
 
-def _nontrivial_elements(G: FiniteGroup) -> list[int]:
-    return [g for g in range(G.n) if g != G.identity]
-
-
-def _unknown_index(G: FiniteGroup):
-    """Map (a, b) with a, b != 1 to flat unknown indices 0..(n-1)^2-1."""
-    idx = np.full(G.n, -1, dtype=np.int64)
-    for i, g in enumerate(_nontrivial_elements(G)):
-        idx[g] = i
-    return idx
-
-
 def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     """Dense matrix of the cocycle identity over the (n-1)^2 unknowns.
 
@@ -203,8 +194,7 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     wider copy.
     """
     n = G.n
-    nz = np.asarray(_nontrivial_elements(G), dtype=np.int64)
-    idx = _unknown_index(G)
+    nz = np.arange(1, n)
     w = n - 1
     N = w * w
     gens = np.asarray(G.minimal_generators(), dtype=np.int64)
@@ -219,14 +209,14 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
     rows = np.arange(E) * N
     ab = G.table[a, b]
     bc = G.table[b, c]
-    k1, k2 = ab != G.identity, bc != G.identity
+    k1, k2 = ab > 0, bc > 0                 # products off the identity
     # flat positions of the terms +eta(a,b) +eta(ab,c) -eta(b,c) -eta(a,bc);
     # a position may take two terms
     at = np.concatenate([
-        rows + idx[a] * w + idx[b],
-        rows[k1] + idx[ab[k1]] * w + idx[c[k1]],
-        rows + idx[b] * w + idx[c],
-        rows[k2] + idx[a[k2]] * w + idx[bc[k2]],
+        rows + (a - 1) * w + b - 1,
+        rows[k1] + (ab[k1] - 1) * w + c[k1] - 1,
+        rows + (b - 1) * w + c - 1,
+        rows[k2] + (a[k2] - 1) * w + bc[k2] - 1,
     ])
     sign = np.repeat([1, 1, -1, -1], [E, k1.sum(), E, k2.sum()])
     at, term = np.unique(at, return_inverse=True)
@@ -240,33 +230,26 @@ def _cocycle_equations(G: FiniteGroup, m: int) -> np.ndarray:
 def _coboundary_rows(G: FiniteGroup) -> np.ndarray:
     """Integer matrix of phi -> d(phi) on the nontrivial elements: row (a, b),
     a-major over a, b != 1, holds phi(a) + phi(b) - phi(ab)."""
-    nz = np.asarray(_nontrivial_elements(G), dtype=np.int64)
-    idx = _unknown_index(G)
+    nz = np.arange(1, G.n)
     a, b = np.meshgrid(nz, nz, indexing="ij")
     a, b = a.ravel(), b.ravel()
     rows = np.arange(a.size)
     R = np.zeros((a.size, nz.size), dtype=np.int64)
-    np.add.at(R, (rows, idx[a]), 1)
-    np.add.at(R, (rows, idx[b]), 1)
+    np.add.at(R, (rows, a - 1), 1)
+    np.add.at(R, (rows, b - 1), 1)
     ab = G.table[a, b]
-    keep = ab != G.identity
-    np.add.at(R, (rows[keep], idx[ab[keep]]), -1)
+    keep = ab > 0
+    np.add.at(R, (rows[keep], ab[keep] - 1), -1)
     return R
 
 
 def _hom_generators(G: FiniteGroup) -> list[np.ndarray]:
     """Generators of Hom(G, Z/e), e = exp(G), as value vectors on G."""
     e = G.exponent()
-    nz = _nontrivial_elements(G)
-    if not nz:
-        return []
     basis = nullspace_mod(_coboundary_rows(G) % e, e)
-    out = []
-    for i in range(basis.shape[1]):
-        h = np.zeros(G.n, dtype=np.int64)
-        h[nz] = basis[:, i] % e
-        out.append(h)
-    return out
+    h = np.zeros((basis.shape[1], G.n), dtype=np.int64)
+    h[:, 1:] = basis.T % e
+    return list(h)
 
 
 def _carry_cocycle(G: FiniteGroup, h: np.ndarray, m: int) -> np.ndarray:
@@ -312,9 +295,7 @@ class H2Classes:
             raise ValueError("cocycle on a different group or modulus")
         if self._zsolver is None:      # trivial-group or rank-0 case
             return ()
-        nz = _nontrivial_elements(G)
-        vec = eta.values[np.ix_(nz, nz)].ravel()
-        y = self._zsolver.solve(vec)
+        y = self._zsolver.solve(eta.values[1:, 1:].ravel())
         if y is None:
             raise NotACocycle("value table solves no cocycle system")
         w = (self._uprime @ y) % m
@@ -366,10 +347,9 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
 
     # coboundary + connecting-image generators, in cocycle coordinates: the
     # coboundary of the indicator of x is column x of the coboundary rows
-    nz = _nontrivial_elements(G)
     span_vecs = list((_coboundary_rows(G) % m).T)
     for h in _hom_generators(G):
-        span_vecs.append(_carry_cocycle(G, h, m)[np.ix_(nz, nz)].ravel())
+        span_vecs.append(_carry_cocycle(G, h, m)[1:, 1:].ravel())
 
     # express the spanning vectors in z-coordinates, add the coordinate
     # redundancy of the parametrization, and diagonalize the joint span
@@ -427,12 +407,11 @@ def coboundary_witness(e1: Cocycle2, e2: Cocycle2):
     e1._like(e2)
     G, m = e1.group, e1.m
     diff = (e2.values - e1.values) % m
-    nz = _nontrivial_elements(G)
-    sol = solve_mod(_coboundary_rows(G) % m, diff[np.ix_(nz, nz)].ravel(), m)
+    sol = solve_mod(_coboundary_rows(G) % m, diff[1:, 1:].ravel(), m)
     if sol is None:
         return None
     phi = np.zeros(G.n, dtype=np.int64)
-    phi[nz] = sol
+    phi[1:] = sol
     if coboundary(G, phi, m) != (e2 - e1):
         raise CertificationError(
             "coboundary witness: the solved phi does not satisfy"
@@ -507,14 +486,9 @@ def antisymmetrize(eta: Cocycle2, S: Subgroup) -> Pairing:
 
 
 def is_nondegenerate(pairing: Pairing) -> bool:
-    """True iff a -> <a, .> has trivial kernel."""
-    S = pairing.subgroup
-    _, elems = S.as_group()
-    id_pos = elems.index(S.parent.identity)
-    for i in range(pairing.size):
-        if i != id_pos and not pairing.values[i].any():
-            return False
-    return True
+    """True iff a -> <a, .> has trivial kernel: every row but row 0, the
+    identity's, is nonzero."""
+    return bool(pairing.values[1:].any(axis=1).all())
 
 
 def dual_element(pairing: Pairing, linear_char) -> int:
@@ -595,20 +569,18 @@ def lazy_representative(eta: Cocycle2, G: FiniteGroup, S: Subgroup):
     gens = G.minimal_generators()
     if Sgrp.n == 1 or not gens:
         return eta
-    nz = _nontrivial_elements(Sgrp)
-    vpos = _unknown_index(Sgrp)
     R = _coboundary_rows(Sgrp)
     blocks, rhs = [], []
     for g in gens:
         q = S.conjugation()[G.inv[g]]
-        blocks.append((R - R[:, np.argsort(vpos[q[nz]])]) % m)
+        blocks.append((R - R[:, np.argsort(q[1:])]) % m)
         diff = (eta.values[np.ix_(q, q)] - eta.values) % m
-        rhs.append(diff[np.ix_(nz, nz)].ravel())
+        rhs.append(diff[1:, 1:].ravel())
     sol = solve_mod(np.vstack(blocks), np.concatenate(rhs), m)
     if sol is None:
         return None
     phi = np.zeros(Sgrp.n, dtype=np.int64)
-    phi[nz] = sol
+    phi[1:] = sol
     fixed = eta + coboundary(Sgrp, phi, m)
     if not is_lazy(fixed, G, S):
         raise CertificationError(

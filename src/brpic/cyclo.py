@@ -432,10 +432,30 @@ class Cyclotomic:
 
     @staticmethod
     def from_json(data) -> "Cyclotomic":
-        return Cyclotomic(
-            data["conductor"],
-            [Fraction(int(num), int(den)) for num, den in data["coeffs"]],
-        )
+        """The value ``to_json`` wrote; a missing "coeffs" entry or a bad
+        coefficient raises ValueError naming the conductor and the entry."""
+        n = data.get("conductor")
+        if "coeffs" not in data:
+            raise ValueError(f'conductor {n!r}: no "coeffs" entry')
+        coeffs = []
+        for i, pair in enumerate(data["coeffs"]):
+            try:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise TypeError
+                coeffs.append(Fraction(*map(_json_int, pair)))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"conductor {n!r}: coefficient {i} is {pair!r}, not a"
+                    " [numerator, denominator] pair of integers with a"
+                    " nonzero denominator") from None
+        return Cyclotomic(n, coeffs)
+
+
+def _json_int(x) -> int:
+    """An integer read from JSON: an int (not a bool) or a decimal string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError
+    return int(x)
 
 
 def _make(n: int, den: int, c) -> Cyclotomic:

@@ -86,7 +86,6 @@ from .groups import (
     _extend_frames,
     _orbit,
     _stabilizer_chain,
-    conjugacy_classes,
     named_group,
 )
 from .zmodlin import _check_int64, _inv_mod_p, _is_prime, _primitive_root, _rref_mod_p
@@ -286,9 +285,8 @@ def _labels(G: FiniteGroup):
     char_at = np.zeros(G.n, dtype=np.int64)
     char_at[chars @ p ** np.arange(n)] = np.arange(G.n)
     elems = expo[char_at[p ** np.arange(n)]].T
-    reps = [c.rep for c in conjugacy_classes(G)]
-    labels = np.hstack([elems[reps].repeat(G.n, axis=0),
-                        np.tile(chars, (len(reps), 1))])
+    # G is abelian: class g is element g
+    labels = np.hstack([elems.repeat(G.n, axis=0), np.tile(chars, (G.n, 1))])
     simple_at = np.full(p ** (2 * n), -1, dtype=np.int64)
     simple_at[labels @ p ** np.arange(2 * n)] = np.arange(len(labels))
     if (simple_at < 0).any():

@@ -294,7 +294,8 @@ class ConjClass:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
-    """Classes sorted by minimal member; reps are the minimal members."""
+    """Classes sorted by minimal member; reps are the minimal members, so
+    class 0 is {identity}."""
     if "classes" in G._memo:
         return G._memo["classes"]
     act = G.conjugation()
@@ -305,14 +306,20 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
             orbit = np.unique(act[:, g])
             class_of[orbit] = len(out)
             out.append(ConjClass(len(out), g, tuple(orbit.tolist())))
+    class_of.setflags(write=False)
     G._memo["classes"] = out
     G._memo["class_of"] = class_of
     return out
 
 
-def class_of(G: FiniteGroup, g: int) -> int:
+def _class_indices(G: FiniteGroup) -> np.ndarray:
+    """Read-only int array: entry g is the index of g's conjugacy class."""
     conjugacy_classes(G)
-    return int(G._memo["class_of"][g])
+    return G._memo["class_of"]
+
+
+def class_of(G: FiniteGroup, g: int) -> int:
+    return int(_class_indices(G)[g])
 
 
 def centralizer(G: FiniteGroup, g: int) -> "Subgroup":
@@ -1203,7 +1210,8 @@ def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
         GroupMorphism(N, N, alpha, check=True)
     except (NotAnAutomorphism, ValueError) as exc:     # or an image off N
         raise BadSemidirectAction(str(exc)) from exc
-    # alpha^|Q| must be the identity for q -> alpha^j to be a homomorphism
+    # alpha^|Q| must be the identity for q -> alpha^j to be a homomorphism;
+    # gen has order |Q|, so its powers fill every entry of the action
     power = tuple(range(N.n))
     action = [None] * Q.n
     g = Q.identity
@@ -1211,8 +1219,6 @@ def _parse_semidirect(text: str, cap: int) -> FiniteGroup:
         action[g] = power
         power = tuple(alpha[x] for x in power)
         g = Q.mul(g, gen)
-    if any(a is None for a in action):
-        raise BadSemidirectAction("generator powers do not cover Q")
     return semidirect_product(N, Q, action)
 
 

@@ -1200,6 +1200,37 @@ class TestPreservation:
         with pytest.raises(ValueError):
             preserves_modular_data([0, 1])
 
+    @pytest.mark.parametrize("mapping", [[0] * 8, list(range(7)),
+                                         list(range(9)), [0, 2, 1, 3, 4, 5, 6, 8]])
+    def test_raw_mapping_that_is_no_bijection_is_reported(self, mapping):
+        rep = preserves_modular_data(mapping, modular_data(named_group("S3")))
+        assert not rep and rep.witness == "mapping is not a bijection"
+
+    def test_modular_data_of_another_group_is_refused(self):
+        # D4 and Q8 both have 22 simples, so a D4 mapping fits Q8's data
+        D4, Q8 = named_group("D4"), named_group("Q8")
+        F = identity_autoeq(D4)
+        with pytest.raises(DomainMismatch):
+            preserves_modular_data(F, modular_data(Q8))
+        # the same group under another object is the same domain
+        assert preserves_modular_data(F, modular_data(named_group("D4")))
+        # a raw mapping is checked against whatever data it is given
+        assert preserves_modular_data(F.mapping, modular_data(Q8))
+
+    def test_equality_and_hash_follow_group_and_mapping(self):
+        Z3 = named_group("Z/3")
+        flip = from_hopf_auto(GroupMorphism(Z3, Z3, (0, 2, 1)))
+        ident = identity_autoeq(Z3)
+        again = BraidedAutoeq(named_group("Z/3"), flip.mapping)
+        assert flip.mapping != ident.mapping
+        assert flip == again and hash(flip) == hash(again)
+        assert flip != ident and len({flip, again, ident}) == 2
+        assert flip.__eq__(flip.mapping) is NotImplemented
+        # equal mappings over different groups are different elements
+        D4, Q8 = identity_autoeq(named_group("D4")), identity_autoeq(
+            named_group("Q8"))
+        assert D4.mapping == Q8.mapping and D4 != Q8
+
     def test_construction_refuses_bad_mappings(self):
         S3 = named_group("S3")
         with pytest.raises(NotBraided):

@@ -15,6 +15,7 @@ from brpic.center import (
     ModularData,
     SimpleObject,
     _certify_modular,
+    _simple_layout,
     modular_data,
     simple_objects,
     verlinde_fusion,
@@ -28,7 +29,12 @@ from brpic.cyclo import (
     zero,
 )
 from brpic.errors import CapExceeded, CertificationError, NonIntegralFusion
-from brpic.groups import conjugacy_classes, named_group, symmetric_group
+from brpic.groups import (
+    conjugacy_classes,
+    group_from_table,
+    named_group,
+    symmetric_group,
+)
 
 # ---------------------------------------------------------------------------
 # simple-object enumeration
@@ -85,6 +91,43 @@ def test_enumeration_order_and_unit_object():
     assert keys == sorted(keys)
     # identity class, transpositions, 3-cycles with centralizer irrep counts
     assert tuple(s.qdim for s in simples) == (1, 1, 2, 3, 3, 2, 2, 2)
+
+
+# the groups of the center and symmetries benchmark workloads
+WORKLOAD_GROUPS = ["S3", "D4", "Q8", "A4", "S4", "A5", "S3xZ/2", "Z/2^2",
+                   "Z/3", "Z/5", "Z/6", "Z/2^3"]
+
+
+def relabelled_d4():
+    """D4 through ``group_from_table``, its nontrivial elements renumbered
+    in reverse, so the class and simple orders differ from named_group's."""
+    T = named_group("D4").table
+    p = np.r_[0, np.arange(T.shape[0] - 1, 0, -1)]      # an involution
+    return group_from_table(p[T[np.ix_(p, p)]], name="D4-relabelled")
+
+
+@pytest.mark.parametrize("make", [*(lambda n=n: named_group(n)
+                                   for n in WORKLOAD_GROUPS), relabelled_d4],
+                         ids=[*WORKLOAD_GROUPS, "table"])
+def test_identity_positions_and_simple_layout(make):
+    """Class 0 is {identity}, simple 0 is (class 0, character 0) with S[0]
+    the layout's quantum dimensions, and the simples over class c are
+    exactly start[c] .. start[c+1] - 1."""
+    G = make()
+    classes = conjugacy_classes(G)
+    assert classes[0].members == (0,)
+    simples = simple_objects(G)
+    start, qdims = _simple_layout(G)
+    assert simples[0] == SimpleObject(0, 0, 1)
+    assert [x.as_rational() for x in modular_data(G).S[0]] == qdims.tolist()
+    assert qdims.tolist() == [s.qdim for s in simples]
+    assert start[0] == 0 and start[-1] == len(simples)
+    assert len(start) == len(classes) + 1
+    for c in range(len(classes)):
+        over = [i for i, s in enumerate(simples) if s.class_index == c]
+        assert over == list(range(start[c], start[c + 1]))
+        assert [simples[i].char_index for i in over] == list(range(len(over)))
+    assert not start.flags.writeable and not qdims.flags.writeable
 
 
 def test_simples_cap(monkeypatch):

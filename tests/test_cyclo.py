@@ -6,6 +6,7 @@ tests check the field axioms on randomly sampled values.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -186,6 +187,30 @@ def test_constructor_refuses_a_conductor_that_is_not_an_int_at_least_one(n):
         Cyclotomic(n, [1, 2])
     with pytest.raises(ValueError, match=f"got {n!r}"):
         Cyclotomic.from_json({"conductor": n, "coeffs": [["1", "1"]]})
+
+
+@pytest.mark.parametrize("data, entry", [
+    ({"conductor": 1, "coeffs": [["1", "0"]]}, "coefficient 0 is ['1', '0']"),
+    ({"conductor": 3, "coeffs": [["1", "1"], ["1.5", "1"]]},
+     "coefficient 1 is ['1.5', '1']"),
+    ({"conductor": 1, "coeffs": [[1.5, 1]]}, "coefficient 0 is [1.5, 1]"),
+    ({"conductor": 1, "coeffs": [[True, 1]]}, "coefficient 0 is [True, 1]"),
+    ({"conductor": 1, "coeffs": ["12"]}, "coefficient 0 is '12'"),
+    ({"conductor": 1, "coeffs": [["1", "2", "3"]]},
+     "coefficient 0 is ['1', '2', '3']"),
+    ({"conductor": 4}, 'no "coeffs" entry'),
+], ids=["zero-denominator", "decimal-point", "float", "bool", "string",
+        "triple", "no-coeffs"])
+def test_from_json_refuses_malformed_coefficients(data, entry):
+    message = f"conductor {data['conductor']}: {entry}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        Cyclotomic.from_json(data)
+
+
+def test_from_json_reads_ints_and_decimal_strings():
+    data = {"conductor": 3, "coeffs": [[1, "2"], ["-3", 4]]}
+    assert Cyclotomic.from_json(data) == Cyclotomic(
+        3, [Fraction(1, 2), Fraction(-3, 4)])
 
 
 # repr, and the sha256 of (to_json, order_key, hash), of values with a

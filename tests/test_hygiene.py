@@ -198,3 +198,59 @@ def test_only_cyclo_knows_its_internals():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not private, f"private names imported from cyclo: {private}"
+
+
+def _memo_tag(key, func):
+    """The tag of a ``_memo`` key: the key, or its first item, as a
+    constant; a name is read through its first assignment in ``func``.
+    None when it is none of these."""
+    if isinstance(key, ast.Name) and func is not None:
+        key = next((node.value for node in _own_nodes(func)
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == key.id
+                            for t in node.targets)), key)
+    if isinstance(key, ast.Tuple) and key.elts:
+        key = key.elts[0]
+    return key.value if isinstance(key, ast.Constant) else None
+
+
+def _is_memo(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_memo"
+
+
+def _memo_uses(tree):
+    """(reads, writes): the tags of the ``_memo`` entries a module reads
+    (``x._memo[k]``, ``k in x._memo``, ``x._memo.get(k)``) and writes
+    (``x._memo[k] = ...``, ``x._memo.setdefault(k, ...)``)."""
+    owner = {}
+    for name, func in _functions(tree, ""):
+        for node in _own_nodes(func):
+            owner[id(node)] = func
+    reads, writes = set(), set()
+    for node in ast.walk(tree):
+        func = owner.get(id(node))
+        if isinstance(node, ast.Subscript) and _is_memo(node.value):
+            into = writes if isinstance(node.ctx, ast.Store) else reads
+            into.add(_memo_tag(node.slice, func))
+        elif (isinstance(node, ast.Compare)
+              and isinstance(node.ops[0], (ast.In, ast.NotIn))
+              and _is_memo(node.comparators[0])):
+            reads.add(_memo_tag(node.left, func))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and _is_memo(node.func.value) and node.args):
+            into = writes if node.func.attr == "setdefault" else reads
+            into.add(_memo_tag(node.args[0], func))
+    return reads, writes
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_memo_entries_are_read_where_they_are_written(path):
+    """A module reads only the ``_memo`` entries whose tag (the key, or the
+    key's first item) it also writes: each cache has one owner, and other
+    modules go through the owner's functions.  Every key has a constant
+    tag."""
+    reads, writes = _memo_uses(_tree(path))
+    assert None not in reads | writes, f"{path.name}: a _memo key has no tag"
+    foreign = sorted(reads - writes)
+    assert not foreign, f"{path.name} reads others' _memo entries: {foreign}"

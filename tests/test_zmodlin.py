@@ -25,6 +25,7 @@ from brpic.zmodlin import (
     DiagonalizedSystem,
     diagonalize_mod,
     echelon_rows_mod,
+    elementary_divisor_chain,
     nullspace_mod,
     solve_mod,
     xgcd,
@@ -935,3 +936,15 @@ def test_primitive_root_is_smallest_generator():
 def test_fpmatrix_rejects_a_non_prime(n):
     with pytest.raises(NotPrime):
         FpMatrix(n, np.eye(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("divs, chain", [
+    ([2, 3], (6,)),             # coprime orders merge into one cycle
+    ([4, 6], (2, 12)),
+    ([6, 4, 1], (2, 12)),       # trivial factors are dropped
+    ([2, 4], (2, 4)),           # already a chain: nothing to exchange
+    ([3, 2, 2], (2, 6)),
+    ([1, 1], ()),
+])
+def test_elementary_divisor_chain_exchanges_gcd_and_lcm(divs, chain):
+    assert elementary_divisor_chain(divs) == chain
