@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groups import (FiniteGroup, Subgroup, centralizer, class_of,
                      conjugacy_classes, _class_indices)
-from .zmodlin import _inv_mod_p, _is_prime, _kernel_mod_p, _primitive_root, _rref_mod_p
+from .zmodlin import _is_prime, _kernel_mod_p, _primitive_root
 
 __all__ = [
     "ClassFunction",
@@ -143,40 +143,45 @@ def character_table(G: FiniteGroup) -> list[Character]:
     p = _dixon_prime(e, n)
     mats = _class_matrices(G)          # mats[i]: matrix (M_i)_{jk} = a_{ijk}
     # --- simultaneous eigenvectors over F_p --------------------------------
-    spaces = [np.eye(r, dtype=np.int64)]           # columns are basis vectors
+    # each space is a basis B (columns) with B[R] = I on its pivot rows R,
+    # so M B = B A gives the restriction A = (M B)[R] with no inverse, and
+    # a kernel basis K of A - lambda with K[free] = I gives the next basis
+    # B K, whose pivot rows are R[free]
+    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
     for i in range(1, r):
         M = mats[i] % p
         nxt = []
-        for B in spaces:
+        for B, R in spaces:
             d = B.shape[1]
-            if d == 1:
-                nxt.append(B)
+            A = (M[R] @ B) % p
+            if np.array_equal(A, A[0, 0] * np.eye(d, dtype=np.int64)):
+                nxt.append((B, R))         # one eigenvalue: nothing splits
                 continue
-            # restriction: M B = B A with A = B[R]^-1 (M B)[R] on pivot rows
-            _, Rsel = _rref_mod_p(B.T, p)   # rows making B[Rsel] invertible
-            MB = (M @ B) % p
-            A = (_inv_mod_p(B[Rsel, :], p) @ MB[Rsel, :]) % p
             # the eigenspaces of A: the kernels of A - lambda for all lambda
             # in F_p, swept as stacks of at most about 2**16 entries
             found, step = [], max(1, 2**16 // (d * d))
             for lo in range(0, p, step):
                 lams = np.arange(lo, min(lo + step, p))[:, None, None]
                 Ks = _kernel_mod_p((A - lams * np.eye(d, dtype=np.int64)) % p, p)
-                found += [(B @ K) % p for K in Ks if K.shape[1]]
-            if sum(k.shape[1] for k in found) != d:
+                # the 1 of each column of K is its last nonzero entry: the
+                # pivot rows after its free column are zero there
+                found += [((B @ K) % p,
+                           R[d - 1 - np.argmax(K[::-1] != 0, axis=0)])
+                          for K in Ks if K.shape[1]]
+            if sum(Rk.size for _, Rk in found) != d:
                 raise CharacterTableError("eigen-splitting lost dimensions")
             nxt.extend(found)
         spaces = nxt
-        if all(B.shape[1] == 1 for B in spaces):
+        if all(R.size == 1 for _, R in spaces):
             break
-    if not all(B.shape[1] == 1 for B in spaces):
+    if not all(R.size == 1 for _, R in spaces):
         raise CharacterTableError("class algebra did not fully split")
     # --- per-character data mod p ------------------------------------------
     inv_class = [class_of(G, G.inv_of(c.rep)) for c in classes]
     sizes = [c.size for c in classes]
     w_root = pow(_primitive_root(p), (p - 1) // e, p)
     raw_rows = []
-    for B in spaces:
+    for B, _ in spaces:
         w = B[:, 0] % p
         if w[0] % p == 0:
             raise CharacterTableError("eigenvector vanishes on the unit class")

@@ -37,6 +37,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 from .zmodlin import (
     DiagonalizedSystem,
+    _PivotSolver,
     _check_modulus,
     _echelon_rows,
     _factorize,
@@ -269,15 +270,26 @@ def _carry_cocycle(G: FiniteGroup, h: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class H2Classes:
-    """Representatives of H^2(G, mu_m) -> H^2(G, C*), plus classification."""
+    """Representatives of H^2(G, mu_m) -> H^2(G, C*), plus classification.
+
+    A cocycle's label is read off its coordinates y in the cocycle basis
+    Z (the columns ``zbasis``), solved from Z y = eta over Z/m: w = U' y,
+    reduced mod g at each position of the class-group diagonalization
+    U' Q V' = D' with g = gcd(d', m) > 1.  The labeller keeps only what
+    that reads: the ``_PivotSolver`` of Z, which takes y off the k pivot
+    rows of Z's transform U (k = the columns of Z, not its (n-1)^2 rows)
+    and checks membership by substitution, Z y = eta (see ``zmodlin``;
+    a table that no y solves is no cocycle), and the rows of U' at the
+    positions with g > 1, with their moduli.
+    """
 
     group: FiniteGroup
     m: int
     representatives: list[Cocycle2]
     elementary_divisors: tuple[int, ...]
-    _zsolver: DiagonalizedSystem | None = field(default=None, repr=False)
-    _uprime: np.ndarray | None = field(default=None, repr=False)
-    _gvec: tuple[int, ...] = field(default=(), repr=False)
+    _solver: _PivotSolver | None = field(default=None, repr=False)
+    _urows: np.ndarray | None = field(default=None, repr=False)
+    _moduli: np.ndarray | None = field(default=None, repr=False)
     _label_index: dict = field(default_factory=lambda: {(): 0}, repr=False)
 
     def __len__(self):
@@ -290,18 +302,18 @@ class H2Classes:
         return self.representatives[i]
 
     def _label(self, eta: Cocycle2) -> tuple[int, ...]:
-        G, m = self.group, self.m
-        if eta.group != G or eta.m != m:
+        if eta.group != self.group or eta.m != self.m:
             raise ValueError("cocycle on a different group or modulus")
-        if self._zsolver is None:      # trivial-group or rank-0 case
+        v = eta.values
+        if v[0].any() or v[:, 0].any():
+            raise NotACocycle("value table is not normalized: the identity's"
+                              " row or column is nonzero")
+        if self._solver is None:       # trivial group
             return ()
-        y = self._zsolver.solve(eta.values[1:, 1:].ravel())
+        y = self._solver.solve(v[1:, 1:].ravel())
         if y is None:
             raise NotACocycle("value table solves no cocycle system")
-        w = (self._uprime @ y) % m
-        return tuple(
-            int(w[i]) % g for i, g in enumerate(self._gvec) if g > 1
-        )
+        return tuple((self._urows @ y % self.m % self._moduli).tolist())
 
     def class_index(self, eta: Cocycle2) -> int:
         """Which representative's class a cocycle belongs to."""
@@ -390,8 +402,8 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     divisors = elementary_divisor_chain(gvec[positions].tolist())
     res = H2Classes(
         G, m, reps, divisors,
-        _zsolver=zsolver, _uprime=T.U, _gvec=tuple(gvec.tolist()),
-        _label_index=label_index,
+        _solver=zsolver._solver, _urows=T.U[positions],
+        _moduli=gvec[positions], _label_index=label_index,
     )
     G._memo[key] = res
     return res

@@ -14,6 +14,16 @@ the primitives here.
   m.  No inverse is tracked: a caller that needs columns of U^-1 solves
   U x = e_i for them.  Entries never leave [0, m), so there is no
   coefficient blowup.
+* ``DiagonalizedSystem`` solves A x = b from the first k = min(rows, cols)
+  rows of U alone (the pivot rows, as in Storjohann and Mulders): z off
+  them, x = V z, and x is kept only when A x = b mod m.  That is the
+  answer all of U gives.  When b lies in A's column space, U b is zero
+  past the diagonal and divisible on it, so the same x comes out and
+  satisfies A x = b; when it does not, no x does.  Membership is thus
+  checked by substitution, in rows x k products, where the remaining
+  rows of U took rows x rows.  ``_PivotSolver`` is that solve with the
+  arrays it reads and nothing more, for a caller that keeps it long after
+  the diagonalization (the cocycle labeller of ``cohom``).
 * ``smith_normal_form`` is a literal integer Smith normal form with
   unimodular transforms, used as an independent oracle for the mod-m route
   on small instances.
@@ -36,7 +46,8 @@ search, each stored back reduced mod m.  No Python scalar meets a narrow
 array in arithmetic, so numpy's scalar promotion (NEP 50 or not) never
 decides a result.  int64 remains in the public outputs (``echelon_rows_mod``,
 ``diagonalize_mod``, ``nullspace_mod``) and in a ``DiagonalizedSystem``,
-whose D, U and V are widened once, at construction, for its solves.  The
+whose D, U and V (and the A and pivot rows its solves read) are widened
+once, at construction.  The
 private ``_echelon_rows`` and ``_nullspace`` keep the system narrow from one
 step to the next; ``_nullspace`` widens only the kernel columns of V.
 
@@ -478,41 +489,69 @@ def _diagonalize(A, m: int):
     return D, T
 
 
+class _PivotSolver:
+    """What solving A x = b over Z/m reads of U A V = D: A, the first
+    k = min(rows, cols) rows of U (a copy: no view keeps the rest alive),
+    V, and the diagonal data g_i = gcd(d_i, m), m / g_i and the inverses of
+    d_i / g_i mod m / g_i.  A solve costs two rows x k products and one
+    k x k, where the whole of U cost rows x rows."""
+
+    __slots__ = ("A", "Uk", "V", "g", "inv", "mg", "m")
+
+    def __init__(self, A, D, T, m: int):
+        k = min(D.shape)
+        self.m = m
+        self.A = _reduced(A, m).astype(np.int64)
+        self.Uk = T.U[:k].copy()
+        self.V = T.V
+        d = np.diagonal(D)
+        self.g = g = np.gcd(d, m)              # m where d_i = 0
+        self.mg = m // g                       # an inverse mod 1 is 0
+        self.inv = np.array([pow(x, -1, n) for x, n in zip(
+            (d // g).tolist(), self.mg.tolist())], dtype=np.int64)
+
+    def solve(self, b):
+        """x = V z with z_i = ((U b)_i / g_i) inv_i mod m / g_i (0 where
+        g_i = m), read off the k pivot rows, when A x = b mod m; else None.
+        Each sum of products is at most max(rows, cols) (m-1)^2, within
+        ``_check_modulus``'s bound."""
+        m = self.m
+        b = np.asarray(b, dtype=np.int64) % m
+        z = np.zeros(self.V.shape[0], dtype=np.int64)
+        z[:self.g.size] = self.Uk @ b % m // self.g * self.inv % self.mg
+        x = self.V @ z % m
+        return x if np.array_equal(self.A @ x % m, b) else None
+
+
 class DiagonalizedSystem:
     """A diagonalization of one matrix mod m, reusable for many solves.
 
     Useful when a single coefficient matrix (for example a basis of a
-    solution module) is queried with many right-hand sides.  The gcds
-    g_i = gcd(d_i, m) and the inverses of d_i / g_i mod m / g_i are computed
-    once, here, so ``solve`` has no per-row loop.
+    solution module) is queried with many right-hand sides.  D, T.U and
+    T.V are those of ``diagonalize_mod``; the solves go through a
+    ``_PivotSolver``, built once, here, with no per-row loop.
     """
 
     def __init__(self, A, m: int):
         self.m = m
         self.D, self.T = diagonalize_mod(A, m)     # int64: solves multiply
         self.rows, self.cols = self.D.shape
-        d = np.diagonal(self.D)
-        self._g = g = np.gcd(d, m)             # m where d_i = 0
-        self._mg = m // g                      # an inverse mod 1 is 0
-        self._inv = np.array([pow(x, -1, n) for x, n in zip(
-            (d // g).tolist(), self._mg.tolist())], dtype=np.int64)
+        self._solver = _PivotSolver(A, self.D, self.T, m)
 
     def solve(self, b):
-        """One solution x = V z of A x = b over Z/m, or None when rhs = U b
-        is nonzero past the diagonal or some g_i does not divide rhs_i; z_i
-        = (rhs_i / g_i) inv_i mod m / g_i, 0 where g_i = m.  Each product is
-        at most (m-1)^2, within ``_check_modulus``'s bound."""
-        m, g = self.m, self._g
-        rhs = self.T.U @ (np.asarray(b, dtype=np.int64) % m) % m
-        if rhs[g.size:].any() or (rhs[:g.size] % g).any():
-            return None
-        z = np.zeros(self.cols, dtype=np.int64)
-        z[:g.size] = rhs[:g.size] // g * self._inv % self._mg
-        return self.T.V @ z % m
+        """One solution x of A x = b over Z/m, or None.
+
+        z is read off the k = min(rows, cols) pivot rows of U, x = V z, and
+        x is returned only when A x = b mod m: membership is checked by
+        substitution.  That is the answer all of U gives.  When b lies in
+        A's column space, U b is zero past the diagonal and g_i divides
+        (U b)_i, so D z = U b and the same x comes out and satisfies
+        A x = b.  When it does not, no x satisfies A x = b."""
+        return self._solver.solve(b)
 
     def nullspace(self) -> np.ndarray:
         """Columns generating {x : A x = 0 mod m} as a Z/m-module."""
-        return _kernel_columns(self.T.V, self._mg, self.m)
+        return _kernel_columns(self.T.V, self._solver.mg, self.m)
 
 
 def _kernel_columns(V, mg, m: int) -> np.ndarray:

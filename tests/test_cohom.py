@@ -284,6 +284,144 @@ def test_h2_peak_memory_is_that_of_a_narrow_system():
     assert peak < 8 * 2**20
 
 
+def test_class_index_refuses_a_nonzero_identity_row_or_column():
+    # the table is no cocycle: the checked constructor names the triple
+    # (e, e, (1 2 3 4)); class_index reads the identity's row and column too
+    G = named_group("D4")
+    res = h2_classes(G, 8)
+    for at in [(0, 3), (3, 0)]:
+        v = res[1].values.copy()
+        v[at] = 5
+        with pytest.raises(NotACocycle, match="cocycle identity fails"):
+            Cocycle2(G, 8, v)
+        with pytest.raises(NotACocycle, match="not normalized"):
+            res.class_index(Cocycle2(G, 8, v, check=False))
+
+
+def _frozen_full_u_solve(system, b):
+    """Reference: the solve that read all rows of U: None when U b is
+    nonzero past the diagonal or g_i does not divide (U b)_i."""
+    m = system.m
+    d = np.diagonal(system.D)
+    g = np.gcd(d, m)
+    mg = m // g
+    inv = np.array([pow(int(x), -1, int(n)) for x, n in zip(d // g, mg)],
+                   dtype=np.int64)
+    rhs = system.T.U @ (np.asarray(b, dtype=np.int64) % m) % m
+    if rhs[g.size:].any() or (rhs[:g.size] % g).any():
+        return None
+    z = np.zeros(system.cols, dtype=np.int64)
+    z[:g.size] = rhs[:g.size] // g * inv % mg
+    return system.T.V @ z % m
+
+
+def _frozen_full_u_label(G, m):
+    """Reference: the class labeller that kept the cocycle solver's whole
+    (n-1)^2-square U and the whole class-group transform U', built as
+    h2_classes built them; returns label(eta), raising NotACocycle."""
+    from brpic.cohom import (_carry_cocycle, _cocycle_basis, _coboundary_rows,
+                             _hom_generators)
+    from brpic.zmodlin import DiagonalizedSystem
+
+    zsolver = DiagonalizedSystem(_cocycle_basis(G, m), m)
+    span = list((_coboundary_rows(G) % m).T)
+    span += [_carry_cocycle(G, h, m)[1:, 1:].ravel()
+             for h in _hom_generators(G)]
+    coords = [_frozen_full_u_solve(zsolver, v) for v in span]
+    k = zsolver.cols
+    Q = np.concatenate([np.stack(coords, axis=1), zsolver.nullspace()],
+                       axis=1)
+    D, T = diagonalize_mod(Q, m)
+    gvec = np.gcd(np.pad(np.diagonal(D), (0, k - min(D.shape))), m)
+
+    def label(eta):
+        y = _frozen_full_u_solve(zsolver, eta.values[1:, 1:].ravel())
+        if y is None:
+            raise NotACocycle("value table solves no cocycle system")
+        w = (T.U @ y) % m
+        return tuple(int(w[i]) % g for i, g in enumerate(gvec) if g > 1)
+
+    return label
+
+
+# every H2_PINS pair (the cohomology benchmark's pairs), plus two groups
+# with larger class groups
+LABEL_PAIRS = [(name, m) for name, m, _, _ in H2_PINS] + [("Z/2^3", 2),
+                                                         ("Z/3^2", 3)]
+
+
+@pytest.mark.parametrize("name,m", LABEL_PAIRS,
+                         ids=[f"{n}@{m}" for n, m in LABEL_PAIRS])
+def test_labels_match_the_full_u_labeller(name, m):
+    # seeded cocycles (representative j plus a random coboundary) and
+    # one-entry perturbations of them off the identity's row and column:
+    # the same label, or NotACocycle from both
+    G = named_group(name)
+    res = h2_classes(G, m)
+    frozen = _frozen_full_u_label(G, m)
+    rng = np.random.default_rng(sum(map(ord, name)) + m)
+
+    def outcome(labeller, eta):
+        try:
+            return labeller(eta)
+        except NotACocycle:
+            return NotACocycle
+
+    refused = 0
+    for _ in range(12):
+        j = int(rng.integers(len(res)))
+        phi = rng.integers(0, m, size=G.n)
+        phi[0] = 0
+        eta = res[j] + coboundary(G, phi, m)
+        assert outcome(res._label, eta) == frozen(eta)
+        assert res.class_index(eta) == j
+        v = eta.values.copy()
+        a, b = (int(x) for x in rng.integers(1, G.n, size=2))
+        v[a, b] = (v[a, b] + rng.integers(1, m)) % m
+        bad = Cocycle2(G, m, v, check=False)
+        got = outcome(res._label, bad)
+        assert got == outcome(frozen, bad)
+        refused += got is NotACocycle
+    assert refused == 12
+
+
+def _arrays(x, seen):
+    """Record in ``seen`` every array reachable from x (through containers,
+    attributes and slots) by the array owning its buffer."""
+    if isinstance(x, np.ndarray):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        seen[id(x)] = x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            _arrays(y, seen)
+    elif isinstance(x, dict):
+        for y in x.values():
+            _arrays(y, seen)
+    elif hasattr(x, "__dict__") or hasattr(x, "__slots__"):
+        for name in getattr(type(x), "__slots__", ()):
+            _arrays(getattr(x, name), seen)
+        for y in getattr(x, "__dict__", {}).values():
+            _arrays(y, seen)
+
+
+def labeller_bytes(res) -> int:
+    """Bytes of the arrays an H2Classes holds for labelling: those reachable
+    from its private fields.  The CI run of H^2(A5) at modulus 60 reads it."""
+    seen = {}
+    for name, value in vars(res).items():
+        if name.startswith("_"):
+            _arrays(value, seen)
+    return sum(a.nbytes for a in seen.values())
+
+
+def test_labeller_holds_no_square_transform():
+    # S4 at m = 2: the labeller keeps the 24 pivot rows of the cocycle
+    # solver's 529 x 529 U, not all of it (2.24 MB in int64)
+    res = h2_classes(named_group("S4"), 2)
+    assert 0 < labeller_bytes(res) < 0.5 * 2**20
+
+
 def test_coboundary_witness_found_and_verified():
     G = named_group("D4")
     eta = h2_classes(G, 8)[1]
