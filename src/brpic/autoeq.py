@@ -67,11 +67,9 @@ from .groups import (
     centralizer,
     class_of,
     conjugacy_classes,
-    direct_product,
     first_conjugator,
     identity_morphism,
     named_group,
-    opposite_group,
     _closure,
     _extend_frames,
     _index_rows,
@@ -244,18 +242,32 @@ class PartialBrEq:
         )
 
 
+@dataclass(frozen=True)
+class PairSubgroup:
+    """A subgroup of G x G^op, read-only: ``elements`` lists its pairs
+    (a, b) as the sorted flat ids a |G| + b."""
+
+    elements: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
 @dataclass(eq=False)
 class BimoduleData:
     """The subgroup-and-cocycle invariant of an invertible bimodule category.
 
-    ``U`` is a subgroup of G x G^op, ``U1``/``U2`` its intersections with the
+    ``U`` = {(a, b) : a v(b) in S} as pairs of G x G^op; it is closed under
+    (a, b)(a', b') = (a a', b' b) because S is normal (see
+    ``bimodule_data``).  ``U1``/``U2`` are its intersections with the
     factors (returned as subgroups of G), ``eta_class`` a description of the
     2-cocycle datum, and ``conditions`` the three verified conditions
     (surjectivity onto both factors, abelian intersections, nondegenerate
     pairing; None = not computable from the stored description).
     """
 
-    U: Subgroup
+    U: PairSubgroup
     eta_class: str
     U1: Subgroup
     U2: Subgroup
@@ -732,29 +744,26 @@ def preserves_modular_data(F, md: Optional[ModularData] = None
 # bimodule invariants
 # ---------------------------------------------------------------------------
 
-def _product_group(G: FiniteGroup) -> FiniteGroup:
-    key = ("bimodule_product",)
-    if key not in G._memo:
-        G._memo[key] = direct_product(
-            G, opposite_group(G), name=f"{G.name}x{G.name}^op"
-        )
-    return G._memo[key]
-
-
 def bimodule_data(element: Union[BraidedAutoeq, PartialBrEq]) -> BimoduleData:
-    """The invariant (U <= G x G^op, eta description) of the bimodule
-    category attached to a constructed element; requires construction
-    provenance (UnsupportedProvenance for searched/composite elements).
+    """The invariant (U, eta description) of the bimodule category
+    attached to a constructed element; requires construction provenance
+    (UnsupportedProvenance for searched/composite elements).
 
     Every kind has one subgroup formula, U = {(a, b) : a v(b) in S}, with
     S = 1 for V and BV, S the dualized subgroup for EV and R', and v = id
     where the construction has none.  U is read off one boolean table
-    ``inside[a, b]``.  Once v(S) = S is checked, (a, 1) is in U exactly
-    when a is in S and (1, b) exactly when b is in v^-1(S) = S, so U1 = U2
-    = S; and (a, v^-1(a^-1)) and (v(b)^-1, b) lie in U, so condition 1
-    (every row and column meets U) always holds.  An EV element whose v
-    moves S raises UnsupportedProvenance: its invariant is not defined
-    here."""
+    ``inside[a, b]``, as the flat ids a |G| + b of its true entries.
+
+    U is closed in G x G^op exactly when S is normal: with a v(b) = s and
+    a' v(b') = s', the product (a a', b' b) has a a' v(b' b) =
+    s v(b)^-1 s' v(b), which lies in S for all s, s' and b exactly when
+    v(b)^-1 S v(b) is inside S for every b, that is (v being a bijection)
+    when S is normal.  A non-normal S raises NotAbelianNormal.  Once v(S) = S is checked, (a, 1) is in U
+    exactly when a is in S and (1, b) exactly when b is in v^-1(S) = S, so
+    U1 = U2 = S; and (a, v^-1(a^-1)) and (v(b)^-1, b) lie in U, so
+    condition 1 (every row and column meets U) always holds.  An EV element
+    whose v moves S raises UnsupportedProvenance: its invariant is not
+    defined here."""
     prov = element.provenance
     G = element.group
     if prov.kind not in ("v", "bv", "ev", "rprime"):
@@ -781,8 +790,13 @@ def bimodule_data(element: Union[BraidedAutoeq, PartialBrEq]) -> BimoduleData:
             "EV with a v that moves the dualized subgroup: the bimodule"
             " invariant is defined only for v(S) = S"
         )
+    if not S.is_normal():
+        raise NotAbelianNormal(
+            f"{S!r} with elements {S.elements} is not normal, so U is not"
+            " closed in G x G^op"
+        )
     inside = in_s[G.table[:, images]]                   # a v(b) in S
-    U = _product_group(G).subgroup(np.flatnonzero(inside).tolist())
+    U = PairSubgroup(tuple(np.flatnonzero(inside).tolist()))
     if not S.is_abelian():
         raise ConditionFailed("condition 2: U1 or U2 is not abelian")
     if pairing_ok is False:

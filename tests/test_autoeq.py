@@ -69,8 +69,10 @@ from brpic.groups import (
     class_of,
     conjugacy_classes,
     cyclic_group,
+    direct_product,
     identity_morphism,
     named_group,
+    opposite_group,
     semidirect_product,
 )
 
@@ -1323,10 +1325,24 @@ class TestBimoduleData:
         with pytest.raises(UnsupportedProvenance, match="v\\(S\\) = S"):
             bimodule_data(part)
 
+    def test_non_normal_subgroup_raises_not_abelian_normal(self):
+        # the order-2 subgroup {e, (1 2)} of S3: U = {(a, b) : a b in S} is
+        # not closed in S3 x S3^op
+        S3 = named_group("S3")
+        S = S3.subgroup([0, 1])
+        assert not S.is_normal()
+        fake = PartialBrEq(S3, {}, {}, Provenance("rprime", (S, None, None)))
+        with pytest.raises(NotAbelianNormal,
+                           match=re.escape("elements (0, 1) is not normal")):
+            bimodule_data(fake)
+
     @pytest.mark.parametrize("name", ["S3", "D4", "Z/2^3", "A4"])
     def test_u_is_the_membership_formula(self, name):
-        # U = {(a, b) : a v(b) in S}, from sets and G.mul
+        # U = {(a, b) : a v(b) in S}, from sets and G.mul; and U is closed
+        # under the multiplication table of G x G^op, whose flat ids
+        # (a, b) -> a |G| + b are the ones U lists
         G = named_group(name)
+        P = direct_product(G, opposite_group(G))
         auts = automorphism_search(G)
         cases = [(bimodule_data(from_hopf_auto(a)), (G.identity,), a)
                  for a in auts[:3]]
@@ -1350,10 +1366,28 @@ class TestBimoduleData:
             inside = {(x, y) for x in range(G.n) for y in range(G.n)
                       if G.mul(x, v(y)) in S}
             assert {divmod(e, G.n) for e in bd.U.elements} == inside
+            assert bd.U.order == len(inside)
             assert set(bd.U1.elements) == {x for x, y in inside
                                            if y == G.identity}
             assert set(bd.U2.elements) == {y for x, y in inside
                                            if x == G.identity}
+            u = np.array(bd.U.elements)
+            assert P.identity in set(bd.U.elements)
+            assert np.isin(P.table[np.ix_(u, u)], u).all()
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_u_peak_memory_is_that_of_the_membership_mask(self, name):
+        # the |G|^4-entry product table took the traced peak to 111.6 MiB
+        # at A5 and 1781 MiB at S5; the |G|^2 mask is 3.6 kB and 14.4 kB
+        F = identity_autoeq(named_group(name))
+        tracemalloc.start()
+        try:
+            bd = bimodule_data(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bd.U.order == F.group.n
+        assert peak < 2**20
 
     def test_degenerate_eta_fails_condition_three(self):
         Q8 = named_group("Q8")

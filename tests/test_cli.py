@@ -17,6 +17,7 @@ import pytest
 import brpic.cli as cli
 from brpic import fpn
 from brpic.cli import dispatch
+from brpic.groups import named_group
 
 
 def run(capsys, *argv):
@@ -382,6 +383,17 @@ class TestAutoeqCommands:
         result = payload["result"]
         assert result["U_order"] == 6
         assert result["eta_class"] == "trivial"
+
+    def test_bimodule_v_s5(self, capsys):
+        # S5 x S5^op as a group table would be 120^4 int64 entries, 1.54 GiB
+        code, payload, _ = run_json(
+            capsys, "autoeq", "bimodule", "v", "S5"
+        )
+        assert code == 0
+        result = payload["result"]
+        assert result["U_order"] == 120
+        S5 = named_group("S5")
+        assert result["U_pairs"] == [[a, S5.inv_of(a)] for a in range(120)]
 
     def test_bimodule_missing_args(self, capsys):
         code, _, err = run(capsys, "autoeq", "bimodule", "bv", "S3")
