@@ -6,10 +6,13 @@ modular data.  Construction data (automorphism, cocycle, subgroup/pairing)
 is retained as provenance so that bimodule-category invariants can be
 derived from the construction rather than from the permutation.
 
-Ids prune, the exact check certifies: the fingerprints, the candidate
-refinement and the completion search compare the integer entry ids
-``ModularData.S_ids`` / ``T_ids``, and every map they return is built as a
-BraidedAutoeq, whose construction compares the exact Cyclotomic entries.
+The ids certify: ``ModularData.S_ids`` / ``T_ids`` are equal exactly where
+the Cyclotomic entries are equal, so the fingerprints, the candidate
+refinement and the completion search prune on them, and every
+BraidedAutoeq construction certifies S/T preservation on them in one
+vectorized compare (``_certify_preservation``).  ``preserves_modular_data``
+still compares the Cyclotomic entries one by one (``_check_preservation``),
+an independent second computation of the same answer and witness.
 
 Composition convention: ``compose(F, H)`` applies H first, then F, and a
 generator word (i1, ..., ik) denotes g_{i1} after ... after g_{ik}.
@@ -133,6 +136,9 @@ class PreservationReport:
 
 
 def _check_preservation(md: ModularData, mapping) -> PreservationReport:
+    """S/T preservation on the exact Cyclotomic entries, one by one: the
+    first twist T[mapping[i]] != T[i], else the first S[mapping[i],
+    mapping[j]] != S[i, j] with j >= i, in row-major order."""
     S, T = md.S, md.T
     ns = md.size
     for i in range(ns):
@@ -150,12 +156,36 @@ def _check_preservation(md: ModularData, mapping) -> PreservationReport:
     return PreservationReport(True)
 
 
+def _certify_preservation(md: ModularData, mapping) -> PreservationReport:
+    """``_check_preservation`` on the entry ids, with the same answer and
+    witness: ids are equal exactly where entries are, and the mismatches of
+    the one gather S_ids[mapping][:, mapping] are read on the upper triangle
+    (j >= i) in row-major order."""
+    f = np.array(mapping)
+    S, T = md.S_ids, md.T_ids
+    moved = np.flatnonzero(T[f] != T)
+    if moved.size:
+        i = int(moved[0])
+        return PreservationReport(
+            False, f"T mismatch: object {i} -> {mapping[i]}"
+        )
+    bad = np.argwhere(np.triu(S[np.ix_(f, f)] != S))
+    if len(bad):
+        i, j = bad[0].tolist()
+        return PreservationReport(
+            False, f"S mismatch at ({i}, {j}) -> ({mapping[i]}, {mapping[j]})"
+        )
+    return PreservationReport(True)
+
+
 class BraidedAutoeq:
     """A total braided autoequivalence: a verified permutation of simples.
 
-    Construction checks (and refuses with NotBraided otherwise) that the
-    mapping is a bijection fixing the unit object, preserving quantum
-    dimensions, and commuting with the exact S and T matrices.
+    Construction checks (and refuses with NotBraided otherwise), in this
+    order, that the mapping is a bijection, fixes the unit object, preserves
+    quantum dimensions, and commutes with T and then S.  T and S are
+    compared on the exact entry ids by ``_certify_preservation``, whose
+    witness is the NotBraided message.
     """
 
     __slots__ = ("group", "mapping", "provenance")
@@ -175,7 +205,7 @@ class BraidedAutoeq:
         moved = np.flatnonzero(qdims[list(mapping)] != qdims)
         if moved.size:
             raise NotBraided(f"quantum dimension changes at object {moved[0]}")
-        rep = _check_preservation(md, mapping)
+        rep = _certify_preservation(md, mapping)
         if not rep:
             raise NotBraided(rep.witness)
         object.__setattr__(self, "group", group)
@@ -604,10 +634,10 @@ def complete_extensions(partial: PartialBrEq,
     entry ids ``md.S_ids``.  Raises ValueError naming the first source or
     target that is no simple object, NoExtension when no completion exists
     and BudgetExceeded past ``cap`` nodes.  Each completion is built as a
-    BraidedAutoeq, whose exact S/T check certifies it."""
+    BraidedAutoeq, whose S/T check on the ids certifies it."""
     G = partial.group
     md = modular_data(G)
-    ids = md.S_ids.astype(np.min_scalar_type(md.S_ids.max()))
+    ids = md.S_ids
     ns = md.size
     fps = _fingerprints(md)
 
@@ -722,7 +752,10 @@ def preserves_modular_data(F, md: Optional[ModularData] = None
 
     ``F`` may be a BraidedAutoeq (always passes, by construction) or a raw
     mapping sequence to test; a raw mapping needs ``md`` supplied.  Modular
-    data of a group other than a BraidedAutoeq's raises DomainMismatch."""
+    data of a group other than a BraidedAutoeq's raises DomainMismatch.
+    The check compares the Cyclotomic entries one by one
+    (``_check_preservation``), independently of the ids on which
+    construction certifies; both give the same answer and witness."""
     if isinstance(F, BraidedAutoeq):
         mapping = F.mapping
         if md is None:

@@ -33,7 +33,9 @@ decoded once into a canonical Cyclotomic.
 
 ``ModularData.S`` is an N x N object array of canonical Cyclotomic entries,
 and equal entries share one object; ``S_ids`` and ``T_ids`` number the
-distinct entries, so searches can compare ints where they only prune.
+distinct entries, so ids are equal exactly where entries are equal and
+comparing them is an exact check: searches prune on them and every
+braided autoequivalence is certified on them.
 Certification neither trusts the build nor uses the entries one by one: it
 lifts the released S and T once into the single field Q(zeta_L), L the lcm
 of their conductors, as ``CycloArray`` values, and checks symmetry, the unit
@@ -89,10 +91,11 @@ class ModularData:
     convention documented in the module docstring; ``T`` is the length-N
     diagonal of twists theta = chi(g)/chi(1).
 
-    ``S_ids`` (N x N) and ``T_ids`` (N) are read-only int arrays derived
-    from the entries on first use: two ids are equal exactly when the
-    Cyclotomic entries are equal.  They serve pruning comparisons; the
-    exact entries remain the certificate.
+    ``S_ids`` (N x N) and ``T_ids`` (N) are read-only arrays of the
+    smallest signed int dtype, derived from the entries on first use: two
+    ids are equal exactly when the Cyclotomic entries are equal.  So they
+    are a certificate, not only a filter: the completion search prunes on
+    them and ``BraidedAutoeq`` certifies S/T preservation on them.
     """
 
     group: FiniteGroup
@@ -113,10 +116,12 @@ class ModularData:
 
 
 def _entry_ids(entries: np.ndarray) -> np.ndarray:
-    """Read-only int array with equal ids exactly at equal entries."""
+    """Read-only array, of the smallest signed int dtype holding the ids,
+    with equal ids exactly at equal entries."""
     seen: dict = {}
-    ids = np.array([seen.setdefault(x, len(seen)) for x in entries.flat],
-                   dtype=np.int64).reshape(entries.shape)
+    flat = [seen.setdefault(x, len(seen)) for x in entries.flat]
+    ids = np.array(flat, dtype=np.min_scalar_type(-len(seen))
+                   ).reshape(entries.shape)
     ids.setflags(write=False)
     return ids
 

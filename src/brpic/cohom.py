@@ -39,8 +39,10 @@ from .zmodlin import (
     DiagonalizedSystem,
     _PivotSolver,
     _check_modulus,
+    _diagonalize,
     _echelon_rows,
     _factorize,
+    _kernel_columns,
     _mod_dtype,
     _nullspace,
     _select_spanning_rows,
@@ -354,8 +356,9 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
         G._memo[key] = res
         return res
 
+    # the solver widens only the k pivot rows of Z's narrow transform U
     zbasis = _cocycle_basis(G, m)
-    zsolver = DiagonalizedSystem(zbasis, m)
+    zsolver = _PivotSolver(zbasis, *_diagonalize(zbasis, m), m)
 
     # coboundary + connecting-image generators, in cocycle coordinates: the
     # coboundary of the indicator of x is column x of the coboundary rows
@@ -371,7 +374,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
         if y is None:
             raise BrpicError("coboundary escaped the cocycle module")
         coords.append(y)
-    redundancy = zsolver.nullspace()
+    redundancy = _kernel_columns(zsolver.V, zsolver.mg, m)
     k = zbasis.shape[1]
     Q = np.concatenate(
         [np.stack(coords, axis=1)] + ([redundancy] if redundancy.size else []),
@@ -402,7 +405,7 @@ def h2_classes(G: FiniteGroup, m: int | None = None) -> H2Classes:
     divisors = elementary_divisor_chain(gvec[positions].tolist())
     res = H2Classes(
         G, m, reps, divisors,
-        _solver=zsolver._solver, _urows=T.U[positions],
+        _solver=zsolver, _urows=T.U[positions],
         _moduli=gvec[positions], _label_index=label_index,
     )
     G._memo[key] = res

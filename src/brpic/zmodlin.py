@@ -23,7 +23,9 @@ the primitives here.
   checked by substitution, in rows x k products, where the remaining
   rows of U took rows x rows.  ``_PivotSolver`` is that solve with the
   arrays it reads and nothing more, for a caller that keeps it long after
-  the diagonalization (the cocycle labeller of ``cohom``).
+  the diagonalization (the cocycle labeller of ``cohom``).  Built from
+  the narrow ``_diagonalize``, it widens only the k rows of U it keeps,
+  V and the diagonal, never the whole of U.
 * ``smith_normal_form`` is a literal integer Smith normal form with
   unimodular transforms, used as an independent oracle for the mod-m route
   on small instances.
@@ -491,10 +493,12 @@ def _diagonalize(A, m: int):
 
 class _PivotSolver:
     """What solving A x = b over Z/m reads of U A V = D: A, the first
-    k = min(rows, cols) rows of U (a copy: no view keeps the rest alive),
-    V, and the diagonal data g_i = gcd(d_i, m), m / g_i and the inverses of
-    d_i / g_i mod m / g_i.  A solve costs two rows x k products and one
-    k x k, where the whole of U cost rows x rows."""
+    k = min(rows, cols) rows of U (an int64 copy: no view keeps the rest
+    alive), V, and the diagonal data g_i = gcd(d_i, m), m / g_i and the
+    inverses of d_i / g_i mod m / g_i.  D, U and V may be int64 or
+    ``_diagonalize``'s narrow arrays; only what is kept is widened.  A solve
+    costs two rows x k products and one k x k, where the whole of U cost
+    rows x rows."""
 
     __slots__ = ("A", "Uk", "V", "g", "inv", "mg", "m")
 
@@ -502,9 +506,9 @@ class _PivotSolver:
         k = min(D.shape)
         self.m = m
         self.A = _reduced(A, m).astype(np.int64)
-        self.Uk = T.U[:k].copy()
-        self.V = T.V
-        d = np.diagonal(D)
+        self.Uk = T.U[:k].astype(np.int64)
+        self.V = T.V.astype(np.int64, copy=False)
+        d = np.diagonal(D).astype(np.int64)
         self.g = g = np.gcd(d, m)              # m where d_i = 0
         self.mg = m // g                       # an inverse mod 1 is 0
         self.inv = np.array([pow(x, -1, n) for x, n in zip(

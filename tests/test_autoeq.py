@@ -29,11 +29,13 @@ from brpic.autoeq import (
     partial_dualization_rprime,
     preserves_modular_data,
     self_dual_pairing,
+    _certify_preservation,
+    _check_preservation,
     _fingerprints,
     _refine_candidates,
     _unit_index,
 )
-from brpic.center import modular_data, simple_objects
+from brpic.center import ModularData, modular_data, simple_objects
 from brpic.chars import centralizer_table, character_table, find_character
 from brpic.cohom import (
     Cocycle2,
@@ -1126,13 +1128,13 @@ class TestGenerateGroup:
 
         gens = z2sq_generators()
         calls = []
-        check = autoeq._check_preservation
+        check = autoeq._certify_preservation
 
         def counted(md, mapping):
             calls.append(mapping)
             return check(md, mapping)
 
-        monkeypatch.setattr(autoeq, "_check_preservation", counted)
+        monkeypatch.setattr(autoeq, "_certify_preservation", counted)
         gg = generate_group(gens)
         assert gg.order == 72
         assert len(calls) == gg.order
@@ -1241,6 +1243,101 @@ class TestPreservation:
         bad[0], bad[1] = 1, 0
         with pytest.raises(NotBraided):
             BraidedAutoeq(S3, bad)
+
+
+# ---------------------------------------------------------------------------
+# the certificate on ids against the entry-wise check
+# ---------------------------------------------------------------------------
+
+def class_shuffles(md, seed, count):
+    """``count`` mappings that permute each ``_fingerprints`` class at
+    random: they fix the unit and the quantum dimensions, and most of them
+    break S."""
+    rng = np.random.default_rng(seed)
+    fps = _fingerprints(md)
+    out = []
+    for _ in range(count):
+        mapping = np.arange(md.size)
+        for c in np.unique(fps):
+            cls = np.flatnonzero(fps == c)
+            mapping[cls] = rng.permutation(cls)
+        out.append(tuple(mapping.tolist()))
+    return out
+
+
+def qdim_swaps(G):
+    """The identity with two simples of equal quantum dimension swapped,
+    the unit left alone: mostly T or S mismatches."""
+    qdims = [s.qdim for s in simple_objects(G)]
+    out = []
+    for i, j in itertools.combinations(range(1, len(qdims)), 2):
+        if qdims[i] == qdims[j]:
+            mapping = list(range(len(qdims)))
+            mapping[i], mapping[j] = j, i
+            out.append(tuple(mapping))
+    return out
+
+
+def assert_same_verdict(md, mapping):
+    """The ids certificate and the entry-wise check agree on the answer
+    and the witness; returns the report."""
+    got = _certify_preservation(md, mapping)
+    want = _check_preservation(md, mapping)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    return want
+
+
+class TestCertificateMatchesEntryCheck:
+    @pytest.mark.parametrize("name", SYMMETRY_GROUPS)
+    def test_accepted_maps(self, name):
+        G = named_group(name)
+        md = modular_data(G)
+        maps = [from_hopf_auto(v) for v in automorphism_search(G)]
+        if name in UNIT_SEEDED:
+            u = _unit_index(G)
+            maps += complete_extensions(
+                PartialBrEq(G, {u: u}, {}, Provenance("searched")))
+        else:
+            # Z/2^3 is past the unit-seeded budget: its R' completions
+            maps += [F for p in rprime_partials(G)
+                     for F in complete_extensions(p)]
+        assert len(maps) > 1
+        for F in maps:
+            assert assert_same_verdict(md, F.mapping).ok
+
+    @pytest.mark.parametrize("name", SYMMETRY_GROUPS)
+    def test_rejected_maps_report_the_entry_witness(self, name):
+        G = named_group(name)
+        md = modular_data(G)
+        rejected = 0
+        for mapping in class_shuffles(md, 11, 20) + qdim_swaps(G):
+            rep = assert_same_verdict(md, mapping)
+            if rep.ok:
+                assert BraidedAutoeq(G, mapping).mapping == mapping
+                continue
+            rejected += 1
+            # every one of these fixes the unit and the quantum dimensions,
+            # so construction reaches the S/T certificate
+            with pytest.raises(NotBraided) as caught:
+                BraidedAutoeq(G, mapping)
+            assert str(caught.value) == preserves_modular_data(
+                mapping, md).witness == rep.witness
+        assert rejected
+
+    @pytest.mark.parametrize("entry, witness", [
+        ((6, 2), None), ((2, 6), "S mismatch at (2, 6) -> (5, 6)")])
+    def test_only_the_upper_triangle_is_compared(self, entry, witness):
+        # a hand-built S that is not symmetric, and the braided symmetry of
+        # S3 that swaps simples 2 and 5: the broken entry counts only above
+        # the diagonal, on both paths
+        md = modular_data(named_group("S3"))
+        bad = np.array(md.S, dtype=object, copy=True)
+        bad[entry] = bad[entry] + one()
+        broken = ModularData(md.group, bad, md.T)
+        mapping = (0, 1, 5, 3, 4, 2, 6, 7)
+        f = np.array(mapping)
+        assert (broken.S_ids[np.ix_(f, f)] != broken.S_ids).any()
+        assert assert_same_verdict(broken, mapping).witness == witness
 
 
 # ---------------------------------------------------------------------------

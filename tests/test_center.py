@@ -290,10 +290,6 @@ def test_corrupted_s_matrix_raises_nonintegral():
                     verlinde_fusion(broken, i, j, k)
 
 
-SYMMETRIES_GROUPS = ["S3", "Z/3", "Z/2^2", "A4", "D4", "Q8", "S4", "S3xZ/2",
-                     "Z/2^3"]
-
-
 def assert_ids_match_entries(entries, ids):
     """Equal ids exactly where the entries are equal: every id stands for
     one value, and the values of distinct ids differ (compared with ==)."""
@@ -308,7 +304,9 @@ def assert_ids_match_entries(entries, ids):
         assert not any(x == y for y in values[a + 1:])
 
 
-@pytest.mark.parametrize("name", SYMMETRIES_GROUPS)
+# the ids certify every BraidedAutoeq, so their exactness is checked on
+# every group of the center and symmetries workloads
+@pytest.mark.parametrize("name", WORKLOAD_GROUPS)
 def test_entry_ids_equal_exactly_where_entries_are_equal(name):
     md = modular_data(named_group(name))
     assert_ids_match_entries(md.S, md.S_ids)
