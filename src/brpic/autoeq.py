@@ -76,7 +76,9 @@ from .groups import (
     _closure,
     _extend_frames,
     _index_rows,
+    _int_ids,
     _is_complement,
+    _is_int,
     _iso_backtrack,
 )
 
@@ -182,20 +184,20 @@ class BraidedAutoeq:
     """A total braided autoequivalence: a verified permutation of simples.
 
     Construction checks (and refuses with NotBraided otherwise), in this
-    order, that the mapping is a bijection, fixes the unit object, preserves
-    quantum dimensions, and commutes with T and then S.  T and S are
-    compared on the exact entry ids by ``_certify_preservation``, whose
-    witness is the NotBraided message.
+    order, that the mapping is a bijection of ints (``groups._is_int``),
+    fixes the unit object, preserves quantum dimensions, and commutes with T
+    and then S.  T and S are compared on the exact entry ids by
+    ``_certify_preservation``, whose witness is the NotBraided message.
     """
 
     __slots__ = ("group", "mapping", "provenance")
 
     def __init__(self, group: FiniteGroup, mapping,
                  provenance: Provenance = Provenance("searched")):
-        mapping = tuple(int(x) for x in mapping)
+        mapping = _int_ids(mapping)
         md = modular_data(group)
         ns = md.size
-        if sorted(mapping) != list(range(ns)):
+        if mapping is None or sorted(mapping) != list(range(ns)):
             raise NotBraided(
                 f"mapping is not a bijection of the {ns} simple objects"
             )
@@ -242,7 +244,8 @@ class PartialBrEq:
 
     ``mapping`` holds the determined images; ``candidates`` holds, for each
     still-ambiguous source, the tuple of admissible targets (always at least
-    two).  Raises NoExtension if a source has no admissible target at all.
+    two).  Raises ValueError for a simple that is not an int by
+    ``groups._is_int`` and NoExtension if a source has no admissible target.
     """
 
     group: FiniteGroup
@@ -251,6 +254,11 @@ class PartialBrEq:
     provenance: Provenance
 
     def __post_init__(self):
+        named = chain(*self.mapping.items(),
+                      *((k, *pool) for k, pool in self.candidates.items()))
+        for x in named:
+            if not _is_int(x):
+                raise ValueError(f"simple {x} is not an int")
         self.mapping = {int(k): int(v) for k, v in self.mapping.items()}
         targets = list(self.mapping.values())
         if len(set(targets)) != len(targets):
@@ -314,11 +322,6 @@ class GeneratedGroup(NamedTuple):
 # shared lookups: simple (class c, character k) is start[c] + k, with
 # ``center._simple_layout``'s offsets, and simple 0 is the unit
 # ---------------------------------------------------------------------------
-
-def _unit_index(G: FiniteGroup) -> int:
-    """The unit object (class 0 = {identity}, trivial character): 0."""
-    return 0
-
 
 def _fingerprints(md: ModularData) -> np.ndarray:
     """One int class per object: objects share a class exactly when their
@@ -751,9 +754,10 @@ def preserves_modular_data(F, md: Optional[ModularData] = None
     """Exact S- and T-equivariance check with a first-failure witness.
 
     ``F`` may be a BraidedAutoeq (always passes, by construction) or a raw
-    mapping sequence to test; a raw mapping needs ``md`` supplied.  Modular
-    data of a group other than a BraidedAutoeq's raises DomainMismatch.
-    The check compares the Cyclotomic entries one by one
+    mapping sequence to test; a raw mapping needs ``md`` supplied, and one
+    with an entry that is not an int (``groups._is_int``) is no bijection.
+    Modular data of a group other than a BraidedAutoeq's raises
+    DomainMismatch.  The check compares the Cyclotomic entries one by one
     (``_check_preservation``), independently of the ids on which
     construction certifies; both give the same answer and witness."""
     if isinstance(F, BraidedAutoeq):
@@ -765,10 +769,10 @@ def preserves_modular_data(F, md: Optional[ModularData] = None
                 "autoequivalence and modular data live over different groups"
             )
     else:
-        mapping = tuple(int(x) for x in F)
+        mapping = _int_ids(F)
         if md is None:
             raise ValueError("raw mappings need explicit modular data")
-    if sorted(mapping) != list(range(md.size)):
+    if mapping is None or sorted(mapping) != list(range(md.size)):
         return PreservationReport(False, "mapping is not a bijection")
     return _check_preservation(md, mapping)
 

@@ -335,13 +335,15 @@ def find_character(G: FiniteGroup, values) -> int:
     """Index of the table row with the given per-class values.
 
     The rows of a character table are distinct, so one dict per group,
-    keyed by the rows, finds the index a scan of the table would find."""
+    keyed by the rows, finds the index a scan of the table would find.
+    Values may be ints, Fractions or Cyclotomics: a rational Cyclotomic
+    hashes and compares equal to its Fraction and int."""
     if "char_index" not in G._memo:
         G._memo["char_index"] = {
             ch.values: i for i, ch in enumerate(character_table(G))
         }
     vals = tuple(values)
-    i = G._memo["char_index"].get(tuple(map(Cyclotomic._coerce, vals)))
+    i = G._memo["char_index"].get(vals)
     if i is None:
         raise NoSuchCharacter(f"no character of {G.name} with values {vals}")
     return i

@@ -45,7 +45,6 @@ import argparse
 import json
 import sys
 import time
-from math import lcm
 from pathlib import Path
 from typing import Optional
 
@@ -76,15 +75,13 @@ from .errors import (
 )
 from .fpn import (
     FpMatrix,
-    bruhat_cells,
+    bruhat_census,
     bruhat_factorize,
     group_order_oracle,
+    matrix_closure,
+    matrix_group_order,
     standard_generators,
     subgroup_generators,
-    _chain_stack,
-    _int64_entry,
-    _matrix_chain,
-    _matrix_closure,
 )
 from .groups import (
     CLOSURE_CAP,
@@ -97,7 +94,6 @@ from .groups import (
     identity_morphism,
     named_group,
     semidirect_decompositions,
-    _cycles,
 )
 
 _FPN_CONFIGS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -154,14 +150,8 @@ def _matrix_arg(text: str, p: int) -> FpMatrix:
         rows = json.loads(text)
     except (ValueError, RecursionError) as e:
         raise BadArguments(f"--matrix must be a JSON matrix: {e}")
-    for i, row in enumerate(rows if isinstance(rows, list) else [rows]):
-        for j, x in enumerate(row if isinstance(row, list) else [row]):
-            if not _int64_entry(x):
-                raise BadArguments(f"--matrix: entry [{i}][{j}] is"
-                                   f" {json.dumps(x)}, not an int64 integer")
     try:
-        # every entry is an int64 integer now: FpMatrix checks only the dtype
-        return FpMatrix(p, np.array(rows, dtype=np.int64))
+        return FpMatrix.from_json(p, rows)
     except ValueError as e:
         raise BadArguments(f"--matrix: {e}") from None
 
@@ -247,13 +237,9 @@ def _load_mapping_json(path: str) -> dict:
 
 def _partial_report(partial: PartialBrEq, completions) -> dict:
     return {
-        "determined": {
-            str(k): int(v) for k, v in sorted(partial.mapping.items())
-        },
-        "open": {
-            str(k): [int(x) for x in v]
-            for k, v in sorted(partial.candidates.items())
-        },
+        "determined": {str(k): v for k, v in sorted(partial.mapping.items())},
+        "open": {str(k): list(v)
+                 for k, v in sorted(partial.candidates.items())},
         "completions": [autoeq_to_json(F) for F in completions],
         "count": len(completions),
     }
@@ -293,9 +279,7 @@ def _cmd_h2(ns) -> tuple:
         "group": ns.group,
         "modulus": m,
         "count": len(reps),
-        "representatives": [
-            [[int(x) for x in row] for row in rep.values] for rep in reps
-        ],
+        "representatives": [rep.values.tolist() for rep in reps],
     }
     return payload, ["classes of the coefficient-m image in full cohomology; trivial class first"], 0
 
@@ -382,29 +366,25 @@ def _cmd_autoeq(ns) -> tuple:
             "witness": report.witness,
         }
         return payload, ["exact S/T equivariance with first-failure witness"], 0
-    if sub == "bimodule":
-        G = _resolve_group(ns.group, ns.cap)
-        if ns.kind == "bv" and ns.class_index is None:
-            raise BadArguments("bimodule bv needs --class-index")
-        if ns.kind == "ev" and (ns.subgroup is None or ns.class_index is None):
-            raise BadArguments("bimodule ev needs --subgroup and --class-index")
-        if ns.kind == "rprime" and ns.normal is None:
-            raise BadArguments("bimodule rprime needs --normal")
-        bd = bimodule_data(_build_element(ns.kind, G, ns))
-        pairs = sorted(
-            (int(e) // G.n, int(e) % G.n) for e in bd.U.elements
-        )
-        payload = {
-            "group": ns.group,
-            "U_order": bd.U.order,
-            "U_pairs": [[a, b] for a, b in pairs],
-            "U1": [int(x) for x in bd.U1.elements],
-            "U2": [int(x) for x in bd.U2.elements],
-            "eta_class": bd.eta_class,
-            "conditions": list(bd.conditions),
-        }
-        return payload, ["U lives in G x G-opposite; conditions are (surjectivity, abelian intersections, pairing)"], 0
-    raise BadArguments(f"unknown autoeq subcommand {sub!r}")
+    # bimodule: argparse admits no other subcommand
+    G = _resolve_group(ns.group, ns.cap)
+    if ns.kind == "bv" and ns.class_index is None:
+        raise BadArguments("bimodule bv needs --class-index")
+    if ns.kind == "ev" and (ns.subgroup is None or ns.class_index is None):
+        raise BadArguments("bimodule ev needs --subgroup and --class-index")
+    if ns.kind == "rprime" and ns.normal is None:
+        raise BadArguments("bimodule rprime needs --normal")
+    bd = bimodule_data(_build_element(ns.kind, G, ns))
+    payload = {
+        "group": ns.group,
+        "U_order": bd.U.order,
+        "U_pairs": sorted(list(divmod(e, G.n)) for e in bd.U.elements),
+        "U1": list(bd.U1.elements),
+        "U2": list(bd.U2.elements),
+        "eta_class": bd.eta_class,
+        "conditions": list(bd.conditions),
+    }
+    return payload, ["U lives in G x G-opposite; conditions are (surjectivity, abelian intersections, pairing)"], 0
 
 
 def _cmd_fpn(ns) -> tuple:
@@ -417,7 +397,7 @@ def _cmd_fpn(ns) -> tuple:
     if sub == "generate":
         which = ns.which
         if which == "all":
-            mats = _matrix_closure(standard_generators(p, n), cap)[1]
+            mats = matrix_closure(standard_generators(p, n), cap)[1]
             note = "closure of the V, BV, EV, R families"
         else:
             mats = np.array([M.entries for M in subgroup_generators(
@@ -431,41 +411,35 @@ def _cmd_fpn(ns) -> tuple:
             "matrices": mats,
         }
         return payload, [note], 0
-    if sub == "bruhat":
-        if ns.matrix is not None:
-            M = _matrix_arg(ns.matrix, p)
-            if M.size != 2 * n:
-                raise BadArguments(
-                    f"--matrix is {M.size} x {M.size}, but n = {n} needs"
-                    f" 2n x 2n = {2 * n} x {2 * n}"
-                )
-            cell = bruhat_factorize(M)
-            b, e, r = cell.factors
-            payload = {
-                "p": p,
-                "n": n,
-                "reflection_rank": cell.reflection_rank,
-                "b": b.tolist(),
-                "e": e.tolist(),
-                "r": r.tolist(),
-            }
-            return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
-        if ns.all:
-            _, points, levels = _matrix_chain(standard_generators(p, n), cap)
-            d = bruhat_cells(p, _chain_stack(points, levels)).tolist()
-            payload = {
-                "p": p,
-                "n": n,
-                "total": len(d),
-                "cells": {str(c): d.count(c) for c in set(d)},
-            }
-            return payload, ["every element factored; cells keyed by reflection rank"], 0
-        raise BadArguments("fpn bruhat needs --all or --matrix")
-    raise BadArguments(f"unknown fpn subcommand {sub!r}")
+    # bruhat: argparse admits no other subcommand
+    if ns.matrix is not None:
+        M = _matrix_arg(ns.matrix, p)
+        if M.size != 2 * n:
+            raise BadArguments(
+                f"--matrix is {M.size} x {M.size}, but n = {n} needs"
+                f" 2n x 2n = {2 * n} x {2 * n}"
+            )
+        cell = bruhat_factorize(M)
+        b, e, r = cell.factors
+        payload = {
+            "p": p,
+            "n": n,
+            "reflection_rank": cell.reflection_rank,
+            "b": b.tolist(),
+            "e": e.tolist(),
+            "r": r.tolist(),
+        }
+        return payload, ["b lower triangular, e upper unipotent, b@e@r = input"], 0
+    if ns.all:
+        cells = bruhat_census(standard_generators(p, n), cap)
+        payload = {"p": p, "n": n, "total": sum(cells.values()),
+                   "cells": {str(d): c for d, c in cells.items()}}
+        return payload, ["every element factored; cells keyed by reflection rank"], 0
+    raise BadArguments("fpn bruhat needs --all or --matrix")
 
 
 def _orders_report(p: int, n: int, cap: int = CLOSURE_CAP) -> dict:
-    generated = _matrix_chain(standard_generators(p, n), cap)[0]
+    generated = matrix_group_order(standard_generators(p, n), cap)
     oracle = group_order_oracle(p, n)
     return {"generated": generated, "oracle": oracle,
             "match": generated == oracle}
@@ -487,9 +461,7 @@ def _example_s3_reflection() -> dict:
         "normal_subgroup": [int(x) for x in rotations],
         "determined": {str(k): int(v) for k, v in sorted(partial.mapping.items())},
         "completions": [list(F.mapping) for F in completions],
-        "completion_orders": [
-            lcm(*(len(c) for c in _cycles(F.mapping))) for F in completions
-        ],
+        "completion_orders": [generate_group([F]).order for F in completions],
         "generated_order": generated.order,
     }
 
@@ -552,25 +524,12 @@ def _cmd_examples(ns) -> tuple:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return {"example": name, "status": "REGENERATED"}, notes, 0
-    if not path.exists():
-        return (
-            {"example": name, "status": "FAIL", "reason": "missing fixture"},
-            notes,
-            1,
-        )
-    expected = json.loads(path.read_text())
+    expected = json.loads(path.read_text()) if path.exists() else None
     if expected == payload:
         return {"example": name, "status": "PASS"}, notes, 0
-    return (
-        {
-            "example": name,
-            "status": "FAIL",
-            "expected": expected,
-            "actual": payload,
-        },
-        notes,
-        1,
-    )
+    why = ({"reason": "missing fixture"} if expected is None
+           else {"expected": expected, "actual": payload})
+    return {"example": name, "status": "FAIL", **why}, notes, 1
 
 
 # -- argument parsing and dispatch -----------------------------------------
@@ -727,25 +686,15 @@ def dispatch(argv) -> int:
     start = time.perf_counter()
     try:
         payload, notes, code = _HANDLERS[ns.command](ns)
+        report = {"command": argv, "notes": notes, "result": payload}
     except BadArguments as e:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {e}\n")
         return 2
     except BrpicError as e:
-        _emit(
-            {
-                "command": argv,
-                "error": type(e).__name__,
-                "message": str(e),
-            }
-        )
-        sys.stderr.write(f"time: {time.perf_counter() - start:.3f}s\n")
-        return 1
-    report = {
-        "command": argv,
-        "notes": notes,
-        "result": payload,
-    }
+        report = {"command": argv, "error": type(e).__name__,
+                  "message": str(e)}
+        code = 1
     _emit(report)
     sys.stderr.write(f"time: {time.perf_counter() - start:.3f}s\n")
     return code

@@ -159,9 +159,6 @@ class Cocycle2:
         idx = np.asarray(elems, dtype=np.int64)
         return Cocycle2(Sgrp, self.m, self.values[np.ix_(idx, idx)], check=False)
 
-    def to_json(self):
-        return {"m": self.m, "values": self.values.tolist()}
-
 
 def coboundary(G: FiniteGroup, phi, m: int) -> Cocycle2:
     """d(phi)(a,b) = phi(a) + phi(b) - phi(ab) as a normalized cocycle."""

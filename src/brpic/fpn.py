@@ -17,19 +17,19 @@ with character coordinates.  This module makes that dictionary executable:
 * :func:`subgroup_generators` -- block generators for the four structural
   families: block-diagonal GL_n embeddings ("V"), lower and upper unipotent
   blocks ("BV", "EV"), and the coordinate-pair swaps r_0, ..., r_n ("R").
-* :func:`generate_matrix_group` -- the closure of a generator list, run by
-  the one search of ``groups``: the orbit of the basis vectors, then
+* :func:`matrix_closure` -- the closure of a generator list by the one
+  search of ``groups``: the orbit of the basis vectors, then
   ``groups._closure`` of their index rows on the base of the basis vectors
   (a matrix is its columns' indices in that orbit; no words are decoded),
-  decoded once into a uint8 stack ``E [N, 2n, 2n]`` (p < 257).
-* ``_matrix_chain`` -- the stabilizer chain of ``groups`` on the same basis
-  orbit, with base e_1 ... e_2n: the order of the generated group as the
-  product of the orbit lengths (``fpn P N orders``), and, through
-  ``_chain_stack``, every element once as a product of transversal elements
-  read at the basis (the census of ``fpn P N bruhat --all``), in no
-  breadth-first order.  Both raise CapExceeded where the closure does; the
-  chain as soon as its orbit lengths pass the cap, holding no more than its
-  generators' rows and [orbit, 2n] per level.
+  decoded once into a uint8 stack ``E [N, 2n, 2n]`` (p < 257), each an
+  FpMatrix in :func:`generate_matrix_group`.
+* :func:`matrix_group_order` and :func:`bruhat_census` -- the stabilizer
+  chain of ``groups`` on the same orbit, with base e_1 ... e_2n: the order
+  as the product of the orbit lengths (``fpn P N orders``), and the cells of
+  every element once as a product of transversal elements read at the basis
+  (``fpn P N bruhat --all``).  Both raise CapExceeded where the closure
+  does; the chain as soon as its orbit lengths pass the cap, holding no
+  more than its generators' rows and [orbit, 2n] per level.
 * :func:`group_order_oracle` -- an independent count of all form-preserving
   matrices by constrained column extension, used to cross-check the order of
   the group generated by the four families.
@@ -61,6 +61,7 @@ the same cell as the standard ``r_d``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,6 +85,7 @@ from .groups import (
     _CLOSURE_SLICE,
     _closure,
     _extend_frames,
+    _is_int,
     _orbit,
     _stabilizer_chain,
     named_group,
@@ -98,10 +100,13 @@ __all__ = [
     "matrix_to_autoeq",
     "subgroup_generators",
     "standard_generators",
+    "matrix_closure",
     "generate_matrix_group",
+    "matrix_group_order",
     "group_order_oracle",
     "bruhat_factorize",
     "bruhat_cells",
+    "bruhat_census",
 ]
 
 # Exhaustive-oracle feasibility bounds (matrix size 2n and prime p).
@@ -144,10 +149,8 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _int64_entry(x) -> bool:
-    """The one rule for a matrix entry: an int (not a bool) or a numpy
-    integer, in the int64 range."""
-    return ((type(x) is int or isinstance(x, np.integer))
-            and _INT64.min <= x <= _INT64.max)
+    """A matrix entry: an int by ``groups._is_int``, in the int64 range."""
+    return _is_int(x) and _INT64.min <= x <= _INT64.max
 
 
 class FpMatrix:
@@ -190,6 +193,17 @@ class FpMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("FpMatrix is immutable")
+
+    @classmethod
+    def from_json(cls, p: int, rows) -> "FpMatrix":
+        """The matrix whose rows ``json.loads`` read; ValueError names the
+        first entry that is not an int64 integer, as JSON text."""
+        for i, row in enumerate(rows if isinstance(rows, list) else [rows]):
+            for j, x in enumerate(row if isinstance(row, list) else [row]):
+                if not _int64_entry(x):
+                    raise ValueError(f"entry [{i}][{j}] is {json.dumps(x)},"
+                                     " not an int64 integer")
+        return cls(p, np.array(rows, dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
@@ -441,9 +455,9 @@ def generate_matrix_group(
     Deterministic order: identity first, then products by generation.
     Raises CapExceeded past ``cap`` elements and DomainMismatch on mixed p
     or size; at least one generator is required (to fix p and the size).
-    Each element becomes an FpMatrix once, after ``_matrix_closure``.
+    Each element becomes an FpMatrix once, after :func:`matrix_closure`.
     """
-    p, E = _matrix_closure(generators, cap)
+    p, E = matrix_closure(generators, cap)
     return tuple(FpMatrix(p, M) for M in E)
 
 
@@ -480,7 +494,7 @@ def _basis_action(generators, cap: int):
     return p, points, np.ascontiguousarray(at.T)
 
 
-def _matrix_closure(generators, cap: int = CLOSURE_CAP):
+def matrix_closure(generators, cap: int = CLOSURE_CAP):
     """(p, E): the closure as one stack E [N, 2n, 2n], in the points' dtype:
     ``groups._closure`` of ``act`` on the base of the basis vectors, the
     first 2n points, in the order of a matrix closure (rows are equal
@@ -490,26 +504,27 @@ def _matrix_closure(generators, cap: int = CLOSURE_CAP):
     return p, points[rows].swapaxes(1, 2)
 
 
-def _matrix_chain(generators, cap: int = CLOSURE_CAP):
-    """(order, points, levels): ``groups._stabilizer_chain`` of
-    ``_basis_action`` on the base e_1 ... e_2n, whose pointwise stabilizer
-    is trivial.  CapExceeded where ``_matrix_closure`` raises it: past
-    ``2n * cap`` orbit points, then, as soon as the orbit lengths show it,
-    past ``cap`` elements."""
+def matrix_group_order(generators, cap: int = CLOSURE_CAP) -> int:
+    """The order of the generated group, listing no element: the product of
+    the orbit lengths of ``groups._stabilizer_chain`` of ``_basis_action``
+    on the base e_1 ... e_2n (whose pointwise stabilizer is trivial).
+    CapExceeded where :func:`matrix_closure` raises it: past ``2n * cap``
+    orbit points, then as soon as the orbit lengths pass ``cap``."""
     _, points, act = _basis_action(generators, cap)
     levels = _stabilizer_chain(act, range(points.shape[1]), cap)
-    return math.prod(len(lv.orbit) for lv in levels), points, levels
+    return math.prod(len(lv.orbit) for lv in levels)
 
 
-def _chain_stack(points, levels) -> np.ndarray:
-    """Every element of ``_matrix_chain``'s group once, as a stack [N, 2n,
-    2n] in the points' dtype: the base images of each product of
-    transversal elements, level 0's after level 1's after ..., decoded by
-    ``points``."""
+def _chain_elements(generators, cap: int = CLOSURE_CAP):
+    """(p, E): each element of :func:`matrix_group_order`'s chain once, as
+    the base images of a product of transversal elements (level 0's after
+    level 1's ...) decoded into a stack [N, 2n, 2n] in the points' dtype."""
+    p, points, act = _basis_action(generators, cap)
+    levels = _stabilizer_chain(act, range(points.shape[1]), cap)
     rows = levels[-1].B
     for lv in reversed(levels[:-1]):
         rows = lv.images(rows).reshape(-1, points.shape[1])
-    return points[rows].swapaxes(1, 2)
+    return p, points[rows].swapaxes(1, 2)
 
 
 # -- independent order oracle ----------------------------------------------
@@ -589,6 +604,15 @@ def bruhat_cells(p: int, E: np.ndarray) -> np.ndarray:
     for s in range(0, len(E), _BRUHAT_SLICE):
         d[s:s + _BRUHAT_SLICE] = _bruhat_stack(p, E[s:s + _BRUHAT_SLICE])[0]
     return d
+
+
+def bruhat_census(generators, cap: int = CLOSURE_CAP) -> dict:
+    """{d: number of elements in cell d}, for the cells that hold one: each
+    element once from the chain (``_chain_elements``), certified by
+    :func:`bruhat_cells`; CapExceeded as :func:`matrix_group_order`."""
+    d, counts = np.unique(bruhat_cells(*_chain_elements(generators, cap)),
+                          return_counts=True)
+    return dict(zip(d.tolist(), counts.tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -236,8 +236,7 @@ class FiniteGroup:
     def closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by ``gens`` (always contains the identity),
         sorted; ValueError for the first id that is no element."""
-        gens = np.array(list(gens), dtype=np.int64)
-        _check_ids(gens, self)
+        gens = np.array(_check_ids(gens, self), dtype=np.int64)
         elements, _ = _closure(self.table[gens], [self.identity], self.n)
         return tuple(sorted(elements.ravel().tolist()))
 
@@ -345,9 +344,10 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements, check: bool = True):
         self.parent = parent
-        self.elements = tuple(sorted(int(x) for x in set(elements)))
+        ids = _check_ids(elements, parent) if check else map(int, elements)
+        self.elements = tuple(sorted(set(ids)))
         if check:
-            got = parent.closure(self.elements)    # checks the ids first
+            got = parent.closure(self.elements)
             if got != self.elements:
                 raise ValueError(
                     f"elements {self.elements} are not closed in {parent.name}"
@@ -429,11 +429,11 @@ class GroupMorphism:
                  check: bool = True):
         self.source = source
         self.target = target
-        self.images = tuple(int(x) for x in images)
+        self.images = (_check_ids(images, target) if check
+                       else tuple(int(x) for x in images))
         if len(self.images) != source.n:
             raise ValueError("need one image per source element")
         if check:
-            _check_ids(self.images, target)
             img = np.asarray(self.images)
             lhs = target.table[np.ix_(img, img)]
             rhs = img[source.table]
@@ -487,11 +487,27 @@ class GroupMorphism:
         return f"GroupMorphism({self.source.name} -> {self.target.name})"
 
 
-def _check_ids(ids, G: FiniteGroup) -> None:
-    """ValueError naming the first id that is no element of G."""
-    bad = next((x for x in ids if not 0 <= x < G.n), None)
-    if bad is not None:
-        raise ValueError(f"element {bad} is not in {G.name} (order {G.n})")
+def _is_int(x) -> bool:
+    """The one rule for an id or an FpMatrix entry: an int (not a bool)
+    or a numpy integer."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _int_ids(ids):
+    """``ids`` as ints, in one pass; None if one is not an int by _is_int."""
+    out = tuple(x if type(x) is int else int(x) if isinstance(x, np.integer)
+                else None for x in ids)
+    return None if None in out else out
+
+
+def _check_ids(ids, G: FiniteGroup) -> tuple[int, ...]:
+    """``ids`` as ints, checked before int() could truncate one: ValueError
+    names the first that is not an int by ``_is_int`` or not in range(G.n)."""
+    ids = tuple(ids)
+    for x in ids:
+        if not (_is_int(x) and 0 <= x < G.n):
+            raise ValueError(f"element {x} is not in {G.name} (order {G.n})")
+    return tuple(map(int, ids))
 
 
 def identity_morphism(G: FiniteGroup) -> GroupMorphism:

@@ -33,7 +33,6 @@ from brpic.autoeq import (
     _check_preservation,
     _fingerprints,
     _refine_candidates,
-    _unit_index,
 )
 from brpic.center import ModularData, modular_data, simple_objects
 from brpic.chars import centralizer_table, character_table, find_character
@@ -683,8 +682,7 @@ class TestCompleteExtensions:
                 next(N for N in abelian_normal_subgroups(G) if N.order == 4))
         else:
             G = named_group(name)
-            u = _unit_index(G)
-            part = PartialBrEq(G, {u: u}, {}, Provenance("searched"))
+            part = PartialBrEq(G, {0: 0}, {}, Provenance("searched"))
         assert complete_extensions(part, cap=nodes)
         with pytest.raises(BudgetExceeded, match=f"cap = {nodes - 1} nodes"):
             complete_extensions(part, cap=nodes - 1)
@@ -749,6 +747,17 @@ class TestCompleteExtensions:
             PartialBrEq(S3, {}, {1: ()}, Provenance("searched"))
         with pytest.raises(NoExtension):
             PartialBrEq(S3, {1: 1}, {1: (1, 2)}, Provenance("searched"))
+        # int() read {0: 0.0, 1: 1.6} as {0: 0, 1: 1}
+        for mapping, candidates, bad in [
+                ({0: 0.0, 1: 1.6}, {}, 0.0), ({0: 0, 1.0: 1}, {}, 1.0),
+                ({0: 0}, {6: (6, 7.5)}, 7.5), ({0: 0}, {True: (6, 7)}, True),
+                ({0: np.float64(0)}, {}, 0.0)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"simple {bad} is not an int")):
+                PartialBrEq(S3, mapping, candidates, Provenance("searched"))
+        part = PartialBrEq(S3, {np.int8(0): np.uint8(0)}, {np.int64(6): (
+            np.int16(6), 7)}, Provenance("searched"))
+        assert part.mapping == {0: 0} and part.candidates == {6: (6, 7)}
         # a repeated candidate is one candidate: each completion comes once
         part = PartialBrEq(S3, {0: 0}, {6: (6, 6, 7)}, Provenance("searched"))
         assert part.candidates == {6: (6, 7)}
@@ -902,8 +911,7 @@ class TestLevelSearchMatchesRecursion:
     ])
     def test_unit_seeded_search(self, name, nodes):
         G = named_group(name)
-        u = _unit_index(G)
-        part = PartialBrEq(G, {u: u}, {}, Provenance("searched"))
+        part = PartialBrEq(G, {0: 0}, {}, Provenance("searched"))
         assert assert_matches_recursion(part)[1] == nodes
 
     @pytest.mark.parametrize("name, nodes", [
@@ -1210,6 +1218,28 @@ class TestPreservation:
         rep = preserves_modular_data(mapping, modular_data(named_group("S3")))
         assert not rep and rep.witness == "mapping is not a bijection"
 
+    @pytest.mark.parametrize("at, bad", [
+        (0, 0.4), (0, False), (5, 5.0), (15, np.float64(15)), (1, True),
+        (3, "3"), (2, None)])
+    def test_entry_that_is_not_an_int_is_no_bijection(self, at, bad):
+        # int() read 0.4 and False as the unit and accepted the identity
+        G = named_group("Z/2^2")
+        mapping = list(range(16))
+        mapping[at] = bad
+        rep = preserves_modular_data(mapping, modular_data(G))
+        assert not rep and rep.witness == "mapping is not a bijection"
+        with pytest.raises(NotBraided, match=re.escape(
+                "mapping is not a bijection of the 16 simple objects")):
+            BraidedAutoeq(G, mapping)
+
+    def test_numpy_integer_entries_are_ints(self):
+        G = named_group("Z/2^2")
+        for dtype in (np.int8, np.uint8, np.int64):
+            mapping = np.arange(16, dtype=dtype)
+            assert preserves_modular_data(mapping, modular_data(G))
+            F = BraidedAutoeq(G, mapping)
+            assert all(type(x) is int for x in F.mapping)
+
     def test_modular_data_of_another_group_is_refused(self):
         # D4 and Q8 both have 22 simples, so a D4 mapping fits Q8's data
         D4, Q8 = named_group("D4"), named_group("Q8")
@@ -1294,9 +1324,8 @@ class TestCertificateMatchesEntryCheck:
         md = modular_data(G)
         maps = [from_hopf_auto(v) for v in automorphism_search(G)]
         if name in UNIT_SEEDED:
-            u = _unit_index(G)
             maps += complete_extensions(
-                PartialBrEq(G, {u: u}, {}, Provenance("searched")))
+                PartialBrEq(G, {0: 0}, {}, Provenance("searched")))
         else:
             # Z/2^3 is past the unit-seeded budget: its R' completions
             maps += [F for p in rprime_partials(G)

@@ -335,6 +335,17 @@ def test_find_character():
         find_character(G, ints(1, 1, -1))
 
 
+@pytest.mark.parametrize("name", ["S3", "Z/2^2", "Q8"])
+def test_find_character_reads_rational_values_of_any_type(name):
+    # a rational Cyclotomic hashes and compares equal to its int and
+    # Fraction, so raw values find the row without a conversion
+    G = named_group(name)
+    for i, ch in enumerate(character_table(G)):
+        vals = [v.as_rational() for v in ch.values]
+        assert find_character(G, vals) == i
+        assert find_character(G, [int(q) for q in vals]) == i
+
+
 @pytest.mark.parametrize("name", ["S4", "Z/2^3"])
 def test_find_character_agrees_with_a_scan(name):
     G = named_group(name)

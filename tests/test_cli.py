@@ -591,7 +591,7 @@ class TestStreamedEmit:
     def test_peak_memory_is_a_quarter_of_the_text(self):
         # the (5, 2) closure, 8.8 MB of JSON; tracemalloc sees numpy's
         # buffers and Python's strings, and the bound is a ratio
-        E = fpn._matrix_closure(fpn.standard_generators(5, 2))[1]
+        E = fpn.matrix_closure(fpn.standard_generators(5, 2))[1]
         sink = self.Sink()
         tracemalloc.start()
         try:
@@ -1066,8 +1066,8 @@ class TestOrdersAndCensusFromTheChain:
             pytest.fail("breadth-first closure")
 
         # cli holds its own reference to the closure
-        monkeypatch.setattr(fpn, "_matrix_closure", refuse)
-        monkeypatch.setattr(cli, "_matrix_closure", refuse)
+        monkeypatch.setattr(fpn, "matrix_closure", refuse)
+        monkeypatch.setattr(cli, "matrix_closure", refuse)
         for sub in (["orders"], ["bruhat", "--all"]):
             code, _, _ = run(capsys, "fpn", "3", "2", *sub)
             assert code == 0

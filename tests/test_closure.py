@@ -158,7 +158,7 @@ def test_matrix_closure_memory_is_linear():
     gens = standard_generators(10007, 1)
     tracemalloc.start()
     try:
-        E = fpn._matrix_closure(gens)[1]
+        E = fpn.matrix_closure(gens)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -456,9 +456,9 @@ def sp_order(n):
 def test_chain_order_is_the_closure_size(p, n):
     gens = standard_generators(p, n)
     act = fpn._basis_action(gens, CLOSURE_CAP)[2]
-    order = len(fpn._matrix_closure(gens)[1])
+    order = len(fpn.matrix_closure(gens)[1])
     assert chain_order(act, range(2 * n)) == order
-    assert fpn._matrix_chain(gens)[0] == order
+    assert fpn.matrix_group_order(gens) == order
 
 
 @pytest.mark.parametrize("p, n, order", [
@@ -513,14 +513,14 @@ def test_chain_transversals(p, n):
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2)])
 def test_chain_stack_is_the_closure(p, n):
     gens = standard_generators(p, n)
-    order, points, levels = fpn._matrix_chain(gens)
-    E = fpn._chain_stack(points, levels)
-    closure = fpn._matrix_closure(gens)[1]
+    field, E = fpn._chain_elements(gens)
+    closure = fpn.matrix_closure(gens)[1]
+    assert field == p
     assert E.shape == closure.shape and E.dtype == closure.dtype
     key = np.dtype((np.void, E[0].nbytes))
     got = np.ascontiguousarray(E).reshape(len(E), -1).view(key).ravel()
     want = np.ascontiguousarray(closure).reshape(len(E), -1).view(key).ravel()
-    assert len(set(got.tolist())) == len(E) == order
+    assert len(set(got.tolist())) == len(E) == fpn.matrix_group_order(gens)
     assert set(got.tolist()) == set(want.tolist())
 
 
@@ -528,13 +528,15 @@ def test_chain_stack_is_the_closure(p, n):
 def test_chain_cap_is_the_closure_cap(cap):
     gens = standard_generators(2, 2)
     if cap == 720:
-        assert fpn._matrix_chain(gens, cap)[0] == 720
+        assert fpn.matrix_group_order(gens, cap) == 720
+        assert sum(fpn.bruhat_census(gens, cap).values()) == 720
         return
     with pytest.raises(CapExceeded) as closure:
-        fpn._matrix_closure(gens, cap)
-    with pytest.raises(CapExceeded) as chain:
-        fpn._matrix_chain(gens, cap)
-    assert str(chain.value) == str(closure.value)
+        fpn.matrix_closure(gens, cap)
+    for chain in (fpn.matrix_group_order, fpn.bruhat_census):
+        with pytest.raises(CapExceeded) as refused:
+            chain(gens, cap)
+        assert str(refused.value) == str(closure.value)
 
 
 def test_chain_stops_as_soon_as_the_orbits_pass_the_cap(monkeypatch):

@@ -8,6 +8,7 @@ the generator machinery under test.
 
 import functools
 import itertools
+import json
 import re
 import tracemalloc
 from math import prod
@@ -45,12 +46,14 @@ from brpic.fpn import (
     FpMatrix,
     _bruhat_stack,
     _check_prime,
-    _matrix_closure,
     _pair_swap,
     _preserves_form,
     autoeq_to_matrix,
     bruhat_factorize,
+    bruhat_census,
     generate_matrix_group,
+    matrix_closure,
+    matrix_group_order,
     group_order_oracle,
     hyperbolic_form,
     matrix_to_autoeq,
@@ -256,6 +259,23 @@ class TestGroupOrders:
     def test_generated_order_matches_oracle(self, p, n):
         assert len(full_group(p, n)) == group_order_oracle(p, n)
 
+    @pytest.mark.parametrize("p,n", ORACLE_CONFIGS)
+    def test_chain_order_matches_oracle(self, p, n):
+        assert matrix_group_order(standard_generators(p, n)) == (
+            group_order_oracle(p, n))
+
+    def test_chain_order_lists_nothing(self, monkeypatch):
+        # |O+_6(3)| = 24,261,120: from the orbit lengths, at a cap that
+        # lets them through; no closure runs and no element is decoded
+        monkeypatch.setattr(fpn, "_closure", None)
+        monkeypatch.setattr(fpn, "_chain_elements", None)
+        gens = standard_generators(3, 3)
+        assert matrix_group_order(gens, cap=closed_form_order(3, 3)) == (
+            closed_form_order(3, 3))
+        with pytest.raises(CapExceeded,
+                           match="generated group exceeds the cap of 1000000"):
+            matrix_group_order(gens)
+
     @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_oracle_matches_brute_force(self, p, n):
         # Every 2n x 2n matrix over F_p (2**16 of them at (2, 2)), tested
@@ -307,7 +327,7 @@ class TestGenerateMatrixGroup:
 
     def test_order_beyond_the_oracle(self):
         # |O_4^+(7)| = 2 * 7^2 * (7^2 - 1)^2, out of the oracle's p <= 5
-        p, E = _matrix_closure(standard_generators(7, 2))
+        p, E = matrix_closure(standard_generators(7, 2))
         assert len(E) == closed_form_order(7, 2) == 2 * 7**2 * (7**2 - 1)**2
         assert E.dtype == np.uint8
         assert _preserves_form(p, E).all()
@@ -540,7 +560,7 @@ class TestStackedBruhat:
     @pytest.mark.parametrize("p,n,sample", [(2, 2, None), (3, 2, None),
                                             (5, 2, 300)])
     def test_matches_per_element(self, p, n, sample):
-        p, E = _matrix_closure(standard_generators(p, n))
+        p, E = matrix_closure(standard_generators(p, n))
         if sample:
             E = E[np.random.default_rng(20170216).choice(len(E), sample,
                                                          replace=False)]
@@ -554,14 +574,14 @@ class TestStackedBruhat:
                 b[k].tolist(), e[k].tolist(), r[k].tolist()]
 
     def test_one_bad_matrix_in_the_stack(self):
-        p, E = _matrix_closure(standard_generators(3, 2))
+        p, E = matrix_closure(standard_generators(3, 2))
         E = E.copy()
         E[7, 0, 0] = (E[7, 0, 0] + 1) % p
         with pytest.raises(NotFormPreserving):
             _bruhat_stack(p, E)
 
     def test_no_subset_works(self, monkeypatch):
-        p, E = _matrix_closure(standard_generators(2, 2))
+        p, E = matrix_closure(standard_generators(2, 2))
         # every "reflection" is the zero matrix, so no witness multiplies
         # back to its input
         monkeypatch.setattr(
@@ -596,7 +616,7 @@ class TestBruhatCells:
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
     def test_matches_the_stack(self, monkeypatch, p, n):
-        p, E = _matrix_closure(standard_generators(p, n))
+        p, E = matrix_closure(standard_generators(p, n))
         d = _bruhat_stack(p, E)[0]
         monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
         calls = self.slices(monkeypatch)
@@ -616,7 +636,7 @@ class TestBruhatCells:
             fpn.bruhat_cells(3, E)
 
     def test_bad_matrix_in_the_second_slice(self, monkeypatch):
-        p, E = _matrix_closure(standard_generators(3, 2))
+        p, E = matrix_closure(standard_generators(3, 2))
         E = E.copy()
         E[10, 0, 0] = (E[10, 0, 0] + 1) % p
         monkeypatch.setattr(fpn, "_BRUHAT_SLICE", 7)
@@ -628,7 +648,7 @@ class TestBruhatCells:
         assert calls == [7, 7]          # the second slice raises
 
     def test_no_subset_works(self, monkeypatch):
-        p, E = _matrix_closure(standard_generators(2, 2))
+        p, E = matrix_closure(standard_generators(2, 2))
         # the zero "reflections" of TestStackedBruhat.test_no_subset_works
         monkeypatch.setattr(
             fpn, "_pair_swap",
@@ -641,14 +661,32 @@ class TestBruhatCells:
         assert self.raised(fpn.bruhat_cells, p, E) == want
 
     def test_cells_of_o4_plus_f5(self):
-        p, E = _matrix_closure(standard_generators(5, 2))
+        p, E = matrix_closure(standard_generators(5, 2))
         assert np.bincount(fpn.bruhat_cells(p, E)).tolist() == [
             12000, 14400, 2400]
+
+    @pytest.mark.parametrize("p,n", ORACLE_CONFIGS)
+    def test_census_is_the_closure_census(self, p, n):
+        # the chain lists each element once, in another order than the
+        # breadth-first closure; the counts per cell agree
+        gens = standard_generators(p, n)
+        census = bruhat_census(gens)
+        d = fpn.bruhat_cells(*matrix_closure(gens))
+        assert census == dict(enumerate(np.bincount(d).tolist()))
+        assert list(census) == sorted(census)
+        assert all(type(k) is int and type(v) is int
+                   for k, v in census.items())
+
+    def test_census_certifies_every_element(self, monkeypatch):
+        calls = TestBruhatCells.slices(monkeypatch)
+        assert bruhat_census(standard_generators(3, 2)) == {
+            0: 432, 1: 576, 2: 144}
+        assert sum(calls) == closed_form_order(3, 2)
 
     def test_peak_memory_is_a_quarter_of_the_stack(self):
         # tracemalloc sees numpy's buffers; the bound is a ratio, so it
         # holds on any machine
-        p, E = _matrix_closure(standard_generators(5, 2))
+        p, E = matrix_closure(standard_generators(5, 2))
 
         def peak(call):
             tracemalloc.start()
@@ -777,6 +815,37 @@ class TestFpMatrixEntries:
         with pytest.raises(ValueError, match=re.escape(
                 f"entry {at} is ") + ".*not an int64 integer"):
             FpMatrix(3, entries)
+
+    @pytest.mark.parametrize("rows, text", [
+        ([[1.5, 0], [0, 1]], "entry [0][0] is 1.5"),
+        ([[True, 0], [0, 1]], "entry [0][0] is true"),
+        ([[1, 0], [0, "1"]], 'entry [1][1] is "1"'),
+        ([[1e30, 0], [0, 1]], "entry [0][0] is 1e+30"),
+        ([[float("nan"), 0], [0, 1]], "entry [0][0] is NaN"),
+        ([[None, 0], [0, 1]], "entry [0][0] is null"),
+        ([[1, 0], [2**63, 1]], "entry [1][0] is 9223372036854775808"),
+        ({"a": 1}, 'entry [0][0] is {"a": 1}'),
+        ([[[1]]], "entry [0][0] is [1]"),
+        ([[1, 0], 7.5], "entry [1][0] is 7.5"),
+    ])
+    def test_from_json_names_the_entry_as_json(self, rows, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{text}, not an int64 integer")):
+            FpMatrix.from_json(3, rows)
+
+    @pytest.mark.parametrize("rows, text", [
+        ([1], "entries must form a square matrix"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix size must be even"),
+        ([[1, 0], [0]], "inhomogeneous"),
+    ])
+    def test_from_json_refuses_a_non_square_shape(self, rows, text):
+        with pytest.raises(ValueError, match=text):
+            FpMatrix.from_json(3, rows)
+
+    def test_from_json_reads_int64_exactly(self):
+        rows = [[-2**63, 0], [5, 2**63 - 1]]
+        M = FpMatrix.from_json(3, json.loads(json.dumps(rows)))
+        assert M == FpMatrix(3, rows) and M.tolist() == [[1, 0], [2, 1]]
 
     @pytest.mark.parametrize("entries", [
         [[-2**63, 2**63 - 1], [np.int64(4), np.uint64(2**63 - 1)]],

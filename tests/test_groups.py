@@ -483,6 +483,46 @@ def test_morphism_rejects_images_outside_the_group():
             gr.GroupMorphism(G, G, images)
 
 
+# int() truncated each of these to an element: 3.7 to 3, True to 1
+NOT_INTS = [3.7, 0.0, True, np.float64(2.0), np.bool_(True), "1", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+def test_ids_that_are_not_ints_are_refused(bad):
+    G = gr.named_group("S3")
+    message = re.escape(f"element {bad} is not in S3 (order 6)")
+    with pytest.raises(ValueError, match=message):
+        gr.Subgroup(G, [0, bad, 4])
+    with pytest.raises(ValueError, match=message):
+        G.closure([bad])
+    images = list(range(6))
+    images[2] = bad
+    with pytest.raises(ValueError, match=message):
+        gr.GroupMorphism(G, G, images)
+
+
+def test_the_first_id_that_is_not_an_int_is_named():
+    G = gr.named_group("S3")
+    with pytest.raises(ValueError, match=re.escape("element 0.0 is not in S3")):
+        gr.Subgroup(G, [0.0, 3.7, 4.2])
+    with pytest.raises(ValueError, match=re.escape("element 0.5 is not in S3")):
+        gr.GroupMorphism(G, G, [x + 0.5 for x in range(6)])
+    with pytest.raises(ValueError, match=re.escape("element 3.9 is not in S3")):
+        G.closure([3.9])
+
+
+def test_numpy_integer_ids_are_read_as_ints():
+    G = gr.named_group("S3")
+    ids = np.array([0, 3, 4], dtype=np.uint8)
+    assert gr.Subgroup(G, ids).elements == (0, 3, 4)
+    assert G.closure(ids[1:2]) == (0, 3, 4)
+    assert gr.GroupMorphism(G, G, np.arange(6)).images == tuple(range(6))
+    assert gr._int_ids(np.arange(3, dtype=np.int16)) == (0, 1, 2)
+    assert all(type(x) is int for x in gr._int_ids(np.arange(3)))
+    assert gr._int_ids([0, 1, True]) is None
+    assert gr._int_ids([0, 1.0]) is None
+
+
 def test_opposite_group():
     G = gr.named_group("S3")
     O = gr.opposite_group(G)

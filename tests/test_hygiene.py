@@ -200,6 +200,19 @@ def test_only_cyclo_knows_its_internals():
     assert not private, f"private names imported from cyclo: {private}"
 
 
+def test_cli_imports_no_private_names():
+    """``cli`` reads the library through its public names: it imports no
+    name beginning with ``_`` from another module, so a layer may change
+    its private helpers without the command line knowing."""
+    private = [
+        f"{node.module}: {alias.name}"
+        for node in ast.walk(_tree(SRC / "cli.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported by cli: {private}"
+
+
 def _memo_tag(key, func):
     """The tag of a ``_memo`` key: the key, or its first item, as a
     constant; a name is read through its first assignment in ``func``.

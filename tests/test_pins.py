@@ -29,7 +29,6 @@ from brpic.autoeq import (
     Provenance,
     _find_complement,
     _q_action_perms,
-    _unit_index,
     bimodule_data,
     complete_extensions,
     from_bv,
@@ -418,9 +417,8 @@ def _corrupted_twist_record(G):
 def _to_matrix_record(p, n):
     """autoeq_to_matrix of every unit-seeded search result."""
     G = matrix_to_autoeq(FpMatrix.identity(p, n)).group
-    u = _unit_index(G)
     found = complete_extensions(
-        PartialBrEq(G, {u: u}, {}, Provenance("searched")))
+        PartialBrEq(G, {0: 0}, {}, Provenance("searched")))
     return [_outcome(lambda: autoeq_to_matrix(F), FpMatrix.tolist)
             for F in found]
 
